@@ -162,7 +162,8 @@ func TestExitsBelowMatchesHeuristicIntuition(t *testing.T) {
 		}
 	}
 	eb := top.ExitsBelow()
-	if eb[0] <= eb[2] || eb[0] <= eb[3] {
-		t.Fatalf("root exit count %d must exceed leaf counts %d/%d", eb[0], eb[2], eb[3])
+	root, l2, l3 := eb[top.Pos(0)], eb[top.Pos(2)], eb[top.Pos(3)]
+	if root <= l2 || root <= l3 {
+		t.Fatalf("root exit count %d must exceed leaf counts %d/%d", root, l2, l3)
 	}
 }

@@ -12,69 +12,61 @@ import (
 // cross-path write conflicts were already resolved by renaming (or are
 // non-speculatable ops guarded by disjoint predicates).
 //
-// The state lives in per-register stacks over the function's dense register
-// index: the reaching definitions of r are defs[r][defBase[r]:]. A killing
-// definition raises the base (hiding everything below), a joining one just
-// pushes, and the undo log records the previous base/length pair so block
-// exit restores the parent path's view by truncation — no maps, no closure
-// captures, and stack capacity is reused across the whole walk.
+// The state lives in per-register stacks over the region-local register
+// numbering: the reaching definitions of r are the top defLen[r]-defBase[r]
+// entries of its definition stack. A killing definition raises the base
+// (hiding everything below), a joining one just pushes, and the undo log
+// records the previous base/length pair so block exit restores the parent
+// path's view by truncation — no maps, no closure captures, and the stack
+// memory is reused across builds.
 func (b *builder) dataEdges() {
-	regs := b.g.Fn.RegIndexTable()
-	w := &walker{b: b, regs: &regs, nodes: b.g.Nodes}
-	b.prepWalker(w, regs.Len())
+	w := &b.w
+	w.b, w.nodes = b, b.g.Nodes
+	b.prepWalker()
 	w.walk(b.g.Region.Root)
-	if b.sc != nil {
-		b.sc.releaseWalker(w)
-	}
 }
 
-// prepWalker sizes every walker stack from the region's ops instead of
-// letting appends grow them: one counting pass over the nodes bounds each
-// register's def stack by its total destination occurrences, its reader
-// stack by its total source occurrences, and the undo log by the total
-// event count — a path can only push what the whole region contains, so the
-// bounds hold for every root-to-leaf walk. The per-register stacks are then
-// carved from one index slab with those caps, which turns the walk's
-// hottest allocation sites (one growth chain per touched register, per
-// region) into zero allocations under a Scratch and a handful without one.
-// The stacks hold node indices, not pointers: the slab stays invisible to
-// the garbage collector, which matters at suite scale (a pointer slab this
-// size showed up as scan time exceeding the allocation savings).
-func (b *builder) prepWalker(w *walker, nr int) {
-	sc := b.sc
-	var defCnt, readerCnt []int32
-	if sc != nil {
-		w.defs = grow(sc.defs, nr)
-		w.readers = grow(sc.readers, nr)
-		w.defBase = growClear(sc.defBase, nr)
-		w.readerBase = growClear(sc.readerBase, nr)
-		defCnt = growClear(sc.defCnt, nr)
-		readerCnt = growClear(sc.readerCnt, nr)
-	} else {
-		w.defs = make([][]int32, nr)
-		w.readers = make([][]int32, nr)
-		w.defBase = make([]int32, nr)
-		w.readerBase = make([]int32, nr)
-		defCnt = make([]int32, nr)
-		readerCnt = make([]int32, nr)
+// prepWalker numbers every register the region's nodes mention (renamed
+// registers included) and sizes every walker stack from the region's ops
+// instead of letting appends grow them: one counting pass over the nodes
+// bounds each register's def stack by its total destination occurrences,
+// its reader stack by its total source occurrences, and the undo log by the
+// total event count — a path can only push what the whole region contains,
+// so the bounds hold for every root-to-leaf walk. The stacks are then laid
+// out back to back in one index slab, so the walk itself never allocates.
+// They hold node indices, not pointers, and the per-register tables are
+// offsets and lengths: nothing here is visible to the garbage collector.
+func (b *builder) prepWalker() {
+	w := &b.w
+	for _, nd := range b.g.Nodes {
+		op := nd.Op
+		for _, s := range op.Srcs {
+			b.number(s)
+		}
+		if op.Guarded() {
+			b.number(op.Guard)
+		}
+		for _, d := range op.Dests {
+			b.number(d)
+		}
 	}
+	nr := len(b.regOf)
+	// Count into the length tables, then turn counts into offsets.
+	w.defLen = growClear(w.defLen, nr)
+	w.rdLen = growClear(w.rdLen, nr)
 	undoCap, loadCap := 0, 0
 	for _, nd := range b.g.Nodes {
 		op := nd.Op
 		for _, s := range op.Srcs {
-			if s.IsValid() {
-				if r := int32(w.regs.Of(s)); r >= 0 {
-					readerCnt[r]++
-					undoCap++
-				}
+			if r := b.local(s); r >= 0 {
+				w.rdLen[r]++
+				undoCap++
 			}
 		}
 		if op.Guarded() {
-			if s := op.Guard; s.IsValid() {
-				if r := int32(w.regs.Of(s)); r >= 0 {
-					readerCnt[r]++
-					undoCap++
-				}
+			if r := b.local(op.Guard); r >= 0 {
+				w.rdLen[r]++
+				undoCap++
 			}
 		}
 		switch op.Opcode {
@@ -85,41 +77,29 @@ func (b *builder) prepWalker(w *walker, nr int) {
 			undoCap++
 		}
 		for _, d := range op.Dests {
-			if d.IsValid() {
-				if r := int32(w.regs.Of(d)); r >= 0 {
-					defCnt[r]++
-					undoCap++
-				}
+			if r := b.local(d); r >= 0 {
+				w.defLen[r]++
+				undoCap++
 			}
 		}
 	}
-	total := 0
+	w.defOff = grow(w.defOff, nr)
+	w.rdOff = grow(w.rdOff, nr)
+	w.defBase = growClear(w.defBase, nr)
+	w.rdBase = growClear(w.rdBase, nr)
+	off := int32(0)
 	for r := 0; r < nr; r++ {
-		total += int(defCnt[r]) + int(readerCnt[r])
+		w.defOff[r] = off
+		off += w.defLen[r]
+		w.rdOff[r] = off
+		off += w.rdLen[r]
+		w.defLen[r], w.rdLen[r] = 0, 0
 	}
-	var slab []int32
-	if sc != nil {
-		slab = grow(sc.walkSlab, total)
-	} else {
-		slab = make([]int32, total)
-	}
-	off := 0
-	for r := 0; r < nr; r++ {
-		d, rd := int(defCnt[r]), int(readerCnt[r])
-		w.defs[r] = slab[off : off : off+d]
-		off += d
-		w.readers[r] = slab[off : off : off+rd]
-		off += rd
-	}
-	if sc != nil {
-		sc.walkSlab = slab
-		sc.defCnt, sc.readerCnt = defCnt, readerCnt
-		w.undo = grow(sc.undo, undoCap)[:0]
-		w.loads = grow(sc.loads, loadCap)[:0]
-	} else {
-		w.undo = make([]undoRec, 0, undoCap)
-		w.loads = make([]int32, 0, loadCap)
-	}
+	w.slab = grow(w.slab, int(off))
+	w.undo = grow(w.undo, undoCap)[:0]
+	w.loads = grow(w.loads, loadCap)[:0]
+	w.loadsBase = 0
+	w.lastStore = nil
 }
 
 // walker undo-record kinds.
@@ -140,13 +120,15 @@ type undoRec struct {
 
 type walker struct {
 	b     *builder
-	regs  *ir.RegIndex
 	nodes []*Node // g.Nodes — the stacks below hold indices into it
 
-	defs       [][]int32 // per dense reg: definition stack (node indices)
-	defBase    []int32   // start of the *reaching* definitions within defs
-	readers    [][]int32 // per dense reg: readers since the reaching defs
-	readerBase []int32
+	// Per region-local register: the definition stack is
+	// slab[defOff[r]:defOff[r]+defLen[r]], of which entries from defBase[r]
+	// on are the reaching definitions; the reader stack likewise, holding
+	// the readers since those definitions.
+	defOff, defLen, defBase []int32
+	rdOff, rdLen, rdBase    []int32
+	slab                    []int32
 
 	lastStore *Node
 	loads     []int32 // loads since the last store (node indices)
@@ -170,13 +152,13 @@ func (w *walker) walk(bid ir.BlockID) {
 		switch u.kind {
 		case undoSetDef:
 			w.defBase[u.reg] = u.a
-			w.defs[u.reg] = w.defs[u.reg][:u.b]
-			w.readerBase[u.reg] = u.c
-			w.readers[u.reg] = w.readers[u.reg][:u.d]
+			w.defLen[u.reg] = u.b
+			w.rdBase[u.reg] = u.c
+			w.rdLen[u.reg] = u.d
 		case undoAddDef:
-			w.defs[u.reg] = w.defs[u.reg][:u.a]
+			w.defLen[u.reg] = u.a
 		case undoReader:
-			w.readers[u.reg] = w.readers[u.reg][:u.a]
+			w.rdLen[u.reg] = u.a
 		case undoStore:
 			w.loadsBase = u.a
 			w.loads = w.loads[:u.b]
@@ -187,28 +169,44 @@ func (w *walker) walk(bid ir.BlockID) {
 	}
 }
 
+// reaching returns r's reaching definitions; readers returns r's readers
+// since them. Both are node indices.
+func (w *walker) reaching(r int32) []int32 {
+	return w.slab[w.defOff[r]+w.defBase[r] : w.defOff[r]+w.defLen[r]]
+}
+
+func (w *walker) readers(r int32) []int32 {
+	return w.slab[w.rdOff[r]+w.rdBase[r] : w.rdOff[r]+w.rdLen[r]]
+}
+
 // setDef records an unguarded (killing) definition.
 func (w *walker) setDef(r int32, n *Node) {
 	w.undo = append(w.undo, undoRec{
 		kind: undoSetDef, reg: r,
-		a: w.defBase[r], b: int32(len(w.defs[r])),
-		c: w.readerBase[r], d: int32(len(w.readers[r])),
+		a: w.defBase[r], b: w.defLen[r],
+		c: w.rdBase[r], d: w.rdLen[r],
 	})
-	w.defBase[r] = int32(len(w.defs[r]))
-	w.defs[r] = append(w.defs[r], int32(n.Index))
-	w.readerBase[r] = int32(len(w.readers[r]))
+	w.defBase[r] = w.defLen[r]
+	w.pushDef(r, n)
+	w.rdBase[r] = w.rdLen[r]
 }
 
 // addDef records a guarded (non-killing) definition: previous definitions
 // still reach, and their readers stay visible.
 func (w *walker) addDef(r int32, n *Node) {
-	w.undo = append(w.undo, undoRec{kind: undoAddDef, reg: r, a: int32(len(w.defs[r]))})
-	w.defs[r] = append(w.defs[r], int32(n.Index))
+	w.undo = append(w.undo, undoRec{kind: undoAddDef, reg: r, a: w.defLen[r]})
+	w.pushDef(r, n)
+}
+
+func (w *walker) pushDef(r int32, n *Node) {
+	w.slab[w.defOff[r]+w.defLen[r]] = int32(n.Index)
+	w.defLen[r]++
 }
 
 func (w *walker) addReader(r int32, n *Node) {
-	w.undo = append(w.undo, undoRec{kind: undoReader, reg: r, a: int32(len(w.readers[r]))})
-	w.readers[r] = append(w.readers[r], int32(n.Index))
+	w.undo = append(w.undo, undoRec{kind: undoReader, reg: r, a: w.rdLen[r]})
+	w.slab[w.rdOff[r]+w.rdLen[r]] = int32(n.Index)
+	w.rdLen[r]++
 }
 
 func (w *walker) setStore(n *Node) {
@@ -229,14 +227,11 @@ func (w *walker) addLoad(n *Node) {
 // visitSrc adds flow dependences from the reaching definitions of s and
 // books n as a reader of s.
 func (w *walker) visitSrc(s ir.Reg, n *Node) {
-	if !s.IsValid() {
-		return
-	}
-	r := int32(w.regs.Of(s))
+	r := w.b.local(s)
 	if r < 0 {
 		return
 	}
-	for _, di := range w.defs[r][w.defBase[r]:] {
+	for _, di := range w.reaching(r) {
 		def := w.nodes[di]
 		w.b.addEdge(def, n, machine.Latency(def.Op.Opcode), EdgeData)
 	}
@@ -271,25 +266,19 @@ func (w *walker) visit(n *Node) {
 	}
 	// Anti and output dependences, then the new definitions.
 	for _, d := range op.Dests {
-		if !d.IsValid() {
-			continue
-		}
-		r := int32(w.regs.Of(d))
+		r := w.b.local(d)
 		if r < 0 {
 			continue
 		}
-		for _, ri := range w.readers[r][w.readerBase[r]:] {
+		for _, ri := range w.readers(r) {
 			w.b.addEdge(w.nodes[ri], n, 0, EdgeData)
 		}
-		for _, di := range w.defs[r][w.defBase[r]:] {
+		for _, di := range w.reaching(r) {
 			w.b.addEdge(w.nodes[di], n, 1, EdgeData)
 		}
 	}
 	for _, d := range op.Dests {
-		if !d.IsValid() {
-			continue
-		}
-		r := int32(w.regs.Of(d))
+		r := w.b.local(d)
 		if r < 0 {
 			continue
 		}

@@ -19,9 +19,7 @@ type opAt struct {
 func (b *builder) mergeDominatorParallel() {
 	r := b.g.Region
 	fn := b.g.Fn
-	if b.sc != nil {
-		b.moved = b.sc.movedMap()
-	} else {
+	if b.moved == nil {
 		b.moved = make(map[ir.BlockID][]*ir.Op)
 	}
 
@@ -71,10 +69,10 @@ func (b *builder) mergeDominatorParallel() {
 			if m.op == rep.op {
 				continue
 			}
-			b.gone[m.op.ID] = true
+			b.setGone(m.op)
 			b.g.NumMerged++
 		}
-		b.home[rep.op.ID] = lca
+		b.setHome(rep.op, lca)
 		if rep.block != lca {
 			b.moved[lca] = append(b.moved[lca], rep.op)
 		}

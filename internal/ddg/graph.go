@@ -166,13 +166,17 @@ func (g *Graph) NodeOf(op *ir.Op) *Node {
 	return nil
 }
 
-// indexNodes builds the dense op-ID lookup from g.Nodes. Only the NodeOf
-// guard may call it; Nodes must not change afterwards.
+// indexNodes builds the dense op-ID lookup from g.Nodes, sized to the
+// largest op ID among them (no scan of the function). Only the NodeOf guard
+// may call it; Nodes must not change afterwards.
 func (g *Graph) indexNodes() {
-	bound := g.Fn.OpIDBound()
+	bound := 0
+	for _, n := range g.Nodes {
+		bound = max(bound, n.Op.ID+1)
+	}
 	g.byID = make([]int32, bound)
 	for i, n := range g.Nodes {
-		if n.Op.ID >= 0 && n.Op.ID < bound {
+		if n.Op.ID >= 0 {
 			g.byID[n.Op.ID] = int32(i + 1)
 		}
 	}
@@ -190,19 +194,13 @@ type edgeRec struct {
 // installEdges materializes recs into per-node Succs/Preds slices carved
 // from two backing slabs. A counting pass sizes each node's lists, then a
 // stable fill preserves record order within every list — the same order the
-// old per-edge appends produced. sc, when non-nil, supplies the counting
-// buffers; the edge slabs are always fresh (they escape into the nodes).
-func installEdges(nodes []*Node, recs []edgeRec, sc *Scratch) {
+// old per-edge appends produced. The counting buffers are the builder's;
+// the edge slabs are always fresh (they escape into the nodes).
+func (b *builder) installEdges(nodes []*Node, recs []edgeRec) {
 	n := len(nodes)
-	var outCnt, inCnt []int32
-	if sc != nil {
-		sc.outCnt = growClear(sc.outCnt, n)
-		sc.inCnt = growClear(sc.inCnt, n)
-		outCnt, inCnt = sc.outCnt, sc.inCnt
-	} else {
-		outCnt = make([]int32, n)
-		inCnt = make([]int32, n)
-	}
+	b.outCnt = growClear(b.outCnt, n)
+	b.inCnt = growClear(b.inCnt, n)
+	outCnt, inCnt := b.outCnt, b.inCnt
 	for _, e := range recs {
 		outCnt[e.from]++
 		inCnt[e.to]++
@@ -247,50 +245,29 @@ func DefaultOptions(lv *cfg.Liveness, prof *profile.Data) Options {
 // Build constructs the DDG for r. It may mutate the function: renaming
 // rewrites destination/source registers inside the region and inserts Copy
 // ops. Each region must therefore be built at most once per compiled
-// function instance.
+// function instance. Build uses a fresh Scratch; callers that build many
+// regions pass one to BuildScratch instead.
 func Build(fn *ir.Function, r *region.Region, opts Options) (*Graph, error) {
-	sc := scratchPool.Get().(*Scratch)
-	defer scratchPool.Put(sc)
-	return BuildScratch(fn, r, opts, sc)
+	return BuildScratch(fn, r, opts, new(Scratch))
 }
 
-// scratchPool recycles builder scratch across Build calls, so callers
-// without a worker-owned Scratch still reuse the dense tables instead of
-// reallocating them per region (mirrors sched.ListSchedule's pool).
-var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
-
 // BuildScratch is Build drawing every non-escaping table and buffer from a
-// caller-owned Scratch (nil allocates fresh, exactly as Build). Workers that
-// build many DDGs back to back reuse one Scratch across all of them.
+// caller-owned Scratch. Its cost is O(region): nothing it touches is sized
+// to, or scanned over, the whole function (see Scratch).
 func BuildScratch(fn *ir.Function, r *region.Region, opts Options, sc *Scratch) (*Graph, error) {
+	if opts.DominatorParallelism && opts.Liveness == nil {
+		return nil, fmt.Errorf("ddg: dominator parallelism requires liveness")
+	}
+	if opts.Rename && opts.Liveness == nil {
+		return nil, fmt.Errorf("ddg: renaming requires liveness")
+	}
 	g := &Graph{Fn: fn, Region: r}
-	bound := fn.OpIDBound()
-	//vet:ignore arenaescape the builder borrows sc for exactly one Build; release() below hands every buffer back before return
-	b := &builder{g: g, opts: opts, sc: sc}
-	//vet:ignore arenaescape borrowed buffers flow back to sc via release() on every exit path of this function
-	if sc != nil {
-		b.home = grow(sc.home, bound)
-		b.gone = growClear(sc.gone, bound)
-		b.recs = sc.recs[:0]
-		b.succBuf = sc.succBuf
-		b.subtreeBuf = sc.subtreeBuf
-	} else {
-		b.home = make([]ir.BlockID, bound)
-		b.gone = make([]bool, bound)
-	}
-	for i := range b.home {
-		b.home[i] = ir.NoBlock
-	}
+	b := &sc.builder
+	b.begin(g, opts)
 	if opts.DominatorParallelism {
-		if opts.Liveness == nil {
-			return nil, fmt.Errorf("ddg: dominator parallelism requires liveness")
-		}
 		b.mergeDominatorParallel()
 	}
 	if opts.Rename {
-		if opts.Liveness == nil {
-			return nil, fmt.Errorf("ddg: renaming requires liveness")
-		}
 		b.buildDefBits()
 		b.rename()
 	} else if opts.Liveness != nil {
@@ -311,11 +288,9 @@ func BuildScratch(fn *ir.Function, r *region.Region, opts Options, sc *Scratch) 
 	}
 	b.dataEdges()
 	b.controlEdges()
-	installEdges(g.Nodes, b.recs, sc)
+	b.installEdges(g.Nodes, b.recs)
 	b.attributes()
-	if sc != nil {
-		sc.release(b)
-	}
+	b.finish()
 	return g, nil
 }
 
@@ -326,69 +301,51 @@ type blkRange struct {
 	start, term, end int32
 }
 
+// builder is the state of one build. It lives inside a Scratch, so its
+// buffers carry their capacity from build to build; begin and finish
+// bracket each build (see Scratch for the reset discipline).
 type builder struct {
 	g    *Graph
 	opts Options
-	// sc, when non-nil, supplies every non-escaping table below; Build
-	// stores the (possibly regrown) buffers back on exit.
-	sc *Scratch
-	// Dense per-op tables indexed by op.ID, sized to the bound at builder
-	// creation. Ops minted later (renaming copies) are never gone, moved or
-	// pinned, so the bounds-checked accessors report false for them.
-	home   []ir.BlockID // override block of dominator-merged reps; NoBlock = unmoved
-	gone   []bool       // duplicate ops eliminated by dominator parallelism
-	pinned []bool       // ops that must not speculate above their block
+	busy bool // between begin and finish
+
+	// Function-indexed tables, all-zero between builds.
+	marks  []opMark   // by op.ID; ops minted mid-build stay unmarked
+	marked []int32    // op IDs whose mark this build set
+	regNum [5][]int32 // by register class, then Num: region-local index + 1
+	regOf  []ir.Reg   // region-local index → register, in numbering order
+
 	// moved lists merged representatives homed at each dominator block.
 	moved map[ir.BlockID][]*ir.Op
 
-	// Post-transform caches, built by buildEffective/makeNodes.
+	// Post-transform caches, built by buildEffective/makeNodes and indexed
+	// by preorder position.
 	effSlab []*ir.Op   // effective op sequences, all blocks back to back
-	effOf   []blkRange // effective-op range per BlockID (into effSlab)
-	nodeOf  []blkRange // node range per BlockID (into g.Nodes)
+	effOf   []blkRange // effective-op range per block (into effSlab)
+	nodeOf  []blkRange // node range per block (into g.Nodes)
 
-	// recs accumulates edges for installEdges.
-	recs []edgeRec
+	// recs accumulates edges for installEdges, which counts into
+	// outCnt/inCnt.
+	recs          []edgeRec
+	outCnt, inCnt []int32
 
-	// Per-block def bitsets over regs (snapshot after dominator merging),
-	// used by conflictsOffPath during rename/pinning. Built by buildDefBits;
-	// nil during dominator merging, whose incremental gone-marking would
-	// invalidate a prebuilt table (there conflictsOffPath scans ops instead).
-	regs    ir.RegIndex
-	defBits []uint64
-	defNW   int
+	// Per-block def bitsets over the region-local registers numbered when
+	// they were built (defRegs of them, defNW words per block, blocks by
+	// preorder position), used by conflictsOffPath during rename/pinning.
+	// Built by buildDefBits after dominator merging; not ready during it,
+	// because its incremental gone-marking would invalidate a prebuilt
+	// table (there conflictsOffPath scans ops instead).
+	defBits  []uint64
+	defNW    int
+	defRegs  int
+	defReady bool
 
 	// Reusable scratch.
 	succBuf    []ir.BlockID
 	subtreeBuf []ir.BlockID
-}
 
-func (b *builder) isGone(op *ir.Op) bool {
-	return op.ID < len(b.gone) && b.gone[op.ID]
-}
-
-func (b *builder) isPinned(op *ir.Op) bool {
-	return b.pinned != nil && op.ID < len(b.pinned) && b.pinned[op.ID]
-}
-
-func (b *builder) setPinned(op *ir.Op) {
-	if b.pinned == nil {
-		if b.sc != nil {
-			b.pinned = growClear(b.sc.pinned, len(b.gone))
-		} else {
-			b.pinned = make([]bool, len(b.gone))
-		}
-	}
-	if op.ID < len(b.pinned) {
-		b.pinned[op.ID] = true
-	}
-}
-
-// homeOf returns the override home of a dominator-merged representative.
-func (b *builder) homeOf(op *ir.Op) (ir.BlockID, bool) {
-	if op.ID < len(b.home) && b.home[op.ID] != ir.NoBlock {
-		return b.home[op.ID], true
-	}
-	return ir.NoBlock, false
+	// w is the dataEdges walker; its stacks are reused across builds.
+	w walker
 }
 
 // appendEffective writes block bid's effective op sequence — the scheduler's
@@ -436,21 +393,13 @@ func (b *builder) buildEffective() {
 	for _, bid := range r.Blocks {
 		total += len(b.g.Fn.Block(bid).Ops) + len(b.moved[bid])
 	}
-	if b.sc != nil {
-		b.effOf = growClear(b.sc.effOf, len(b.g.Fn.Blocks))
-		if cap(b.sc.effSlab) < total {
-			b.sc.effSlab = make([]*ir.Op, 0, total)
-		}
-		b.effSlab = b.sc.effSlab[:0]
-	} else {
-		b.effOf = make([]blkRange, len(b.g.Fn.Blocks))
-		b.effSlab = make([]*ir.Op, 0, total)
-	}
-	for _, bid := range r.Blocks {
+	b.effOf = grow(b.effOf, len(r.Blocks))
+	b.effSlab = grow(b.effSlab, total)[:0]
+	for i, bid := range r.Blocks {
 		start := len(b.effSlab)
 		var body int
 		b.effSlab, body = b.appendEffective(b.effSlab, bid)
-		b.effOf[bid] = blkRange{
+		b.effOf[i] = blkRange{
 			start: int32(start),
 			term:  int32(start + body),
 			end:   int32(len(b.effSlab)),
@@ -458,26 +407,20 @@ func (b *builder) buildEffective() {
 	}
 }
 
-// effectiveOps returns the cached effective op sequence for block bid.
-func (b *builder) effectiveOps(bid ir.BlockID) []*ir.Op {
-	r := b.effOf[bid]
-	return b.effSlab[r.start:r.end]
-}
-
-// bodyNodes and termNodes return block bid's non-terminator and terminator
-// nodes; valid after makeNodes.
+// bodyNodes and termNodes return member block bid's non-terminator and
+// terminator nodes; valid after makeNodes.
 func (b *builder) bodyNodes(bid ir.BlockID) []*Node {
-	r := b.nodeOf[bid]
+	r := b.nodeOf[b.g.Region.Pos(bid)]
 	return b.g.Nodes[r.start:r.term]
 }
 
 func (b *builder) termNodes(bid ir.BlockID) []*Node {
-	r := b.nodeOf[bid]
+	r := b.nodeOf[b.g.Region.Pos(bid)]
 	return b.g.Nodes[r.term:r.end]
 }
 
 func (b *builder) blockNodes(bid ir.BlockID) []*Node {
-	r := b.nodeOf[bid]
+	r := b.nodeOf[b.g.Region.Pos(bid)]
 	return b.g.Nodes[r.start:r.end]
 }
 
@@ -488,16 +431,12 @@ func (b *builder) blockNodes(bid ir.BlockID) []*Node {
 func (b *builder) makeNodes() {
 	g := b.g
 	// The Node slab and the Nodes index escape into the Graph; they are
-	// always fresh even under a Scratch.
+	// always fresh.
 	slab := make([]Node, len(b.effSlab))
 	g.Nodes = make([]*Node, 0, len(slab))
-	if b.sc != nil {
-		b.nodeOf = growClear(b.sc.nodeOf, len(g.Fn.Blocks))
-	} else {
-		b.nodeOf = make([]blkRange, len(g.Fn.Blocks))
-	}
-	for _, bid := range g.Region.Blocks {
-		er := b.effOf[bid]
+	b.nodeOf = grow(b.nodeOf, len(g.Region.Blocks))
+	for i, bid := range g.Region.Blocks {
+		er := b.effOf[i]
 		nr := blkRange{
 			start: int32(len(g.Nodes)),
 			term:  int32(len(g.Nodes)) + (er.term - er.start),
@@ -512,7 +451,7 @@ func (b *builder) makeNodes() {
 			n.Spec = op.Opcode.Speculatable() && !b.isPinned(op)
 			g.Nodes = append(g.Nodes, n)
 		}
-		b.nodeOf[bid] = nr
+		b.nodeOf[i] = nr
 	}
 }
 
@@ -546,7 +485,7 @@ func (b *builder) attributes() {
 	}
 	exits := g.Region.ExitsBelow()
 	for _, n := range g.Nodes {
-		n.ExitCount = exits[n.Home]
+		n.ExitCount = exits[g.Region.Pos(n.Home)]
 		if b.opts.Profile != nil {
 			n.Weight = b.opts.Profile.BlockWeight(n.Home)
 		}

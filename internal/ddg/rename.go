@@ -80,33 +80,43 @@ func (b *builder) pinConflicting() {
 	}
 }
 
-// buildDefBits snapshots, per block, the set of registers a surviving op
-// defines, as bitsets over the function's current register universe. It runs
-// after dominator merging (the gone set is final) and before renaming.
-// Renaming keeps the table valid for the original registers it is queried
-// with: a renamed op's old destination is re-defined in the same block by
-// the inserted Copy, and fresh registers are never looked up.
+// buildDefBits snapshots, per member block, the set of registers a
+// surviving op defines, as bitsets over the region-local register numbering
+// (which it extends to every destination in the region). It runs after
+// dominator merging (the gone set is final) and before renaming. Renaming
+// keeps the table valid for the original registers it is queried with: a
+// renamed op's old destination is re-defined in the same block by the
+// inserted Copy, and fresh registers are never looked up. Only member
+// blocks are ever queried, so the table is region-sized.
 func (b *builder) buildDefBits() {
-	b.regs = b.g.Fn.RegIndexTable()
-	b.defNW = (b.regs.Len() + 63) / 64
-	if b.sc != nil {
-		b.defBits = growClear(b.sc.defBits, len(b.g.Fn.Blocks)*b.defNW)
-	} else {
-		b.defBits = make([]uint64, len(b.g.Fn.Blocks)*b.defNW)
-	}
-	for _, blk := range b.g.Fn.Blocks {
-		w := b.defBits[int(blk.ID)*b.defNW : (int(blk.ID)+1)*b.defNW]
-		for _, op := range blk.Ops {
+	r := b.g.Region
+	for _, bid := range r.Blocks {
+		for _, op := range b.g.Fn.Block(bid).Ops {
 			if b.isGone(op) {
 				continue
 			}
 			for _, d := range op.Dests {
-				if k := b.regs.Of(d); k >= 0 {
+				b.number(d)
+			}
+		}
+	}
+	b.defRegs = len(b.regOf)
+	b.defNW = (b.defRegs + 63) / 64
+	b.defBits = growClear(b.defBits, len(r.Blocks)*b.defNW)
+	for i, bid := range r.Blocks {
+		w := b.defBits[i*b.defNW : (i+1)*b.defNW]
+		for _, op := range b.g.Fn.Block(bid).Ops {
+			if b.isGone(op) {
+				continue
+			}
+			for _, d := range op.Dests {
+				if k := b.local(d); k >= 0 {
 					w[k>>6] |= 1 << (uint(k) & 63)
 				}
 			}
 		}
 	}
+	b.defReady = true
 }
 
 // conflictsOffPath reports whether hoisting a definition of d from block bid
@@ -146,15 +156,15 @@ func (b *builder) conflictsOffPath(bid ir.BlockID, d ir.Reg) bool {
 	}
 }
 
-// blockDefines reports whether a surviving op of block x writes d. During
-// renaming the prebuilt per-block bitsets answer in O(1); during dominator
-// merging (whose incremental eliminations would invalidate a snapshot) it
-// scans the ops.
+// blockDefines reports whether a surviving op of member block x writes d.
+// During renaming the prebuilt per-block bitsets answer in O(1) for every
+// register they cover; during dominator merging (whose incremental
+// eliminations would invalidate a snapshot) it scans the ops.
 func (b *builder) blockDefines(x ir.BlockID, d ir.Reg) bool {
-	if b.defBits != nil {
-		if k := b.regs.Of(d); k >= 0 {
-			w := b.defBits[int(x)*b.defNW : (int(x)+1)*b.defNW]
-			return w[k>>6]&(1<<(uint(k)&63)) != 0
+	if b.defReady {
+		if k := int(b.local(d)); k >= 0 && k < b.defRegs {
+			i := b.g.Region.Pos(x)
+			return b.defBits[i*b.defNW+(k>>6)]&(1<<(uint(k)&63)) != 0
 		}
 	}
 	for _, op := range b.g.Fn.Block(x).Ops {

@@ -38,7 +38,7 @@ type EdgeSpec struct {
 // corrupt store entry must read as a miss, never crash or build a graph
 // that panics later).
 func Restore(fn *ir.Function, r *region.Region, nodes []NodeSpec, edges []EdgeSpec, renamed, copies, merged int) (*Graph, error) {
-	return RestoreScratch(fn, r, nodes, edges, renamed, copies, merged, nil)
+	return RestoreScratch(fn, r, nodes, edges, renamed, copies, merged, new(Scratch))
 }
 
 // RestoreScratch is Restore with reusable working memory, mirroring
@@ -71,19 +71,14 @@ func RestoreScratch(fn *ir.Function, r *region.Region, nodes []NodeSpec, edges [
 		n.Weight = spec.Weight
 		g.Nodes = append(g.Nodes, n)
 	}
-	var recs []edgeRec
-	if sc != nil {
-		sc.recs = grow(sc.recs, len(edges))
-		recs = sc.recs
-	} else {
-		recs = make([]edgeRec, len(edges))
-	}
+	recs := grow(sc.recs, len(edges))
+	sc.recs = recs
 	for i, e := range edges {
 		if e.From < 0 || e.From >= len(g.Nodes) || e.To < 0 || e.To >= len(g.Nodes) {
 			return nil, fmt.Errorf("ddg: restore: edge %d->%d out of range (%d nodes)", e.From, e.To, len(g.Nodes))
 		}
 		recs[i] = edgeRec{from: int32(e.From), to: int32(e.To), lat: int32(e.Latency), kind: e.Kind}
 	}
-	installEdges(g.Nodes, recs, sc)
+	sc.installEdges(g.Nodes, recs)
 	return g, nil
 }

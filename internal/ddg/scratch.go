@@ -2,52 +2,57 @@ package ddg
 
 import "treegion/internal/ir"
 
-// Scratch holds the builder's reusable working set: every dense table and
-// buffer that does NOT escape into the returned Graph. A pipeline worker
-// that builds DDGs for a whole chunk of functions passes the same Scratch to
-// every BuildScratch call and the tables are recycled across functions
-// instead of reallocated; the buffers grow to the largest function seen and
-// stay there. The Graph-owned allocations (the Node slab, Succs/Preds edge
-// slabs, the byID index) are always fresh — results outlive the scratch.
+// Scratch holds the builder's reusable working set: every table and buffer
+// that does NOT escape into the returned Graph. A compile passes one Scratch
+// to every BuildScratch call of a function, and a pipeline worker keeps it
+// across its whole chunk of functions. The Graph-owned allocations (the
+// Node slab, the Succs/Preds edge slabs, the NodeOf index) are always fresh:
+// results outlive the scratch.
+//
+// Each build costs O(region), whatever the size of the function around it
+// (DESIGN.md §17). The tables come in two kinds:
+//
+//   - Function-indexed tables (per-op marks by op ID, region-local register
+//     numbers by register class and number) are grown geometrically on first
+//     touch and never cleared wholesale. A build logs every entry it sets and
+//     zeroes exactly those on the way out, so between builds the tables are
+//     all-zero and carry no facts from one region, function or compile to
+//     the next.
+//   - Everything else is region-sized: per-block tables are indexed by
+//     preorder position (region.Region.Pos), and per-register tables by a
+//     region-local register numbering assigned on first sight. Registers
+//     that renaming mints mid-build are numbered like any other.
 //
 // A Scratch must not be shared between concurrent builds.
 type Scratch struct {
-	home    []ir.BlockID
-	gone    []bool
-	pinned  []bool
-	effOf   []blkRange
-	nodeOf  []blkRange
-	effSlab []*ir.Op
-	recs    []edgeRec
-	outCnt  []int32
-	inCnt   []int32
-	defBits []uint64
-	moved   map[ir.BlockID][]*ir.Op
+	builder
+}
 
-	succBuf    []ir.BlockID
-	subtreeBuf []ir.BlockID
+// opMark is the builder's per-op state. The zero value means untouched:
+// present, unmoved and free to speculate.
+type opMark struct {
+	home   int32 // 1 + the block a dominator-merged representative is homed at; 0 = unmoved
+	gone   bool  // eliminated by dominator parallelism
+	pinned bool  // must not speculate above its block
+}
 
-	// dataEdges walker stacks, indexed by dense register. The inner
-	// def/reader stacks are carved from walkSlab with per-register caps
-	// counted from the region's ops (prepWalker), so the walk itself never
-	// allocates; defCnt/readerCnt are the counting buffers. The stacks hold
-	// node indices rather than pointers so the slab carries no GC scan cost.
-	defs       [][]int32
-	defBase    []int32
-	readers    [][]int32
-	readerBase []int32
-	undo       []undoRec
-	loads      []int32
-	walkSlab   []int32
-	defCnt     []int32
-	readerCnt  []int32
+// extend returns t grown to at least n elements, preserving its contents
+// and zero-filling the rest. Capacity at least doubles, so a table indexed
+// by an ever-growing ID space costs amortized O(1) per new entry.
+func extend[T any](t []T, n int) []T {
+	if n <= len(t) {
+		return t
+	}
+	nt := make([]T, max(n, 2*len(t)))
+	copy(nt, t)
+	return nt
 }
 
 // grow returns buf resized to n, reallocating only when capacity is short.
 // Contents are unspecified; callers that need cleared memory clear it.
 func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]T, n)
+		return make([]T, n, max(n, 2*cap(buf)))
 	}
 	return buf[:n]
 }
@@ -59,43 +64,102 @@ func growClear[T any](buf []T, n int) []T {
 	return buf
 }
 
-// movedMap returns the (cleared) dominator-merge map.
-func (sc *Scratch) movedMap() map[ir.BlockID][]*ir.Op {
-	if sc.moved == nil {
-		sc.moved = make(map[ir.BlockID][]*ir.Op)
-	} else {
-		clear(sc.moved)
+// begin readies the builder for one build of r. A build that never
+// reached finish (a panic the caller recovered from) leaves logged entries
+// behind, so the function-indexed tables are then swept in full.
+func (b *builder) begin(g *Graph, opts Options) {
+	if b.busy {
+		clear(b.marks)
+		for c := range b.regNum {
+			clear(b.regNum[c])
+		}
+		b.marked = b.marked[:0]
+		b.regOf = b.regOf[:0]
 	}
-	return sc.moved
+	b.busy = true
+	b.g, b.opts = g, opts
+	clear(b.moved)
+	b.recs = b.recs[:0]
+	b.defReady = false
 }
 
-// release stores the builder's (possibly regrown) buffers back into the
-// scratch so the capacity carries over to the next build.
-func (sc *Scratch) release(b *builder) {
-	sc.home = b.home
-	sc.gone = b.gone
-	if b.pinned != nil {
-		sc.pinned = b.pinned
+// finish returns the function-indexed tables to all-zero through the logs
+// and drops the references into the finished graph.
+func (b *builder) finish() {
+	for _, id := range b.marked {
+		b.marks[id] = opMark{}
 	}
-	sc.effOf = b.effOf
-	sc.nodeOf = b.nodeOf
-	sc.effSlab = b.effSlab
-	sc.recs = b.recs[:0]
-	if b.defBits != nil {
-		sc.defBits = b.defBits
+	b.marked = b.marked[:0]
+	for _, r := range b.regOf {
+		b.regNum[r.Class][r.Num] = 0
 	}
-	sc.succBuf = b.succBuf
-	sc.subtreeBuf = b.subtreeBuf
+	b.regOf = b.regOf[:0]
+	b.g, b.w.nodes, b.w.lastStore = nil, nil, nil
+	b.busy = false
 }
 
-// releaseWalker stores the dataEdges walker's stacks back into the scratch.
-// The inner def/reader stacks are views into walkSlab (already stored by
-// prepWalker); only the outer tables and the undo/loads capacity carry over.
-func (sc *Scratch) releaseWalker(w *walker) {
-	sc.defs = w.defs
-	sc.defBase = w.defBase
-	sc.readers = w.readers
-	sc.readerBase = w.readerBase
-	sc.undo = w.undo[:0]
-	sc.loads = w.loads[:0]
+// markOf returns op's mark (zero for ops minted after the build began).
+func (b *builder) markOf(op *ir.Op) opMark {
+	if op.ID < 0 || op.ID >= len(b.marks) {
+		return opMark{}
+	}
+	return b.marks[op.ID]
+}
+
+// mark returns op's mark for update, logging op for finish's reset.
+func (b *builder) mark(op *ir.Op) *opMark {
+	if op.ID >= len(b.marks) {
+		b.marks = extend(b.marks, op.ID+1)
+	}
+	m := &b.marks[op.ID]
+	if *m == (opMark{}) {
+		b.marked = append(b.marked, int32(op.ID))
+	}
+	return m
+}
+
+func (b *builder) isGone(op *ir.Op) bool   { return b.markOf(op).gone }
+func (b *builder) isPinned(op *ir.Op) bool { return b.markOf(op).pinned }
+func (b *builder) setGone(op *ir.Op)       { b.mark(op).gone = true }
+func (b *builder) setPinned(op *ir.Op)     { b.mark(op).pinned = true }
+
+// setHome homes a dominator-merged representative at bid.
+func (b *builder) setHome(op *ir.Op, bid ir.BlockID) { b.mark(op).home = int32(bid) + 1 }
+
+// homeOf returns the override home of a dominator-merged representative.
+func (b *builder) homeOf(op *ir.Op) (ir.BlockID, bool) {
+	if h := b.markOf(op).home; h != 0 {
+		return ir.BlockID(h - 1), true
+	}
+	return ir.NoBlock, false
+}
+
+// number returns r's region-local register index, assigning the next one on
+// first sight; -1 for NoReg.
+func (b *builder) number(r ir.Reg) int32 {
+	if !r.IsValid() || int(r.Class) >= len(b.regNum) || r.Num < 0 {
+		return -1
+	}
+	t := b.regNum[r.Class]
+	if r.Num >= len(t) {
+		t = extend(t, r.Num+1)
+		b.regNum[r.Class] = t
+	}
+	if k := t[r.Num]; k != 0 {
+		return k - 1
+	}
+	b.regOf = append(b.regOf, r)
+	t[r.Num] = int32(len(b.regOf))
+	return int32(len(b.regOf)) - 1
+}
+
+// local returns r's region-local register index, or -1 when r has none.
+func (b *builder) local(r ir.Reg) int32 {
+	if !r.IsValid() || int(r.Class) >= len(b.regNum) || r.Num < 0 {
+		return -1
+	}
+	if t := b.regNum[r.Class]; r.Num < len(t) {
+		return t[r.Num] - 1
+	}
+	return -1
 }

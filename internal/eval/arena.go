@@ -5,15 +5,15 @@ import (
 	"treegion/internal/sched"
 )
 
-// Arena is the per-worker compile scratch: the DDG builder's dense tables
-// and the list scheduler's working set, reused across every function a
-// pipeline worker compiles instead of round-tripping each buffer through a
-// global sync.Pool per region. The buffers grow to the largest function the
-// worker has seen and stay there, so a worker chewing through a chunk of
-// functions allocates the scratch once.
+// Arena is the compile scratch: the DDG builder's tables and the list
+// scheduler's working set, reused across every region of a compile. Every
+// compile owns one — CompileFunction makes a fresh arena per call, and each
+// pipeline worker keeps one across its whole chunk of functions. The
+// buffers grow to the largest function and region seen and stay there;
+// between builds they hold no facts about the last function (ddg.Scratch),
+// so one arena serves any sequence of functions.
 //
-// An Arena must not be shared between concurrent compiles. A nil *Arena is
-// valid everywhere one is accepted and selects the pooled/allocating paths.
+// An Arena must not be shared between concurrent compiles.
 type Arena struct {
 	ddg   ddg.Scratch
 	sched sched.Scratch
@@ -21,17 +21,3 @@ type Arena struct {
 
 // NewArena returns an empty arena; buffers are grown on first use.
 func NewArena() *Arena { return &Arena{} }
-
-func (a *Arena) ddgScratch() *ddg.Scratch {
-	if a == nil {
-		return nil
-	}
-	return &a.ddg
-}
-
-func (a *Arena) schedScratch() *sched.Scratch {
-	if a == nil {
-		return nil
-	}
-	return &a.sched
-}

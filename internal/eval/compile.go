@@ -158,13 +158,12 @@ type FunctionResult struct {
 // original must survive), schedules every region, and measures the result.
 // The profile is mutated in step with tail duplication; pass a clone.
 func CompileFunction(fn *ir.Function, prof *profile.Data, c Config) (*FunctionResult, error) {
-	return CompileFunctionArena(fn, prof, c, nil)
+	return CompileFunctionArena(fn, prof, c, NewArena())
 }
 
 // CompileFunctionArena is CompileFunction compiling through a caller-owned
-// scratch arena (nil behaves exactly like CompileFunction). The batched
-// pipeline gives each worker one arena and reuses it across the worker's
-// whole chunk of functions.
+// scratch arena. The batched pipeline gives each worker one arena and
+// reuses it across the worker's whole chunk of functions.
 func CompileFunctionArena(fn *ir.Function, prof *profile.Data, c Config, ar *Arena) (*FunctionResult, error) {
 	tr := telemetry.NewTrace(fn.Name)
 	res := &FunctionResult{Fn: fn, Prof: prof, OpsBefore: fn.NumOps(), Trace: tr}
@@ -237,13 +236,13 @@ func CompileFunctionArena(fn *ir.Function, prof *profile.Data, c Config, ar *Are
 			DominatorParallelism: c.DominatorParallelism,
 			Liveness:             lv,
 			Profile:              prof,
-		}, ar.ddgScratch())
+		}, &ar.ddg)
 		if err != nil {
 			return nil, err
 		}
 		tr.ObserveAllocs(telemetry.PhaseDDG, a0)
 		tr.Observe(telemetry.PhaseDDG, time.Since(t0), len(dg.Nodes))
-		s := sched.ListScheduleScratch(dg, c.Machine, c.Heuristic.Keys, tr, ar.schedScratch())
+		s := sched.ListScheduleScratch(dg, c.Machine, c.Heuristic.Keys, tr, &ar.sched)
 		if err := s.Verify(); err != nil {
 			return nil, fmt.Errorf("eval: %s: %w", fn.Name, err)
 		}

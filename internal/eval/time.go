@@ -29,8 +29,8 @@ type RegionTime struct {
 }
 
 // blockView caches per-block cycle data of one schedule. Views are stored
-// densely, indexed by BlockID; branch cycles come straight from the
-// schedule via Graph.NodeOf, so no per-block maps are built.
+// densely, indexed by the block's preorder position in the region, so
+// measuring a region costs O(region) whatever the size of its function.
 type blockView struct {
 	nonspec       int // max cycle over non-spec, non-copy, non-term nodes
 	nonspecCopies int // ... including copies
@@ -38,11 +38,29 @@ type blockView struct {
 	// specDefs are the speculatable value-producing nodes homed here,
 	// needed for per-exit liveness checks.
 	specDefs []specDef
+	// branches are the block's branch nodes with their cycles, for the
+	// arm-entry and exit-branch lookups.
+	branches []branchAt
 }
 
 type specDef struct {
 	cycle int
 	dests []ir.Reg
+}
+
+type branchAt struct {
+	op    *ir.Op
+	cycle int
+}
+
+// branchCycle returns the cycle of branch op among v's branches.
+func (v *blockView) branchCycle(op *ir.Op) (int, bool) {
+	for _, br := range v.branches {
+		if br.op == op {
+			return br.cycle, true
+		}
+	}
+	return 0, false
 }
 
 // MeasureRegion computes the region's weighted time under the profile. The
@@ -51,25 +69,20 @@ type specDef struct {
 // travel through non-speculatable copies, which are accounted separately).
 func MeasureRegion(s *sched.Schedule, prof *profile.Data, lv *cfg.Liveness) RegionTime {
 	r := s.Graph.Region
-	views := make([]blockView, len(r.Fn.Blocks))
-	for _, b := range r.Blocks {
-		views[b] = blockView{nonspec: -1, nonspecCopies: -1, terms: -1}
-	}
-	// A terminator's own cycle is read off the schedule on demand: NodeOf
-	// is a dense-array lookup, so no armCycle map is needed.
-	cycleOf := func(op *ir.Op) (int, bool) {
-		if nd := s.Graph.NodeOf(op); nd != nil {
-			return s.Cycle[nd.Index], true
-		}
-		return 0, false
+	views := make([]blockView, len(r.Blocks))
+	for i := range views {
+		views[i] = blockView{nonspec: -1, nonspecCopies: -1, terms: -1}
 	}
 	for _, n := range s.Graph.Nodes {
-		v := &views[n.Home]
+		v := &views[r.Pos(n.Home)]
 		c := s.Cycle[n.Index]
 		switch {
 		case n.Term:
 			if c > v.terms {
 				v.terms = c
+			}
+			if n.Op.IsBranch() {
+				v.branches = append(v.branches, branchAt{op: n.Op, cycle: c})
 			}
 		case !n.Spec:
 			if c > v.nonspecCopies {
@@ -97,7 +110,7 @@ func MeasureRegion(s *sched.Schedule, prof *profile.Data, lv *cfg.Liveness) Regi
 		pathBuf = r.AppendPathTo(pathBuf[:0], b)
 		path := pathBuf
 		for i, x := range path {
-			v := &views[x]
+			v := &views[r.Pos(x)]
 			if withCopies {
 				bump(v.nonspecCopies)
 			} else {
@@ -126,7 +139,7 @@ func MeasureRegion(s *sched.Schedule, prof *profile.Data, lv *cfg.Liveness) Regi
 				via := -1
 				for _, op := range r.Fn.Block(x).Ops {
 					if op.IsBranch() && op.Target == next {
-						if c, ok := cycleOf(op); ok {
+						if c, ok := v.branchCycle(op); ok {
 							via = c
 						}
 					}
@@ -137,7 +150,7 @@ func MeasureRegion(s *sched.Schedule, prof *profile.Data, lv *cfg.Liveness) Regi
 				bump(via)
 			case exitBr != nil:
 				// The path ends at this exit branch.
-				if c, ok := cycleOf(exitBr); ok {
+				if c, ok := v.branchCycle(exitBr); ok {
 					bump(c)
 				}
 			default:

@@ -103,8 +103,7 @@ var compileFunc = eval.CompileFunctionArena
 // worker claims chunks of K indices from the shared queue (stealing half of
 // the largest remaining range when its own runs dry) and compiles the whole
 // chunk on one private arena, so the DDG/scheduler scratch is reused across
-// every function the worker touches instead of round-tripping through the
-// global sync.Pool per region. Results and errors land at their function's
+// every function the worker touches. Results and errors land at their function's
 // index; cached[i], when the slice is non-nil, records cache hits. onDone,
 // when non-nil, is called (possibly concurrently) after each index settles.
 func compileMany(ctx context.Context, fns []*ir.Function, profs []*profile.Data, c eval.Config, opts Options,
@@ -295,11 +294,12 @@ func applyInline(c *eval.Config, fns []*ir.Function, profs []*profile.Data, opts
 // panic isolation of the pipeline. Unlike eval.CompileFunction it does NOT
 // mutate fn or prof — it compiles clones — so callers can keep feeding the
 // same parsed function. It reports whether the result came from the cache.
+// A cold compile runs on an arena of its own.
 func CompileFunction(ctx context.Context, fn *ir.Function, prof *profile.Data, c eval.Config, opts Options) (*eval.FunctionResult, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	return compileOne(fn, prof, c, opts, nil)
+	return compileOne(fn, prof, c, opts, eval.NewArena())
 }
 
 // keyBufPool recycles the buffer contentKey serializes into: the key-form

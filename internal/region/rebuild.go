@@ -29,11 +29,11 @@ func Rebuild(fn *ir.Function, kind Kind, blocks, parents []ir.BlockID, fromTrace
 	r := New(fn, kind, blocks[0])
 	r.FromTrace = fromTrace
 	// The preorder length is known up front; reserve it so the Add loop
-	// never regrows Blocks (regions revive by the thousand on warm decode).
+	// never regrows Blocks or parents (regions revive by the thousand on
+	// warm decode).
 	if n := len(blocks); cap(r.Blocks) < n {
-		grown := make([]ir.BlockID, 1, n)
-		grown[0] = r.Blocks[0]
-		r.Blocks = grown
+		r.Blocks = append(make([]ir.BlockID, 0, n), r.Blocks...)
+		r.parents = append(make([]ir.BlockID, 0, n), r.parents...)
 	}
 	for i := 1; i < len(blocks); i++ {
 		b, p := blocks[i], parents[i]
@@ -54,9 +54,5 @@ func Rebuild(fn *ir.Function, kind Kind, blocks, parents []ir.BlockID, fromTrace
 // Parents returns the parent list parallel to r.Blocks (the root's entry is
 // ir.NoBlock), the serialized form Rebuild consumes.
 func (r *Region) Parents() []ir.BlockID {
-	out := make([]ir.BlockID, len(r.Blocks))
-	for i, b := range r.Blocks {
-		out[i] = r.parent[b]
-	}
-	return out
+	return append([]ir.BlockID(nil), r.parents...)
 }

@@ -56,17 +56,23 @@ type Region struct {
 	// counts only these.
 	FromTrace bool
 
-	// parent and member are dense, indexed by BlockID, and grown on demand:
-	// tail duplication appends blocks to the function mid-formation and then
-	// Adds them. parent[b] is ir.NoBlock for the root and for non-members.
-	parent []ir.BlockID
-	member []bool
-	// children caches per-block child lists (successor order) in one backing
-	// slab; it is built lazily by Children and dropped by Add, which is the
-	// only membership mutation. CFG edge rewrites during formation
-	// (TailDuplicate's ReplaceSucc) are always followed by an Add before the
-	// next query, so Add-invalidation keeps the cache coherent.
-	children  [][]ir.BlockID
+	// pos maps a BlockID to its preorder index + 1 (0 = not a member). It
+	// is the one function-sized table a region keeps, grown on demand:
+	// tail duplication appends blocks to the function mid-formation and
+	// then Adds them. Everything else is region-sized and indexed by
+	// preorder position (see Pos).
+	pos []int32
+	// parents is parallel to Blocks: parents[i] is the tree parent of
+	// Blocks[i], ir.NoBlock for the root.
+	parents []ir.BlockID
+	// childOff/childSlab cache the child lists as a CSR over preorder
+	// positions: the children of Blocks[i], in successor order, are
+	// childSlab[childOff[i]:childOff[i+1]]. They are built lazily by
+	// Children and dropped by Add, which is the only membership mutation.
+	// CFG edge rewrites during formation (TailDuplicate's ReplaceSucc) are
+	// always followed by an Add before the next query, so Add-invalidation
+	// keeps the cache coherent.
+	childOff  []int32
 	childSlab []ir.BlockID
 }
 
@@ -79,12 +85,12 @@ func New(fn *ir.Function, kind Kind, root ir.BlockID) *Region {
 	}
 	r.ensure(root)
 	r.Blocks = append(r.Blocks, root)
-	r.parent[root] = ir.NoBlock
-	r.member[root] = true
+	r.parents = append(r.parents, ir.NoBlock)
+	r.pos[root] = 1
 	return r
 }
 
-// ensure grows the dense tables to cover block b, in one reallocation —
+// ensure grows the position table to cover block b, in one reallocation —
 // regions are built by the thousand on the store's warm decode path, so
 // element-at-a-time growth here shows up directly in GC pressure.
 func (r *Region) ensure(b ir.BlockID) {
@@ -92,88 +98,93 @@ func (r *Region) ensure(b ir.BlockID) {
 	if n := len(r.Fn.Blocks); n > need {
 		need = n
 	}
-	if len(r.parent) >= need {
+	if len(r.pos) >= need {
 		return
 	}
-	parent := make([]ir.BlockID, need)
-	copy(parent, r.parent)
-	for i := len(r.parent); i < need; i++ {
-		parent[i] = ir.NoBlock
-	}
-	member := make([]bool, need)
-	copy(member, r.member)
-	r.parent, r.member = parent, member
+	pos := make([]int32, need)
+	copy(pos, r.pos)
+	r.pos = pos
 }
 
 // Add places b into the region as a child of parent, which must already be
 // a member (and must actually be a CFG predecessor of b; Validate checks).
 func (r *Region) Add(b, parent ir.BlockID) {
 	r.ensure(b)
-	if r.member[b] {
+	if r.pos[b] != 0 {
 		panic(fmt.Sprintf("region: bb%d added twice", b))
 	}
-	if int(parent) < 0 || int(parent) >= len(r.member) || !r.member[parent] {
+	if !r.Contains(parent) {
 		panic(fmt.Sprintf("region: parent bb%d of bb%d not a member", parent, b))
 	}
 	r.Blocks = append(r.Blocks, b)
-	r.parent[b] = parent
-	r.member[b] = true
-	r.children = nil
+	r.parents = append(r.parents, parent)
+	r.pos[b] = int32(len(r.Blocks))
+	r.childOff = nil
 	r.childSlab = nil
 }
 
 // Contains reports membership.
 func (r *Region) Contains(b ir.BlockID) bool {
-	return int(b) >= 0 && int(b) < len(r.member) && r.member[b]
+	return int(b) >= 0 && int(b) < len(r.pos) && r.pos[b] != 0
+}
+
+// Pos returns b's preorder position (r.Blocks[r.Pos(b)] == b), or -1 for a
+// non-member. Per-block tables of one region are indexed by it, so they
+// are sized to the region rather than to the function.
+func (r *Region) Pos(b ir.BlockID) int {
+	if !r.Contains(b) {
+		return -1
+	}
+	return int(r.pos[b]) - 1
 }
 
 // Parent returns b's tree parent (ir.NoBlock for the root and non-members).
 func (r *Region) Parent(b ir.BlockID) ir.BlockID {
-	if int(b) < 0 || int(b) >= len(r.parent) {
+	if !r.Contains(b) {
 		return ir.NoBlock
 	}
-	return r.parent[b]
+	return r.parents[r.pos[b]-1]
 }
 
 // Children returns b's in-region children in successor order. The result
 // aliases an internal cache; callers must not modify it.
 func (r *Region) Children(b ir.BlockID) []ir.BlockID {
-	if r.children == nil {
+	if r.childOff == nil {
 		r.buildChildren()
 	}
-	if int(b) >= len(r.children) {
+	p := r.Pos(b)
+	if p < 0 {
 		return nil
 	}
-	return r.children[b]
+	lo, hi := r.childOff[p], r.childOff[p+1]
+	return r.childSlab[lo:hi:hi]
 }
 
-// buildChildren fills the child-list cache: every non-root member is the
+// buildChildren fills the child-list CSR: every non-root member is the
 // unique tree child of its parent, so the lists pack into one slab of
 // len(Blocks)-1 entries, filled in each parent's successor order.
 func (r *Region) buildChildren() {
-	n := len(r.parent)
-	counts := make([]int32, n)
-	for _, b := range r.Blocks {
-		if b != r.Root {
-			counts[r.parent[b]]++
-		}
+	n := len(r.Blocks)
+	off := make([]int32, n+1)
+	for _, p := range r.parents[1:] {
+		off[r.pos[p]]++ // pos is position+1: counts land one slot right
 	}
-	r.childSlab = make([]ir.BlockID, len(r.Blocks)-1)
-	r.children = make([][]ir.BlockID, n)
-	off := 0
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	slab := make([]ir.BlockID, n-1)
 	var succs []ir.BlockID
-	for _, b := range r.Blocks {
-		c := int(counts[b])
-		lst := r.childSlab[off : off : off+c]
+	for i, b := range r.Blocks {
+		k := off[i]
 		succs = r.Fn.Block(b).AppendSuccs(succs[:0])
 		for _, s := range succs {
-			if r.Contains(s) && r.parent[s] == b {
-				lst = append(lst, s)
+			if k < off[i+1] && r.isTreeEdge(b, s) {
+				slab[k] = s
+				k++
 			}
 		}
-		r.children[b] = lst
-		off += c
 	}
+	r.childOff, r.childSlab = off, slab
 }
 
 // IsLeaf reports whether b has no in-region children.
@@ -191,22 +202,20 @@ func (r *Region) Leaves() []ir.BlockID {
 }
 
 // PathCount returns the number of distinct root-to-leaf paths (== leaves).
-// It counts straight off the parent table rather than via Leaves: statistics
+// It counts straight off the parent list rather than via Leaves: statistics
 // aggregation calls this once per region, and forcing the children cache
 // just to count leaves dominated the warm artifact-decode profile.
 func (r *Region) PathCount() int {
 	if len(r.Blocks) <= 1 {
 		return len(r.Blocks)
 	}
-	internal := make([]bool, len(r.parent))
-	for _, b := range r.Blocks {
-		if p := r.parent[b]; p != ir.NoBlock {
-			internal[p] = true
-		}
+	internal := make([]bool, len(r.Blocks))
+	for _, p := range r.parents[1:] {
+		internal[r.pos[p]-1] = true
 	}
 	leaves := 0
-	for _, b := range r.Blocks {
-		if !internal[b] {
+	for _, in := range internal {
+		if !in {
 			leaves++
 		}
 	}
@@ -222,7 +231,7 @@ func (r *Region) PathTo(b ir.BlockID) []ir.BlockID {
 // letting hot callers reuse one buffer across paths.
 func (r *Region) AppendPathTo(dst []ir.BlockID, b ir.BlockID) []ir.BlockID {
 	start := len(dst)
-	for cur := b; cur != ir.NoBlock; cur = r.parent[cur] {
+	for cur := b; cur != ir.NoBlock; cur = r.Parent(cur) {
 		dst = append(dst, cur)
 	}
 	for i, j := start, len(dst)-1; i < j; i, j = i+1, j-1 {
@@ -234,7 +243,7 @@ func (r *Region) AppendPathTo(dst []ir.BlockID, b ir.BlockID) []ir.BlockID {
 // Ancestors returns the strict ancestors of b, nearest first.
 func (r *Region) Ancestors(b ir.BlockID) []ir.BlockID {
 	var out []ir.BlockID
-	for cur := r.parent[b]; cur != ir.NoBlock; cur = r.parent[cur] {
+	for cur := r.Parent(b); cur != ir.NoBlock; cur = r.Parent(cur) {
 		out = append(out, cur)
 	}
 	return out
@@ -286,31 +295,27 @@ func (r *Region) Exits() []Exit {
 }
 
 func (r *Region) isTreeEdge(from, to ir.BlockID) bool {
-	return r.Contains(to) && r.parent[to] == from
+	return r.Contains(to) && r.parents[r.pos[to]-1] == from
 }
 
-// ExitsBelow returns, for every member block b, the number of region exits
-// from b's subtree — the paper's "exit count" of ops homed in b. The result
-// is indexed by BlockID; non-member entries are zero.
+// ExitsBelow returns, for every member block, the number of region exits
+// from its subtree — the paper's "exit count" of ops homed there. The
+// result is indexed by preorder position (see Pos).
 func (r *Region) ExitsBelow() []int {
-	out := make([]int, len(r.Fn.Blocks))
+	out := make([]int, len(r.Blocks))
 	var succs []ir.BlockID
-	for _, bid := range r.Blocks {
-		n := 0
+	for i, bid := range r.Blocks {
 		succs = r.Fn.Block(bid).AppendSuccs(succs[:0])
 		for _, s := range succs {
 			if !r.isTreeEdge(bid, s) {
-				n++
+				out[i]++
 			}
 		}
-		out[bid] = n
 	}
-	// Preorder reversed gives children before parents.
-	for i := len(r.Blocks) - 1; i >= 0; i-- {
-		b := r.Blocks[i]
-		for _, c := range r.Children(b) {
-			out[b] += out[c]
-		}
+	// Preorder reversed visits every block after its whole subtree, so each
+	// count is final when it is added into the parent's.
+	for i := len(r.Blocks) - 1; i > 0; i-- {
+		out[r.pos[r.parents[i]]-1] += out[i]
 	}
 	return out
 }
@@ -328,7 +333,7 @@ func (r *Region) Validate() error {
 			return fmt.Errorf("region: bb%d listed twice", b)
 		}
 		seen[b] = true
-		p := r.parent[b]
+		p := r.Parent(b)
 		if b == r.Root {
 			if p != ir.NoBlock {
 				return fmt.Errorf("region: root bb%d has parent", b)

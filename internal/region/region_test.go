@@ -96,15 +96,18 @@ func TestRegionExits(t *testing.T) {
 func TestExitsBelow(t *testing.T) {
 	_, r := tree(t)
 	eb := r.ExitsBelow()
-	if eb[0] != 3 {
-		t.Errorf("ExitsBelow(root) = %d, want 3", eb[0])
+	if len(eb) != len(r.Blocks) {
+		t.Fatalf("ExitsBelow has %d entries for %d blocks", len(eb), len(r.Blocks))
 	}
-	if eb[1] != 2 {
-		t.Errorf("ExitsBelow(bb1) = %d, want 2", eb[1])
+	if got := eb[r.Pos(0)]; got != 3 {
+		t.Errorf("ExitsBelow(root) = %d, want 3", got)
+	}
+	if got := eb[r.Pos(1)]; got != 2 {
+		t.Errorf("ExitsBelow(bb1) = %d, want 2", got)
 	}
 	for _, leaf := range []ir.BlockID{2, 3, 4} {
-		if eb[leaf] != 1 {
-			t.Errorf("ExitsBelow(bb%d) = %d, want 1", leaf, eb[leaf])
+		if got := eb[r.Pos(leaf)]; got != 1 {
+			t.Errorf("ExitsBelow(bb%d) = %d, want 1", leaf, got)
 		}
 	}
 }

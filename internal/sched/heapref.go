@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"sync"
-
 	"treegion/internal/ddg"
 	"treegion/internal/machine"
 )
@@ -15,17 +13,11 @@ import (
 // cur/next/future fields of Scratch) so the comparison measures queue
 // mechanics, not allocator noise.
 
-// heapScratchPool recycles reference-scheduler scratch without touching the
-// production pool's carved bitmaps.
-var heapScratchPool = sync.Pool{New: func() any { return new(Scratch) }}
-
 // ListScheduleHeapRef schedules g with the retained rank min-heaps — the
 // pre-bitmap implementation. Schedules are byte-identical to ListSchedule;
 // see ListScheduleTraced for the sweep semantics both reproduce.
 func ListScheduleHeapRef(g *ddg.Graph, m machine.Model, prio PriorityFn) *Schedule {
-	sc := heapScratchPool.Get().(*Scratch)
-	defer heapScratchPool.Put(sc)
-	return ListScheduleHeapRefScratch(g, m, prio, sc)
+	return ListScheduleHeapRefScratch(g, m, prio, new(Scratch))
 }
 
 // ListScheduleHeapRefScratch is ListScheduleHeapRef scheduling into a

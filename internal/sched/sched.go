@@ -9,7 +9,6 @@ package sched
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"treegion/internal/ddg"
@@ -40,10 +39,9 @@ type Schedule struct {
 }
 
 // Scratch holds the scheduler's per-call working set. A caller that owns a
-// Scratch (the batched pipeline gives each worker one) reuses the buffers
-// across every region it schedules via ListScheduleScratch; callers without
-// one go through a shared sync.Pool instead, so the buffers are still
-// recycled, just with cross-worker round trips.
+// Scratch (every compile owns one through its eval.Arena) reuses the
+// buffers across every region it schedules via ListScheduleScratch;
+// ListSchedule and ListScheduleTraced schedule on a fresh one.
 //
 // The ready queues are hierarchical CLZ bitmaps over the rank space (see
 // bitq.go): qcur/qnext share one word slab, the calendar's buckets another.
@@ -72,8 +70,6 @@ type Scratch struct {
 	next   []int32  // heap reference only: ranks readied behind the sweep
 	future []uint64 // heap reference only: min-heap of earliest<<32|rank
 }
-
-var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 func (sc *Scratch) reset(n int) {
 	if cap(sc.order) < n {
@@ -210,19 +206,13 @@ func ListSchedule(g *ddg.Graph, m machine.Model, prio PriorityFn) *Schedule {
 // retained heap reference, ListScheduleHeapRef, is the differential
 // witness) — but each readiness event costs O(1) instead of O(log n).
 func ListScheduleTraced(g *ddg.Graph, m machine.Model, prio PriorityFn, tr *telemetry.CompileTrace) *Schedule {
-	sc := scratchPool.Get().(*Scratch)
-	defer scratchPool.Put(sc)
-	return ListScheduleScratch(g, m, prio, tr, sc)
+	return ListScheduleScratch(g, m, prio, tr, new(Scratch))
 }
 
 // ListScheduleScratch is ListScheduleTraced scheduling into a caller-owned
-// Scratch. A worker that schedules many regions back to back (the batched
-// pipeline) passes the same Scratch every time and never touches the shared
-// pool. nil falls back to the pooled path.
+// Scratch. A compile that schedules many regions back to back passes the
+// same Scratch every time.
 func ListScheduleScratch(g *ddg.Graph, m machine.Model, prio PriorityFn, tr *telemetry.CompileTrace, sc *Scratch) *Schedule {
-	if sc == nil {
-		return ListScheduleTraced(g, m, prio, tr)
-	}
 	n := len(g.Nodes)
 	s := &Schedule{Graph: g, Model: m, Cycle: make([]int, n)}
 	if n == 0 {
@@ -363,14 +353,15 @@ func (s *Schedule) Verify() error {
 // Renaming copies are not counted.
 func (s *Schedule) SpeculatedAbove() int {
 	r := s.Graph.Region
-	// Latest terminator cycle per block (-1 = no terminator).
-	lastTerm := make([]int, len(s.Graph.Fn.Blocks))
+	// Latest terminator cycle per member block, by preorder position
+	// (-1 = no terminator).
+	lastTerm := make([]int, len(r.Blocks))
 	for i := range lastTerm {
 		lastTerm[i] = -1
 	}
 	for _, nd := range s.Graph.Nodes {
-		if nd.Term && s.Cycle[nd.Index] > lastTerm[nd.Home] {
-			lastTerm[nd.Home] = s.Cycle[nd.Index]
+		if p := r.Pos(nd.Home); nd.Term && s.Cycle[nd.Index] > lastTerm[p] {
+			lastTerm[p] = s.Cycle[nd.Index]
 		}
 	}
 	count := 0
@@ -379,7 +370,7 @@ func (s *Schedule) SpeculatedAbove() int {
 			continue
 		}
 		for anc := r.Parent(nd.Home); anc != ir.NoBlock; anc = r.Parent(anc) {
-			if tc := lastTerm[anc]; tc >= 0 && s.Cycle[nd.Index] < tc {
+			if tc := lastTerm[r.Pos(anc)]; tc >= 0 && s.Cycle[nd.Index] < tc {
 				count++
 				break
 			}
