@@ -37,21 +37,23 @@ race:
 # Suite compiles (serial/parallel/cached/verified/warm-store/verified-warm),
 # the stress preset at 8 workers, the interprocedural presets with inlining
 # off and on (BenchmarkCompileSuiteInline), plus the per-phase
-# micro-benchmarks of the compiler core (liveness, DDG build, list
-# scheduling), with allocation counts. The raw `go test -json` stream is
-# captured in BENCH_8.json for machine comparison against earlier runs
-# (BENCH_7.json holds the pre-interprocedural baseline). The parallel and
+# micro-benchmarks of the compiler core (liveness; DDG build, list
+# scheduling and region measurement per tier — suite, stress, stress2 —
+# with us/region for the DDG and measure phases), with allocation counts.
+# The raw `go test -json` stream is captured in BENCH_10.json for machine
+# comparison against earlier runs (BENCH_9.json holds the capture from
+# before the per-region tables became region-sized). The parallel and
 # stress benchmarks report speedup-vs-serial; on a single-core box that
 # metric caps at ~1x by physics.
 bench:
-	$(GO) test -run XXX -bench 'BenchmarkCompileSuite|BenchmarkCompileStress|BenchmarkColdCompile' -benchmem -benchtime 3x -json . | tee BENCH_9.json
+	$(GO) test -run XXX -bench 'BenchmarkCompileSuite|BenchmarkCompileStress|BenchmarkColdCompile' -benchmem -benchtime 3x -json . | tee BENCH_10.json
 
 # bench-compare diffs two bench captures. benchstat is used when installed
 # (fed plain text extracted from the JSON captures); otherwise the bundled
 # dependency-free cmd/benchdiff prints the old/new/delta table. Override the
 # endpoints with BENCH_OLD= / BENCH_NEW=.
-BENCH_OLD ?= BENCH_8.json
-BENCH_NEW ?= BENCH_9.json
+BENCH_OLD ?= BENCH_9.json
+BENCH_NEW ?= BENCH_10.json
 bench-compare:
 	@if command -v benchstat >/dev/null 2>&1; then \
 		$(GO) run ./cmd/benchdiff -extract $(BENCH_OLD) > /tmp/benchdiff_old.txt; \
@@ -65,22 +67,27 @@ bench-compare:
 # over the concurrency-heavy subsystems (artifact store with its tgart2
 # codec tests, job queue, singleflight cache, daemon endpoints, telemetry
 # registry, and the eval.Arena/ddg.Scratch/sched.Scratch reuse paths that
-# pipeline workers share through sync.Pool) and one racing pass over the
-# hot-path micro-benchmarks (the scheduler's sync.Pool scratch is shared
-# across pipeline workers, so the bench bodies must be race-clean too).
+# each pipeline worker keeps across its chunk of functions) and one racing
+# pass over the hot-path micro-benchmarks.
 # The inliner and the call-executing interpreter race here because pipeline
 # workers run splices concurrently across functions of one program.
 # The eval -short slice includes TestVerifyStress2Slice, so one giant
-# stress2 function races through compile-and-verify on every check; the
-# sched line races the bitmap-queue unit and adversarial tests.
+# stress2 function races through compile-and-verify on every check, and
+# TestArenaReuseMatchesFreshArena, the differential check on arena and
+# scratch reuse; the sched line races the bitmap-queue unit and adversarial
+# tests.
 # The store and eval run with -short so their heavier matrices race a
 # reduced preset slice; the full matrices run in `test`.
+# The benchmark (perfbench/) is a separate module that imports the internal
+# packages, so the root `go build ./...` cannot see a change that breaks
+# it: check vets and tests it on its own.
 check: lint build test
 	$(GO) test -race -short ./internal/store/ ./internal/eval/
 	$(GO) test -race ./internal/jobs/ ./internal/compcache/ ./internal/pipeline/ ./internal/router/ ./cmd/treegiond/
 	$(GO) test -race ./internal/telemetry/ ./internal/ddg/ ./internal/sched/
 	$(GO) test -race ./internal/inline/ ./internal/interp/
 	$(GO) test -race -run NONE -bench 'BenchmarkColdCompile' -benchtime 1x .
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # loadtest boots the two-replica scale-out topology (2 treegiond + the
 # shard router) and runs a short closed-loop loadgen pass against the

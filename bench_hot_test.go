@@ -1,28 +1,51 @@
 package treegion
 
-// Micro-benchmarks for the three rebuilt hot phases of the compiler core —
-// bitset liveness, slab DDG construction, and heap-based list scheduling —
-// each driven cold over every function of the 8-benchmark suite. They
-// isolate one phase per iteration, so a regression in (say) the scheduler's
-// ready queue shows up here before it moves the whole-pipeline
-// BenchmarkCompileSuiteSerial number. `make bench` captures them in
-// BENCH_5.json; `make check` runs them once under the race detector.
+// Micro-benchmarks for the rebuilt hot phases of the compiler core —
+// bitset liveness, slab DDG construction, bitmap list scheduling and the
+// path-height measurement — each driven cold over every function of its
+// inputs. They isolate one phase per iteration, so a regression in (say)
+// the scheduler's ready queue shows up here before it moves the
+// whole-pipeline BenchmarkCompileSuiteSerial number. The DDG, scheduler and
+// measurement benchmarks run three tiers — the suite, stress and stress2 —
+// so a cost that grows with the function rather than the region shows up
+// as a per-region figure that climbs from tier to tier. `make bench`
+// captures them; `make check` runs them once under the race detector.
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"time"
 
 	"treegion/internal/cfg"
 	"treegion/internal/core"
 	"treegion/internal/ddg"
+	"treegion/internal/eval"
 	"treegion/internal/ir"
 	"treegion/internal/machine"
 	"treegion/internal/region"
 	"treegion/internal/sched"
 )
 
-// hotFunc is one suite function prepared up to the phase under test.
+// coldTier is one input scale of the cold compile-core benchmarks: suite
+// functions average ~740 ops in regions of ~20, stress functions ~7000 ops
+// with hundreds of regions each, and stress2 a few ~40000-op functions of
+// giant straight-line blocks.
+type coldTier struct {
+	name   string
+	inputs func(b *testing.B) ([]*Program, []Profiles)
+}
+
+var coldTiers = []coldTier{
+	{"suite", func(b *testing.B) ([]*Program, []Profiles) {
+		s := sharedSuite(b)
+		return s.Programs, s.Profiles
+	}},
+	{"stress", func(b *testing.B) ([]*Program, []Profiles) { return benchProgram(b, "stress") }},
+	{"stress2", func(b *testing.B) ([]*Program, []Profiles) { return benchProgram(b, "stress2") }},
+}
+
+// hotFunc is one function prepared up to the phase under test.
 type hotFunc struct {
 	fn      *ir.Function
 	regions []*region.Region
@@ -52,34 +75,98 @@ func BenchmarkColdCompileLiveness(b *testing.B) {
 	}
 }
 
+// prepareHot clones every function of progs and prepares it up to the DDG
+// phase exactly as the compile path does: treegion formation and liveness.
+func prepareHot(progs []*Program) []hotFunc {
+	var prep []hotFunc
+	for _, p := range progs {
+		for _, fn := range p.Funcs {
+			f := fn.Clone()
+			rs := core.Form(f, cfg.New(f))
+			lv := cfg.ComputeLiveness(cfg.New(f))
+			prep = append(prep, hotFunc{fn: f, regions: rs, lv: lv})
+		}
+	}
+	return prep
+}
+
 // BenchmarkColdCompileDDG measures slab DDG construction — dominator
 // parallelism off, renaming on, the headline configuration — over every
-// region of the suite. Renaming mutates the function, so each iteration
-// rebuilds its inputs outside the timed region.
+// region of each tier, through BuildScratch on one Scratch as the compile
+// path does. Renaming mutates the function, so each iteration rebuilds its
+// inputs outside the timed region. us/region is the build cost per region:
+// with every per-region table region-sized it stays within a small factor
+// from tier to tier, although the functions around the regions grow ~10×.
 func BenchmarkColdCompileDDG(b *testing.B) {
-	s := sharedSuite(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		var prep []hotFunc
-		for _, p := range s.Programs {
-			for _, fn := range p.Funcs {
-				f := fn.Clone()
-				g := cfg.New(f)
-				rs := core.Form(f, g)
-				lv := cfg.ComputeLiveness(cfg.New(f))
-				prep = append(prep, hotFunc{fn: f, regions: rs, lv: lv})
-			}
-		}
-		b.StartTimer()
-		for _, h := range prep {
-			for _, r := range h.regions {
-				if _, err := ddg.Build(h.fn, r, ddg.Options{Rename: true, Liveness: h.lv}); err != nil {
-					b.Fatal(err)
+	for _, tier := range coldTiers {
+		b.Run(tier.name, func(b *testing.B) {
+			progs, _ := tier.inputs(b)
+			var sc ddg.Scratch
+			regions := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				prep := prepareHot(progs)
+				b.StartTimer()
+				for _, h := range prep {
+					for _, r := range h.regions {
+						if _, err := ddg.BuildScratch(h.fn, r, ddg.Options{Rename: true, Liveness: h.lv}, &sc); err != nil {
+							b.Fatal(err)
+						}
+					}
+					regions += len(h.regions)
 				}
 			}
-		}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(regions), "us/region")
+		})
+	}
+}
+
+// measuredRegion is one scheduled region with the inputs MeasureRegion
+// reads.
+type measuredRegion struct {
+	s    *sched.Schedule
+	prof *ProfileData
+	lv   *cfg.Liveness
+}
+
+// measureSink keeps the measured results live so the compiler cannot drop
+// the calls under test.
+var measureSink eval.RegionTime
+
+// BenchmarkColdCompileMeasure measures eval.MeasureRegion — the paper's
+// profile-weighted path-height estimate — over every region of each tier,
+// compiled under the headline configuration. Measurement never mutates a
+// schedule, so the schedules are built once; us/region is the cost per
+// region measured.
+func BenchmarkColdCompileMeasure(b *testing.B) {
+	for _, tier := range coldTiers {
+		b.Run(tier.name, func(b *testing.B) {
+			progs, profs := tier.inputs(b)
+			var ms []measuredRegion
+			ar := eval.NewArena()
+			for pi, p := range progs {
+				for fi, fn := range p.Funcs {
+					fr, err := eval.CompileFunctionArena(fn.Clone(), profs[pi][fi].Clone(), DefaultConfig(), ar)
+					if err != nil {
+						b.Fatal(err)
+					}
+					lv := cfg.ComputeLiveness(cfg.New(fr.Fn))
+					for _, s := range fr.Schedules {
+						ms = append(ms, measuredRegion{s, fr.Prof, lv})
+					}
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, m := range ms {
+					measureSink = eval.MeasureRegion(m.s, m.prof, m.lv)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*len(ms)), "us/region")
+		})
 	}
 }
 
@@ -89,18 +176,14 @@ func BenchmarkColdCompileDDG(b *testing.B) {
 func schedGraphs(b *testing.B, progs []*Program) []*ddg.Graph {
 	b.Helper()
 	var graphs []*ddg.Graph
-	for _, p := range progs {
-		for _, fn := range p.Funcs {
-			f := fn.Clone()
-			g := cfg.New(f)
-			lv := cfg.ComputeLiveness(cfg.New(f))
-			for _, r := range core.Form(f, g) {
-				dg, err := ddg.Build(f, r, ddg.Options{Rename: true, Liveness: lv})
-				if err != nil {
-					b.Fatal(err)
-				}
-				graphs = append(graphs, dg)
+	var sc ddg.Scratch
+	for _, h := range prepareHot(progs) {
+		for _, r := range h.regions {
+			dg, err := ddg.BuildScratch(h.fn, r, ddg.Options{Rename: true, Liveness: h.lv}, &sc)
+			if err != nil {
+				b.Fatal(err)
 			}
+			graphs = append(graphs, dg)
 		}
 	}
 	return graphs
@@ -118,18 +201,11 @@ func schedGraphs(b *testing.B, progs []*Program) []*ddg.Graph {
 // Schedule allocations churn enough to swamp a mean on a busy machine), and
 // measuring both sides the same way keeps the ratio honest.
 func BenchmarkColdCompileSched(b *testing.B) {
-	tiers := []struct {
-		name  string
-		progs func(b *testing.B) []*Program
-	}{
-		{"suite", func(b *testing.B) []*Program { return sharedSuite(b).Programs }},
-		{"stress", func(b *testing.B) []*Program { return benchProgram(b, "stress") }},
-		{"stress2", func(b *testing.B) []*Program { return benchProgram(b, "stress2") }},
-	}
 	prio := core.DepHeight.Keys
-	for _, tier := range tiers {
+	for _, tier := range coldTiers {
 		b.Run(tier.name, func(b *testing.B) {
-			graphs := schedGraphs(b, tier.progs(b))
+			progs, _ := tier.inputs(b)
+			graphs := schedGraphs(b, progs)
 			var sc sched.Scratch
 			schedule := func(fn func(g *ddg.Graph) *sched.Schedule) {
 				for _, g := range graphs {
@@ -170,12 +246,38 @@ func BenchmarkColdCompileSched(b *testing.B) {
 	}
 }
 
-// benchProgram generates one named progen benchmark for a stress tier.
-func benchProgram(b *testing.B, name string) []*Program {
+// benchPrograms memoizes the stress tiers' generated programs and
+// profiles across benchmarks and sub-benchmark reruns.
+var benchPrograms sync.Map // name → *benchInputs
+
+type benchInputs struct {
+	once  sync.Once
+	progs []*Program
+	profs []Profiles
+	err   error
+}
+
+// benchProgram generates and profiles one named progen benchmark for a
+// stress tier.
+func benchProgram(b *testing.B, name string) ([]*Program, []Profiles) {
 	b.Helper()
-	p, err := GenerateBenchmark(name)
-	if err != nil {
-		b.Fatal(err)
+	v, _ := benchPrograms.LoadOrStore(name, new(benchInputs))
+	in := v.(*benchInputs)
+	in.once.Do(func() {
+		p, err := GenerateBenchmark(name)
+		if err != nil {
+			in.err = err
+			return
+		}
+		profs, err := ProfileProgram(p)
+		if err != nil {
+			in.err = err
+			return
+		}
+		in.progs, in.profs = []*Program{p}, []Profiles{profs}
+	})
+	if in.err != nil {
+		b.Fatal(in.err)
 	}
-	return []*Program{p}
+	return in.progs, in.profs
 }

@@ -125,9 +125,9 @@ type Graph struct {
 
 	// byID maps op.ID → node index + 1 (0 = no node). Op IDs are dense per
 	// function, so this replaces the old map[*ir.Op]*Node. It is built
-	// lazily on the first NodeOf: the table costs OpIDBound entries per
-	// graph, and most graphs — every one revived from the artifact store,
-	// for a start — never take a NodeOf lookup at all. The hand-rolled
+	// lazily on the first NodeOf: the table costs one entry per op ID up to
+	// the largest among the nodes, and the compile path never takes a
+	// NodeOf lookup at all (the simulator does). The hand-rolled
 	// double-checked guard (rather than sync.Once) keeps NodeOf's fast path
 	// allocation-free: a method-value closure per call would dwarf the
 	// lookup itself in the simulator's inner loop.
@@ -329,16 +329,15 @@ type builder struct {
 	recs          []edgeRec
 	outCnt, inCnt []int32
 
-	// Per-block def bitsets over the region-local registers numbered when
-	// they were built (defRegs of them, defNW words per block, blocks by
-	// preorder position), used by conflictsOffPath during rename/pinning.
-	// Built by buildDefBits after dominator merging; not ready during it,
-	// because its incremental gone-marking would invalidate a prebuilt
-	// table (there conflictsOffPath scans ops instead).
-	defBits  []uint64
-	defNW    int
-	defRegs  int
-	defReady bool
+	// Per-block def bitsets over the first defRegs region-local registers
+	// (defNW words per block, blocks by preorder position), used by
+	// conflictsOffPath during rename/pinning. Built by buildDefBits after
+	// dominator merging; defRegs is 0 until then, because merging's
+	// incremental gone-marking would invalidate a prebuilt table (there
+	// conflictsOffPath scans ops instead).
+	defBits []uint64
+	defNW   int
+	defRegs int
 
 	// Reusable scratch.
 	succBuf    []ir.BlockID

@@ -116,7 +116,6 @@ func (b *builder) buildDefBits() {
 			}
 		}
 	}
-	b.defReady = true
 }
 
 // conflictsOffPath reports whether hoisting a definition of d from block bid
@@ -161,11 +160,9 @@ func (b *builder) conflictsOffPath(bid ir.BlockID, d ir.Reg) bool {
 // register they cover; during dominator merging (whose incremental
 // eliminations would invalidate a snapshot) it scans the ops.
 func (b *builder) blockDefines(x ir.BlockID, d ir.Reg) bool {
-	if b.defReady {
-		if k := int(b.local(d)); k >= 0 && k < b.defRegs {
-			i := b.g.Region.Pos(x)
-			return b.defBits[i*b.defNW+(k>>6)]&(1<<(uint(k)&63)) != 0
-		}
+	if k := int(b.local(d)); k >= 0 && k < b.defRegs {
+		i := b.g.Region.Pos(x)
+		return b.defBits[i*b.defNW+(k>>6)]&(1<<(uint(k)&63)) != 0
 	}
 	for _, op := range b.g.Fn.Block(x).Ops {
 		if b.isGone(op) {

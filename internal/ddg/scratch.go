@@ -64,7 +64,7 @@ func growClear[T any](buf []T, n int) []T {
 	return buf
 }
 
-// begin readies the builder for one build of r. A build that never
+// begin readies the builder for one build of g. A build that never
 // reached finish (a panic the caller recovered from) leaves logged entries
 // behind, so the function-indexed tables are then swept in full.
 func (b *builder) begin(g *Graph, opts Options) {
@@ -80,7 +80,7 @@ func (b *builder) begin(g *Graph, opts Options) {
 	b.g, b.opts = g, opts
 	clear(b.moved)
 	b.recs = b.recs[:0]
-	b.defReady = false
+	b.defRegs = 0
 }
 
 // finish returns the function-indexed tables to all-zero through the logs

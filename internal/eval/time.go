@@ -137,11 +137,9 @@ func MeasureRegion(s *sched.Schedule, prof *profile.Data, lv *cfg.Liveness) Regi
 				// fallthrough, every arm was checked first.
 				next := path[i+1]
 				via := -1
-				for _, op := range r.Fn.Block(x).Ops {
-					if op.IsBranch() && op.Target == next {
-						if c, ok := v.branchCycle(op); ok {
-							via = c
-						}
+				for _, br := range v.branches {
+					if br.op.Target == next {
+						via = br.cycle
 					}
 				}
 				if via < 0 {

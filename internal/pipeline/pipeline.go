@@ -103,9 +103,10 @@ var compileFunc = eval.CompileFunctionArena
 // worker claims chunks of K indices from the shared queue (stealing half of
 // the largest remaining range when its own runs dry) and compiles the whole
 // chunk on one private arena, so the DDG/scheduler scratch is reused across
-// every function the worker touches. Results and errors land at their function's
-// index; cached[i], when the slice is non-nil, records cache hits. onDone,
-// when non-nil, is called (possibly concurrently) after each index settles.
+// every function the worker touches. Results and errors land at their
+// function's index; cached[i], when the slice is non-nil, records cache
+// hits. onDone, when non-nil, is called (possibly concurrently) after each
+// index settles.
 func compileMany(ctx context.Context, fns []*ir.Function, profs []*profile.Data, c eval.Config, opts Options,
 	frs []*eval.FunctionResult, errs []error, cached []bool, onDone func(int)) {
 	n := len(fns)

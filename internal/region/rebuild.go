@@ -26,15 +26,11 @@ func Rebuild(fn *ir.Function, kind Kind, blocks, parents []ir.BlockID, fromTrace
 	if parents[0] != ir.NoBlock {
 		return nil, fmt.Errorf("region: rebuild: root bb%d has parent bb%d", blocks[0], parents[0])
 	}
-	r := New(fn, kind, blocks[0])
-	r.FromTrace = fromTrace
 	// The preorder length is known up front; reserve it so the Add loop
 	// never regrows Blocks or parents (regions revive by the thousand on
 	// warm decode).
-	if n := len(blocks); cap(r.Blocks) < n {
-		r.Blocks = append(make([]ir.BlockID, 0, n), r.Blocks...)
-		r.parents = append(make([]ir.BlockID, 0, n), r.parents...)
-	}
+	r := newRegion(fn, kind, blocks[0], len(blocks))
+	r.FromTrace = fromTrace
 	for i := 1; i < len(blocks); i++ {
 		b, p := blocks[i], parents[i]
 		if !inRange(b) {

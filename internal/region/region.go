@@ -78,14 +78,19 @@ type Region struct {
 
 // New starts a region containing just the root.
 func New(fn *ir.Function, kind Kind, root ir.BlockID) *Region {
+	return newRegion(fn, kind, root, 1)
+}
+
+// newRegion is New with room reserved for n blocks.
+func newRegion(fn *ir.Function, kind Kind, root ir.BlockID, n int) *Region {
 	r := &Region{
-		Fn:   fn,
-		Kind: kind,
-		Root: root,
+		Fn:      fn,
+		Kind:    kind,
+		Root:    root,
+		Blocks:  append(make([]ir.BlockID, 0, n), root),
+		parents: append(make([]ir.BlockID, 0, n), ir.NoBlock),
 	}
 	r.ensure(root)
-	r.Blocks = append(r.Blocks, root)
-	r.parents = append(r.parents, ir.NoBlock)
 	r.pos[root] = 1
 	return r
 }
