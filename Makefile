@@ -10,11 +10,15 @@ all: build
 build:
 	$(GO) build ./...
 
-# vet runs the toolchain's analyzers, then treegion-vet: the repo's own
-# static-analysis suite over its determinism/atomicity/arena-escape/codec
-# invariants (see internal/analysis and DESIGN.md §14). Any finding fails
-# the target, and thereby lint, check and ci.
+# vet first requires every Go file to be gofmt-clean (perfbench/ included;
+# the benchmark's .bench_build/ scratch tree is skipped), then runs the
+# toolchain's analyzers and treegion-vet: the repo's own static-analysis
+# suite over its determinism/atomicity/arena-escape/codec invariants (see
+# internal/analysis and DESIGN.md §14). Any finding fails the target, and
+# thereby lint, check and ci.
 vet:
+	@unformatted=$$(gofmt -l . | grep -v '^\.bench_build/'); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l: these files are not gofmt-clean:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/treegion-vet ./...
 
@@ -40,20 +44,21 @@ race:
 # micro-benchmarks of the compiler core (liveness; DDG build, list
 # scheduling and region measurement per tier — suite, stress, stress2 —
 # with us/region for the DDG and measure phases), with allocation counts.
-# The raw `go test -json` stream is captured in BENCH_10.json for machine
-# comparison against earlier runs (BENCH_9.json holds the capture from
-# before the per-region tables became region-sized). The parallel and
-# stress benchmarks report speedup-vs-serial; on a single-core box that
-# metric caps at ~1x by physics.
+# The raw `go test -json` stream is captured in BENCH_11.json for machine
+# comparison against earlier runs (BENCH_10.json holds the capture from
+# before the heap reference scheduler and the per-phase allocation sampler
+# were deleted). The parallel and stress benchmarks report
+# speedup-vs-serial; on a single-core box that metric caps at ~1x by
+# physics.
 bench:
-	$(GO) test -run XXX -bench 'BenchmarkCompileSuite|BenchmarkCompileStress|BenchmarkColdCompile' -benchmem -benchtime 3x -json . | tee BENCH_10.json
+	$(GO) test -run XXX -bench 'BenchmarkCompileSuite|BenchmarkCompileStress|BenchmarkColdCompile' -benchmem -benchtime 3x -json . | tee BENCH_11.json
 
 # bench-compare diffs two bench captures. benchstat is used when installed
 # (fed plain text extracted from the JSON captures); otherwise the bundled
 # dependency-free cmd/benchdiff prints the old/new/delta table. Override the
 # endpoints with BENCH_OLD= / BENCH_NEW=.
-BENCH_OLD ?= BENCH_9.json
-BENCH_NEW ?= BENCH_10.json
+BENCH_OLD ?= BENCH_10.json
+BENCH_NEW ?= BENCH_11.json
 bench-compare:
 	@if command -v benchstat >/dev/null 2>&1; then \
 		$(GO) run ./cmd/benchdiff -extract $(BENCH_OLD) > /tmp/benchdiff_old.txt; \

@@ -12,10 +12,8 @@ package treegion
 // captures them; `make check` runs them once under the race detector.
 
 import (
-	"math"
 	"sync"
 	"testing"
-	"time"
 
 	"treegion/internal/cfg"
 	"treegion/internal/core"
@@ -194,12 +192,8 @@ func schedGraphs(b *testing.B, progs []*Program) []*ddg.Graph {
 // machine with the dependence-height heuristic. Three tiers scale the rank
 // space — suite regions top out near 170 nodes, stress near 170 with far
 // more regions, and stress2's straight-line giants push past 4096 — so the
-// asymptotic gap between the bitmap queues and the retained heap reference
-// is visible, not just the constant factor. Each tier reports
-// speedup-vs-heap, computed symmetrically as best-of-three heap passes over
-// best-of-three bitmap passes: best-of filters GC pauses (the per-region
-// Schedule allocations churn enough to swamp a mean on a busy machine), and
-// measuring both sides the same way keeps the ratio honest.
+// bitmap queues' cost is measured past their level-1 word seam, not just
+// at the suite's sizes.
 func BenchmarkColdCompileSched(b *testing.B) {
 	prio := core.DepHeight.Keys
 	for _, tier := range coldTiers {
@@ -207,41 +201,19 @@ func BenchmarkColdCompileSched(b *testing.B) {
 			progs, _ := tier.inputs(b)
 			graphs := schedGraphs(b, progs)
 			var sc sched.Scratch
-			schedule := func(fn func(g *ddg.Graph) *sched.Schedule) {
+			schedule := func() {
 				for _, g := range graphs {
-					if s := fn(g); s.Length == 0 && len(g.Nodes) > 0 {
+					if s := sched.ListScheduleScratch(g, machine.FourU, prio, nil, &sc); s.Length == 0 && len(g.Nodes) > 0 {
 						b.Fatal("empty schedule")
 					}
 				}
 			}
-			var hsc sched.Scratch
-			heapPass := func(g *ddg.Graph) *sched.Schedule {
-				return sched.ListScheduleHeapRefScratch(g, machine.FourU, prio, &hsc)
-			}
-			bitmapPass := func(g *ddg.Graph) *sched.Schedule {
-				return sched.ListScheduleScratch(g, machine.FourU, prio, nil, &sc)
-			}
-			bestOf := func(fn func(g *ddg.Graph) *sched.Schedule) float64 {
-				schedule(fn) // warm scratch
-				best := math.Inf(1)
-				for pass := 0; pass < 3; pass++ {
-					start := time.Now()
-					schedule(fn)
-					if ns := float64(time.Since(start).Nanoseconds()); ns < best {
-						best = ns
-					}
-				}
-				return best
-			}
-			heapNs := bestOf(heapPass)
-			bitmapNs := bestOf(bitmapPass)
+			schedule() // warm scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				schedule(bitmapPass)
+				schedule()
 			}
-			b.StopTimer()
-			b.ReportMetric(heapNs/bitmapNs, "speedup-vs-heap")
 		})
 	}
 }

@@ -287,8 +287,8 @@ func serialSuiteSeconds(b *testing.B, s *Suite) float64 {
 // BenchmarkCompileSuiteParallel compiles the 8-benchmark suite on the
 // batched work-stealing pool at several worker counts and reports each
 // run's wall-clock ratio over the serial baseline. The workers=1 sub-bench
-// takes compileMany's serial fast path — no goroutine, no steal queue — so
-// it ties the baseline by construction; its metric is labelled serial-tie
+// runs compileMany's one worker on the caller's goroutine, so it ties the
+// baseline by construction; its metric is labelled serial-tie
 // rather than speedup-vs-serial so the regression gate reads it as a
 // dispatch-overhead check, not a parallel loss. The parallel metrics are
 // honest about the hardware: the ≥2x numbers need ≥2 real cores.

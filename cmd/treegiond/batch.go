@@ -22,7 +22,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"treegion"
@@ -117,14 +116,8 @@ func (br *batchRequest) compileRequestFor(ir string) *compileRequest {
 
 func decodeBatchRequest(data []byte) (*batchRequest, *apiError) {
 	var req batchRequest
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		if f, ok := unknownField(err); ok {
-			return nil, apiErr(http.StatusBadRequest, "unknown_field",
-				fmt.Errorf("unknown config field %q (valid fields: %s)", f, strings.Join(batchRequestFields, ", ")))
-		}
-		return nil, apiErr(http.StatusBadRequest, "bad_json", fmt.Errorf("bad request body: %w", err))
+	if aerr := decodeStrict(data, &req, batchRequestFields); aerr != nil {
+		return nil, aerr
 	}
 	if len(req.Functions) == 0 {
 		return nil, apiErr(http.StatusBadRequest, "missing_field", fmt.Errorf("missing or empty \"functions\" field"))

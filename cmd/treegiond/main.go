@@ -3,8 +3,7 @@
 // tiered content-addressed result cache (memory over an optional
 // disk-backed artifact store), and an asynchronous job queue.
 //
-// Endpoints (API v1; the unversioned paths redirect permanently and carry a
-// Deprecation header):
+// Endpoints (API v1; any other path is a structured 404 not_found):
 //
 //	POST   /v1/compile    {"ir": "func f\nbb0:\n  ...", "region": "tree", ...}
 //	                      → schedule metadata + timing JSON (see compileRequest)
@@ -48,8 +47,6 @@ import (
 	"os/signal"
 	"syscall"
 	"time"
-
-	"treegion/internal/telemetry"
 )
 
 func main() {
@@ -62,11 +59,7 @@ func main() {
 	jobQueue := flag.Int("job-queue", 64, "async job queue capacity (submissions beyond it get 429)")
 	jobTimeout := flag.Duration("job-timeout", 5*time.Minute, "per-job execution timeout (0 = none)")
 	debugAddr := flag.String("debug-addr", "", "pprof listen address (empty = disabled)")
-	phaseAllocs := flag.Bool("phase-allocs", false,
-		"sample per-phase heap allocations (treegion_compile_phase_allocs_total; adds MemStats reads per phase)")
 	flag.Parse()
-
-	telemetry.SetAllocTracking(*phaseAllocs)
 
 	s, err := newServer(serverConfig{
 		workers:     *workers,

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"treegion/internal/api"
+	"treegion/internal/router"
 )
 
 func testServer(t *testing.T) (*server, *httptest.Server) {
@@ -189,62 +190,97 @@ func TestCompileUnknownField(t *testing.T) {
 	}
 }
 
-// TestLegacyRedirects verifies the unversioned paths answer with permanent
-// redirects to /v1 (308 for POST so the body is re-sent, 301 for GETs),
-// carry a Deprecation header, and still work end to end through a client
-// that follows redirects.
-func TestLegacyRedirects(t *testing.T) {
+// TestTrailingDataIsBadJSON verifies that every endpoint taking a JSON body
+// reads exactly one value: a second value or trailing garbage is a 400
+// bad_json (the router refuses to shard the same bodies), while trailing
+// whitespace is accepted.
+func TestTrailingDataIsBadJSON(t *testing.T) {
+	_, ts := testServer(t)
+	quote := func(s string) string {
+		b, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	a, b := quote(fig1(t)), quote("func g\nbb0:\n  ret\n")
+	single := func(ir string) string { return `{"ir":` + ir + `}` }
+	for _, ep := range []struct {
+		path string
+		body func(ir string) string
+		ok   int
+	}{
+		{"/v1/compile", single, http.StatusOK},
+		{"/v1/compile-batch", func(ir string) string { return `{"functions":[{"ir":` + ir + `}]}` }, http.StatusOK},
+		{"/v1/jobs", single, http.StatusAccepted},
+	} {
+		for _, tc := range []struct {
+			name, body string
+			want       int
+		}{
+			{"two values", ep.body(a) + ep.body(b), http.StatusBadRequest},
+			{"trailing garbage", ep.body(a) + ` x`, http.StatusBadRequest},
+			{"trailing whitespace", ep.body(a) + " \n", ep.ok},
+		} {
+			resp, err := http.Post(ts.URL+ep.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.want {
+				resp.Body.Close()
+				t.Errorf("%s %s: status %d, want %d", ep.path, tc.name, resp.StatusCode, tc.want)
+				continue
+			}
+			if tc.want != http.StatusBadRequest {
+				resp.Body.Close()
+				continue
+			}
+			if er := decodeError(t, resp); er.Error.Code != "bad_json" {
+				t.Errorf("%s %s: error code %q, want bad_json", ep.path, tc.name, er.Error.Code)
+			}
+			if _, err := router.KeyForBody([]byte(tc.body)); err == nil {
+				t.Errorf("%s %s: the router would shard a body the daemon rejects", ep.path, tc.name)
+			}
+		}
+	}
+}
+
+// TestUnversionedPathsNotFound verifies that the retired unversioned
+// /compile, /metrics and /healthz paths get the structured 404 of any
+// unknown path, and that its message lists every /v1 endpoint.
+func TestUnversionedPathsNotFound(t *testing.T) {
 	_, ts := testServer(t)
 	noFollow := &http.Client{
 		CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
 	}
-
-	resp, err := noFollow.Post(ts.URL+"/compile", "application/json", strings.NewReader(`{}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusPermanentRedirect {
-		t.Errorf("POST /compile status = %d, want 308", resp.StatusCode)
-	}
-	if loc := resp.Header.Get("Location"); loc != "/v1/compile" {
-		t.Errorf("POST /compile Location = %q, want /v1/compile", loc)
-	}
-	if resp.Header.Get("Deprecation") == "" {
-		t.Error("POST /compile missing Deprecation header")
-	}
-
-	for _, path := range []string{"/metrics", "/healthz"} {
-		resp, err := noFollow.Get(ts.URL + path)
+	for _, tc := range []struct{ method, path string }{
+		{http.MethodPost, "/compile"},
+		{http.MethodGet, "/metrics"},
+		{http.MethodGet, "/healthz"},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(`{}`))
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusMovedPermanently {
-			t.Errorf("GET %s status = %d, want 301", path, resp.StatusCode)
+		resp, err := noFollow.Do(req)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if loc := resp.Header.Get("Location"); loc != "/v1"+path {
-			t.Errorf("GET %s Location = %q, want /v1%s", path, loc, path)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s status = %d, want 404", tc.method, tc.path, resp.StatusCode)
 		}
-	}
-
-	// The default client follows the 308 re-sending the POST body, so old
-	// clients keep working unmodified.
-	req, _ := json.Marshal(map[string]any{"ir": fig1(t)})
-	resp2, err := http.Post(ts.URL+"/compile", "application/json", strings.NewReader(string(req)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("redirected POST /compile status = %d, want 200", resp2.StatusCode)
-	}
-	var cr compileResponse
-	if err := json.NewDecoder(resp2.Body).Decode(&cr); err != nil {
-		t.Fatal(err)
-	}
-	if cr.Function != "fig1" {
-		t.Errorf("redirected compile function = %q, want fig1", cr.Function)
+		if loc := resp.Header.Get("Location"); loc != "" {
+			t.Errorf("%s %s still redirects to %q", tc.method, tc.path, loc)
+		}
+		er := decodeError(t, resp)
+		if er.Error.Code != "not_found" {
+			t.Errorf("%s %s error code = %q, want not_found", tc.method, tc.path, er.Error.Code)
+		}
+		for _, ep := range []string{"/v1/compile,", "/v1/compile-batch", "/v1/jobs", "/v1/metrics", "/v1/store/stats", "/v1/healthz"} {
+			if !strings.Contains(er.Error.Message, ep) {
+				t.Errorf("%s %s message %q does not list %s", tc.method, tc.path, er.Error.Message, strings.TrimSuffix(ep, ","))
+			}
+		}
 	}
 }
 

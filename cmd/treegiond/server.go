@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -104,9 +105,8 @@ func (s *server) shutdown(ctx context.Context) error {
 	return err
 }
 
-// API version prefix. Old unversioned paths redirect permanently (308 for
-// POST /compile so clients re-send the body, 301 for the GET endpoints) and
-// carry a Deprecation header; they will be dropped one release after /v1.
+// API version prefix. Every endpoint lives under it; any other path gets
+// the structured 404.
 const apiPrefix = "/v1"
 
 func (s *server) routes() http.Handler {
@@ -118,13 +118,10 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc(apiPrefix+"/metrics", s.handleMetrics)
 	mux.HandleFunc(apiPrefix+"/store/stats", s.handleStoreStats)
 	mux.HandleFunc(apiPrefix+"/healthz", s.handleHealthz)
-	mux.HandleFunc("/compile", s.legacyRedirect(apiPrefix+"/compile", http.StatusPermanentRedirect))
-	mux.HandleFunc("/metrics", s.legacyRedirect(apiPrefix+"/metrics", http.StatusMovedPermanently))
-	mux.HandleFunc("/healthz", s.legacyRedirect(apiPrefix+"/healthz", http.StatusMovedPermanently))
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		s.fail(w, http.StatusNotFound, "not_found",
-			fmt.Errorf("no such endpoint %q (want %s/compile, %s/jobs, %s/metrics or %s/healthz)",
-				r.URL.Path, apiPrefix, apiPrefix, apiPrefix, apiPrefix))
+		s.fail(w, http.StatusNotFound, "not_found", fmt.Errorf(
+			"no such endpoint %q (want %[2]s/compile, %[2]s/compile-batch, %[2]s/jobs, %[2]s/metrics, %[2]s/store/stats or %[2]s/healthz)",
+			r.URL.Path, apiPrefix))
 	})
 	return mux
 }
@@ -139,16 +136,6 @@ func debugRoutes() http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-func (s *server) legacyRedirect(target string, code int) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.reg.Counter("treegiond_http_legacy_redirects_total",
-			"Requests to deprecated unversioned paths.").Inc()
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", target))
-		http.Redirect(w, r, target, code)
-	}
 }
 
 // compileRequest is the POST /v1/compile body. The function arrives as
@@ -203,30 +190,30 @@ type tracePhase struct {
 // compileResponse is the POST /v1/compile reply: the schedule metadata and
 // timing of one compiled function.
 type compileResponse struct {
-	Function        string                `json:"function"`
-	Time            float64               `json:"time_cycles"`
-	TimeWithCopies  float64               `json:"time_with_copies_cycles"`
-	OpsBefore       int                   `json:"ops_before"`
-	OpsAfter        int                   `json:"ops_after"`
-	Regions         int                   `json:"regions"`
-	ScheduleLengths []int                 `json:"schedule_lengths"`
-	Speculated      int                   `json:"speculated"`
-	Renamed         int                   `json:"renamed"`
-	Copies          int                   `json:"copies"`
-	Merged          int                   `json:"merged"`
-	BranchCycles    int                   `json:"branch_cycles"`
-	Cached          bool                  `json:"cached"`
+	Function        string  `json:"function"`
+	Time            float64 `json:"time_cycles"`
+	TimeWithCopies  float64 `json:"time_with_copies_cycles"`
+	OpsBefore       int     `json:"ops_before"`
+	OpsAfter        int     `json:"ops_after"`
+	Regions         int     `json:"regions"`
+	ScheduleLengths []int   `json:"schedule_lengths"`
+	Speculated      int     `json:"speculated"`
+	Renamed         int     `json:"renamed"`
+	Copies          int     `json:"copies"`
+	Merged          int     `json:"merged"`
+	BranchCycles    int     `json:"branch_cycles"`
+	Cached          bool    `json:"cached"`
 	// Functions is the function count of a multi-function compile (omitted
 	// for the single-function requests the endpoint has always served).
 	Functions int `json:"functions,omitempty"`
 	// Inline statistics, present when the request enabled inlining and the
 	// compile consulted the inliner.
-	Inlined        int     `json:"inlined,omitempty"`
-	InlinedOps     int     `json:"inlined_ops,omitempty"`
-	InlineDeclined int     `json:"inline_declined,omitempty"`
-	ElapsedMS      float64 `json:"elapsed_ms"`
-	Schedules       []string              `json:"schedules,omitempty"`
-	Trace           map[string]tracePhase `json:"trace,omitempty"`
+	Inlined        int                   `json:"inlined,omitempty"`
+	InlinedOps     int                   `json:"inlined_ops,omitempty"`
+	InlineDeclined int                   `json:"inline_declined,omitempty"`
+	ElapsedMS      float64               `json:"elapsed_ms"`
+	Schedules      []string              `json:"schedules,omitempty"`
+	Trace          map[string]tracePhase `json:"trace,omitempty"`
 	// Verified is true when the request asked for verification and every
 	// rule passed; Diagnostics carries any advisory (sub-Error) findings.
 	Verified    bool     `json:"verified,omitempty"`
@@ -317,18 +304,35 @@ func apiErr(status int, code string, err error) *apiError {
 	return &apiError{status: status, code: code, msg: err.Error()}
 }
 
+// decodeStrict decodes a request body holding exactly one JSON value into
+// v. A field v does not declare is a 400 unknown_field listing the valid
+// ones; malformed JSON, or any data after the first value, is a 400
+// bad_json — the same bodies the router's KeyForBody refuses to route.
+func decodeStrict(data []byte, v any, valid []string) *apiError {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = fmt.Errorf("data after the JSON value at offset %d", dec.InputOffset())
+		}
+	}
+	if err == nil {
+		return nil
+	}
+	if f, ok := unknownField(err); ok {
+		return apiErr(http.StatusBadRequest, "unknown_field",
+			fmt.Errorf("unknown config field %q (valid fields: %s)", f, strings.Join(valid, ", ")))
+	}
+	return apiErr(http.StatusBadRequest, "bad_json", fmt.Errorf("bad request body: %w", err))
+}
+
 // decodeCompileRequest parses one compile-request body (the POST
 // /v1/compile body and the POST /v1/jobs payload share this format).
 func decodeCompileRequest(data []byte) (*compileRequest, *apiError) {
 	var req compileRequest
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		if f, ok := unknownField(err); ok {
-			return nil, apiErr(http.StatusBadRequest, "unknown_field",
-				fmt.Errorf("unknown config field %q (valid fields: %s)", f, strings.Join(compileRequestFields, ", ")))
-		}
-		return nil, apiErr(http.StatusBadRequest, "bad_json", fmt.Errorf("bad request body: %w", err))
+	if aerr := decodeStrict(data, &req, compileRequestFields); aerr != nil {
+		return nil, aerr
 	}
 	if req.IR == "" {
 		return nil, apiErr(http.StatusBadRequest, "missing_field", fmt.Errorf("missing \"ir\" field"))

@@ -17,19 +17,18 @@ import (
 	"treegion/internal/telemetry"
 )
 
-// Suite caches the generated benchmark programs, their profiles, and the
-// per-benchmark baseline times, so the experiment drivers (one per paper
-// table/figure) don't regenerate shared state. Program compiles run on the
-// concurrent pipeline over a shared content-addressed function cache, and
-// the memoization maps are mutex-guarded, so Suite methods may be called
-// from multiple goroutines.
+// Suite caches the generated benchmark programs, their profiles, and every
+// whole-program compile (the 1U basic-block baselines included), so the
+// experiments (one per paper table/figure) don't regenerate shared state.
+// Program compiles run on the concurrent pipeline over a shared
+// content-addressed function cache, and the memoization map is
+// mutex-guarded, so Suite methods may be called from multiple goroutines.
 type Suite struct {
 	Programs []*Program
 	Profiles []Profiles
 
-	mu       sync.Mutex
-	baseline map[string]float64 // benchmark -> 1U basic-block time
-	cache    map[string]*ProgramResult
+	mu    sync.Mutex
+	cache map[string]*ProgramResult
 
 	workers int
 	ccache  *compcache.Cache
@@ -45,7 +44,6 @@ func NewSuite() (*Suite, error) {
 	}
 	s := &Suite{
 		Programs: progs,
-		baseline: make(map[string]float64),
 		cache:    make(map[string]*ProgramResult),
 		ccache:   compcache.New(compcache.DefaultBudget),
 		reg:      telemetry.NewRegistry(),
@@ -130,25 +128,15 @@ func (s *Suite) run(i int, c Config) (*ProgramResult, error) {
 // SpeedupOf compiles benchmark i under c and returns its speedup over
 // basic-block scheduling on the 1-issue machine (the paper's metric).
 func (s *Suite) SpeedupOf(i int, c Config) (float64, error) {
-	name := s.Programs[i].Name
-	s.mu.Lock()
-	base, ok := s.baseline[name]
-	s.mu.Unlock()
-	if !ok {
-		br, err := s.run(i, BaselineConfig())
-		if err != nil {
-			return 0, err
-		}
-		base = br.Time
-		s.mu.Lock()
-		s.baseline[name] = base
-		s.mu.Unlock()
+	base, err := s.run(i, BaselineConfig())
+	if err != nil {
+		return 0, err
 	}
 	r, err := s.run(i, c)
 	if err != nil {
 		return 0, err
 	}
-	return Speedup(base, r.Time), nil
+	return Speedup(base.Time, r.Time), nil
 }
 
 // StatRow is one benchmark's region-characteristic row (Tables 1 and 2).

@@ -129,16 +129,6 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// AnalyzerNames returns the known analyzer names (the valid targets of a
-// //vet:ignore directive).
-func AnalyzerNames() []string {
-	var names []string
-	for _, a := range Analyzers() {
-		names = append(names, a.Name)
-	}
-	return names
-}
-
 // Run executes the analyzers over the packages and returns the findings in
 // stable order (file, line, col, analyzer, message). Directive validation
 // (unjustified or mistargeted suppressions) runs as part of every call, so

@@ -3,10 +3,13 @@ package cfg
 import "treegion/internal/ir"
 
 // RegSet is a map-backed set of virtual registers. The hot liveness dataflow
-// uses word-packed BitSets instead (see liveness.go); RegSet remains the
-// convenient representation for the verifier's per-block definedness
-// analysis and for tests, where registers are inserted incrementally and the
-// universe is not known up front.
+// uses word-packed BitSets instead (see liveness.go). RegSet is kept as the
+// verifier's deliberately independent representation: its must-define
+// analysis (verify/ircheck.go, irChecker.mustDefine) derives definedness
+// over plain register keys, sharing neither the dense ir.RegIndex numbering
+// nor the bitsets of the analyses it checks. Tests use it too, where
+// registers are inserted incrementally and the universe is not known up
+// front.
 type RegSet map[ir.Reg]struct{}
 
 // NewRegSet returns a set holding the given registers.

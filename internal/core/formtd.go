@@ -32,22 +32,18 @@ func DefaultTDConfig() TDConfig {
 // single incoming edge) until no sapling qualifies. The profile is kept
 // consistent: duplicates inherit the weight of the re-routed edge.
 func FormTD(fn *ir.Function, prof *profile.Data, td TDConfig) []*region.Region {
-	return FormTDTraced(fn, prof, td, nil)
+	return FormTDInlineTraced(fn, prof, td, nil, nil)
 }
 
-// FormTDTraced is FormTD recording each tail duplication's wall time and
-// duplicated op count on tr as the tail-dup phase (nil disables tracing).
-func FormTDTraced(fn *ir.Function, prof *profile.Data, td TDConfig, tr *telemetry.CompileTrace) []*region.Region {
-	return FormTDInlineTraced(fn, prof, td, tr, nil)
-}
-
-// FormTDInlineTraced is FormTDTraced with a demand-driven block rewriter
-// (the inliner) consulted for every block as it joins a region — including
-// blocks a splice itself appended, so inlined bodies absorb and tail
-// duplicate like original code. Blocks created by tail duplication are NOT
-// offered to the rewriter: residual calls in a duplicate stay residual,
-// keeping the duplicate's semantics byte-for-byte those of its original. A
-// nil rewriter reproduces FormTDTraced exactly.
+// FormTDInlineTraced is FormTD recording each tail duplication's wall time
+// and duplicated op count on tr as the tail-dup phase (nil disables
+// tracing), with a demand-driven block rewriter (the inliner) consulted for
+// every block as it joins a region — including blocks a splice itself
+// appended, so inlined bodies absorb and tail duplicate like original code.
+// Blocks created by tail duplication are NOT offered to the rewriter:
+// residual calls in a duplicate stay residual, keeping the duplicate's
+// semantics byte-for-byte those of its original. A nil rewriter reproduces
+// FormTD exactly.
 func FormTDInlineTraced(fn *ir.Function, prof *profile.Data, td TDConfig, tr *telemetry.CompileTrace, rw BlockRewriter) []*region.Region {
 	if td.PathLimit <= 0 {
 		td.PathLimit = 20

@@ -181,10 +181,10 @@ func TestMemorySerialization(t *testing.T) {
 	r0 := f.NewReg(ir.ClassGPR)
 	a := f.NewReg(ir.ClassGPR)
 	c := f.NewReg(ir.ClassGPR)
-	f.EmitLd(b0, a, r0, 0)     // ld1
-	f.EmitSt(b0, r0, 8, a)     // st1: after ld1 (anti) and ld1 flow (a)
-	f.EmitLd(b0, c, r0, 16)    // ld2: after st1
-	f.EmitSt(b0, r0, 24, c)    // st2: after st1, ld2
+	f.EmitLd(b0, a, r0, 0)  // ld1
+	f.EmitSt(b0, r0, 8, a)  // st1: after ld1 (anti) and ld1 flow (a)
+	f.EmitLd(b0, c, r0, 16) // ld2: after st1
+	f.EmitSt(b0, r0, 24, c) // st2: after st1, ld2
 	f.EmitRet(b0)
 	r := region.New(f, region.KindBasicBlock, b0.ID)
 	lv := cfg.ComputeLiveness(cfg.New(f))
@@ -221,9 +221,9 @@ func TestAntiAndOutputDeps(t *testing.T) {
 	f := ir.NewFunction("waw")
 	b0 := f.NewBlock()
 	r0, r1 := f.NewReg(ir.ClassGPR), f.NewReg(ir.ClassGPR)
-	read := f.EmitALU(b0, ir.Add, r1, r0, r0)  // reads r0
-	write := f.EmitMovI(b0, r0, 5)             // anti: read -> write
-	write2 := f.EmitMovI(b0, r0, 6)            // output: write -> write2
+	read := f.EmitALU(b0, ir.Add, r1, r0, r0) // reads r0
+	write := f.EmitMovI(b0, r0, 5)            // anti: read -> write
+	write2 := f.EmitMovI(b0, r0, 6)           // output: write -> write2
 	f.EmitRet(b0)
 	r := region.New(f, region.KindBasicBlock, b0.ID)
 	lv := cfg.ComputeLiveness(cfg.New(f))

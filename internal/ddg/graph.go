@@ -235,13 +235,6 @@ type Options struct {
 	Profile *profile.Data
 }
 
-// DefaultOptions returns the paper's configuration for plain treegion
-// scheduling (renaming on, dominator parallelism off — the latter is enabled
-// for the tail-duplication experiments).
-func DefaultOptions(lv *cfg.Liveness, prof *profile.Data) Options {
-	return Options{Rename: true, Liveness: lv, Profile: prof}
-}
-
 // Build constructs the DDG for r. It may mutate the function: renaming
 // rewrites destination/source registers inside the region and inserts Copy
 // ops. Each region must therefore be built at most once per compiled

@@ -10,7 +10,7 @@ import (
 // NodeSpec is the serialized form of one Node: everything Build computed,
 // minus the pointers that only make sense in-process. The artifact store
 // persists schedules as (NodeSpec, EdgeSpec) lists and revives them with
-// Restore.
+// RestoreScratch.
 type NodeSpec struct {
 	// Op locates the node's op in the revived function.
 	Op *ir.Op
@@ -31,21 +31,18 @@ type EdgeSpec struct {
 	Kind     EdgeKind
 }
 
-// Restore rebuilds a Graph from serialized parts. Node indices follow the
-// order of nodes; edges are installed in list order, so successor order —
-// which downstream consumers iterate — matches the graph that was saved.
-// Restore validates indices and returns an error on malformed input (a
-// corrupt store entry must read as a miss, never crash or build a graph
-// that panics later).
-func Restore(fn *ir.Function, r *region.Region, nodes []NodeSpec, edges []EdgeSpec, renamed, copies, merged int) (*Graph, error) {
-	return RestoreScratch(fn, r, nodes, edges, renamed, copies, merged, new(Scratch))
-}
-
-// RestoreScratch is Restore with reusable working memory, mirroring
-// Build/BuildScratch: the edge-record and counting buffers come from sc, so
-// a caller reviving many schedules (the artifact store decodes every region
-// of every function in a suite) allocates only what the graph retains.
-// Neither nodes nor edges is retained by the result.
+// RestoreScratch rebuilds a Graph from serialized parts. Node indices
+// follow the order of nodes; edges are installed in list order, so
+// successor order — which downstream consumers iterate — matches the graph
+// that was saved. It validates indices and returns an error on malformed
+// input (a corrupt store entry must read as a miss, never crash or build a
+// graph that panics later).
+//
+// The edge-record and counting buffers come from sc, mirroring
+// Build/BuildScratch, so a caller reviving many schedules (the artifact
+// store decodes every region of every function in a suite) allocates only
+// what the graph retains. Neither nodes nor edges is retained by the
+// result.
 func RestoreScratch(fn *ir.Function, r *region.Region, nodes []NodeSpec, edges []EdgeSpec, renamed, copies, merged int, sc *Scratch) (*Graph, error) {
 	g := &Graph{
 		Fn:         fn,

@@ -169,19 +169,16 @@ func CompileFunctionArena(fn *ir.Function, prof *profile.Data, c Config, ar *Are
 	res := &FunctionResult{Fn: fn, Prof: prof, OpsBefore: fn.NumOps(), Trace: tr}
 	if c.IfConvert {
 		t0 := time.Now()
-		a0 := telemetry.AllocMark()
 		res.Hyper = hyper.IfConvert(fn, prof, c.Hyper)
-		tr.ObserveAllocs(telemetry.PhaseIfConvert, a0)
 		tr.Observe(telemetry.PhaseIfConvert, time.Since(t0), fn.NumOps())
 		if err := fn.Validate(); err != nil {
 			return nil, fmt.Errorf("eval: %s: invalid after if-conversion: %w", fn.Name, err)
 		}
 	}
-	// Formation. Tail duplication records its own phase inside FormTDTraced;
-	// the treeform phase is the formation time net of it, so the trace's
-	// phase totals add up without double counting.
+	// Formation. Tail duplication records its own phase inside
+	// FormTDInlineTraced; the treeform phase is the formation time net of
+	// it, so the trace's phase totals add up without double counting.
 	t0 := time.Now()
-	a0 := telemetry.AllocMark()
 	// Demand-driven inlining hooks into the treegion formers. New returns
 	// nil when disabled or without program context; the typed nil must not
 	// reach the interface, or the formers would see a non-nil rewriter.
@@ -217,20 +214,16 @@ func CompileFunctionArena(fn *ir.Function, prof *profile.Data, c Config, ar *Are
 		res.Inline = in.Stats()
 	}
 	res.OpsAfter = fn.NumOps()
-	tr.ObserveAllocs(telemetry.PhaseTreeform, a0)
 	tr.Observe(telemetry.PhaseTreeform,
 		time.Since(t0)-time.Duration(tr.PhaseNanos(telemetry.PhaseTailDup)), res.OpsAfter)
 	if err := region.CheckPartition(fn, res.Regions); err != nil {
 		return nil, fmt.Errorf("eval: %s: %w", fn.Name, err)
 	}
 	t0 = time.Now()
-	a0 = telemetry.AllocMark()
 	lv := cfg.ComputeLiveness(cfg.New(fn))
-	tr.ObserveAllocs(telemetry.PhaseLiveness, a0)
 	tr.Observe(telemetry.PhaseLiveness, time.Since(t0), res.OpsAfter)
 	for _, r := range res.Regions {
 		t0 = time.Now()
-		a0 = telemetry.AllocMark()
 		dg, err := ddg.BuildScratch(fn, r, ddg.Options{
 			Rename:               c.Rename,
 			DominatorParallelism: c.DominatorParallelism,
@@ -240,16 +233,13 @@ func CompileFunctionArena(fn *ir.Function, prof *profile.Data, c Config, ar *Are
 		if err != nil {
 			return nil, err
 		}
-		tr.ObserveAllocs(telemetry.PhaseDDG, a0)
 		tr.Observe(telemetry.PhaseDDG, time.Since(t0), len(dg.Nodes))
 		s := sched.ListScheduleScratch(dg, c.Machine, c.Heuristic.Keys, tr, &ar.sched)
 		if err := s.Verify(); err != nil {
 			return nil, fmt.Errorf("eval: %s: %w", fn.Name, err)
 		}
 		t0 = time.Now()
-		a0 = telemetry.AllocMark()
 		rt := MeasureRegion(s, prof, lv)
-		tr.ObserveAllocs(telemetry.PhaseMeasure, a0)
 		tr.Observe(telemetry.PhaseMeasure, time.Since(t0), len(dg.Nodes))
 		res.Time += rt.Time
 		res.Copies += rt.TimeWithCopies
@@ -310,7 +300,9 @@ func ProfileProgram(prog *progen.Program) (Profiles, error) {
 // the functions and profiles, and aggregates the results. When c enables
 // inlining without supplying an InlineEnv, the env is resolved from prog
 // itself (the original functions — the inliner clones out of them while the
-// compilation mutates its own copies).
+// compilation mutates its own copies). Production code compiles programs
+// through pipeline.CompileProgram; this serial form is kept because eval's
+// own tests drive whole programs with it and eval cannot import pipeline.
 func CompileProgram(prog *progen.Program, profs Profiles, c Config) (*ProgramResult, error) {
 	if c.Inline.Enabled && c.InlineEnv == nil {
 		p, err := ir.NewProgram(prog.Funcs)

@@ -35,8 +35,8 @@ func DefaultConfig() Config { return Config{MaxArmOps: 8, MaxPasses: 4} }
 
 // Stats reports what the pass did.
 type Stats struct {
-	Triangles int // if-then conversions
-	Diamonds  int // if-then-else conversions
+	Triangles  int // if-then conversions
+	Diamonds   int // if-then-else conversions
 	Predicated int // ops that received a guard
 }
 

@@ -81,19 +81,6 @@ func (b *Block) Branches() []*Op {
 	return out
 }
 
-// HasCall reports whether the block contains a call.
-func (b *Block) HasCall() bool {
-	for _, op := range b.Ops {
-		if op.Opcode == Call {
-			return true
-		}
-	}
-	return false
-}
-
-// IsExit reports whether the block ends the function (no successors).
-func (b *Block) IsExit() bool { return b.NumSuccs() == 0 }
-
 // ReplaceSucc rewrites every edge from b to old so it points to new. It
 // adjusts branch targets and the fallthrough. It reports whether anything
 // changed.

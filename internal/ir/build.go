@@ -22,15 +22,6 @@ func (f *Function) EmitALU(b *Block, opc Opcode, dest, s1, s2 Reg) *Op {
 	return op
 }
 
-// EmitMov appends "dest = MOV src".
-func (f *Function) EmitMov(b *Block, dest, src Reg) *Op {
-	op := f.NewOp(Mov)
-	op.Dests = []Reg{dest}
-	op.Srcs = []Reg{src}
-	b.Ops = append(b.Ops, op)
-	return op
-}
-
 // EmitLd appends "dest = LD [base+off]".
 func (f *Function) EmitLd(b *Block, dest, base Reg, off int64) *Op {
 	op := f.NewOp(Ld)
@@ -76,16 +67,6 @@ func (f *Function) EmitPbr(b *Block, btr Reg, target BlockID) *Op {
 // EmitBrct appends "BRCT btr, p -> target" taken with probability prob.
 func (f *Function) EmitBrct(b *Block, btr, p Reg, target BlockID, prob float64) *Op {
 	op := f.NewOp(Brct)
-	op.Srcs = []Reg{btr, p}
-	op.Target = target
-	op.Prob = prob
-	b.Ops = append(b.Ops, op)
-	return op
-}
-
-// EmitBrcf appends "BRCF btr, p -> target" taken with probability prob.
-func (f *Function) EmitBrcf(b *Block, btr, p Reg, target BlockID, prob float64) *Op {
-	op := f.NewOp(Brcf)
 	op.Srcs = []Reg{btr, p}
 	op.Target = target
 	op.Prob = prob

@@ -9,22 +9,6 @@ package ir
 // scheduler renaming after a liveness snapshot) to -1, which set lookups
 // treat as "absent".
 
-// OpIDBound returns an exclusive upper bound on the op IDs present in the
-// function: every op satisfies 0 <= op.ID < OpIDBound(). The bound is the
-// allocator's high-water mark, widened defensively to cover hand-numbered
-// ops a builder forgot to register.
-func (f *Function) OpIDBound() int {
-	n := f.nextOpID
-	for _, b := range f.Blocks {
-		for _, op := range b.Ops {
-			if op.ID >= n {
-				n = op.ID + 1
-			}
-		}
-	}
-	return n
-}
-
 // RegIndex maps virtual registers to dense indices 0..Len()-1 across all
 // register classes, so register sets pack into bitset words. Take the index
 // with Function.RegIndexTable once per analysis; registers allocated after

@@ -150,8 +150,8 @@ func (c Cond) String() string {
 // duplicates created by tail duplication share an Orig ID, which is how the
 // scheduler detects dominator parallelism.
 type Op struct {
-	ID     int    // unique within the function
-	Orig   int    // ID of the op this was duplicated from (== ID for originals)
+	ID     int // unique within the function
+	Orig   int // ID of the op this was duplicated from (== ID for originals)
 	Opcode Opcode
 	Dests  []Reg
 	Srcs   []Reg

@@ -318,7 +318,7 @@ func (p *parser) line(line string) error {
 		p.labelIdx++
 		off := len(p.opPtrs)
 		p.opPtrs = p.opPtrs[:off+cnt]
-		p.cur.Ops = p.opPtrs[off:off:off+cnt]
+		p.cur.Ops = p.opPtrs[off : off : off+cnt]
 		return nil
 	case p.cur == nil:
 		return fmt.Errorf("op outside a block")

@@ -37,15 +37,6 @@ const (
 	StateInterrupted State = "interrupted"
 )
 
-// Terminal reports whether the state is final.
-func (s State) Terminal() bool {
-	switch s {
-	case StateDone, StateFailed, StateCanceled, StateInterrupted:
-		return true
-	}
-	return false
-}
-
 // Job is one unit of asynchronous work. The queue hands out snapshot
 // copies; callers never share memory with the queue's internal record.
 type Job struct {
@@ -70,7 +61,9 @@ type Runner func(ctx context.Context, payload json.RawMessage) (json.RawMessage,
 
 // Journal persists job records by ID. A nil Journal disables persistence
 // (jobs live and die with the process). The artifact store's Journal
-// satisfies this interface.
+// satisfies this interface. The queue calls Put with its lock held, so
+// records land in the order states are published; an implementation must
+// not call back into the Queue.
 type Journal interface {
 	Put(id string, data []byte) error
 	Delete(id string) error
@@ -275,10 +268,10 @@ func (q *Queue) Submit(payload json.RawMessage) (Job, error) {
 		return Job{}, ErrQueueFull
 	}
 	q.jobs[j.ID] = j
+	q.persist(j)
 	snap := *j
 	q.mu.Unlock()
 	q.submitted.Add(1)
-	q.persist(&snap)
 	return snap, nil
 }
 
@@ -328,9 +321,9 @@ func (q *Queue) Cancel(id string) (Job, bool) {
 		j.ErrorCode = "canceled"
 		j.Finished = time.Now()
 		q.canceled.Add(1)
+		q.persist(j)
 		snap := *j
 		q.mu.Unlock()
-		q.persist(&snap)
 		return snap, true
 	case StateRunning:
 		if cancel, ok := q.cancels[id]; ok {
@@ -380,11 +373,10 @@ func (q *Queue) process(id string) {
 		ctx, cancel = context.WithTimeout(context.Background(), q.opts.Timeout)
 	}
 	q.cancels[id] = cancel
-	snap := *j
+	q.persist(j)
 	payload := j.Payload
 	q.mu.Unlock()
 	q.running.Add(1)
-	q.persist(&snap)
 
 	var result json.RawMessage
 	var err error
@@ -437,10 +429,9 @@ func (q *Queue) process(id string) {
 		}
 		q.failed.Add(1)
 	}
-	snap = *j
+	q.persist(j)
 	q.mu.Unlock()
 	cancel()
-	q.persist(&snap)
 }
 
 // run isolates one runner invocation: a panicking runner fails its job
@@ -454,7 +445,12 @@ func (q *Queue) run(ctx context.Context, payload json.RawMessage) (result json.R
 	return q.opts.Run(ctx, payload)
 }
 
-// persist journals one job snapshot.
+// persist journals j's current record. Every state change calls it with
+// q.mu held, after the change and before the unlock, so the journal's
+// record of a job is always its latest published state and Get never
+// returns a state that is not yet journaled. The store's journal write is
+// a temp-file write and a rename, short enough to hold the lock across.
+// recover calls it before any worker or caller can race it.
 func (q *Queue) persist(j *Job) {
 	if q.opts.Journal == nil {
 		return

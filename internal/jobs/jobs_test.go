@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -107,6 +108,86 @@ func TestSubmitRunDone(t *testing.T) {
 	}
 	if s := q.Stats(); s.Submitted != 1 || s.Completed != 1 {
 		t.Fatalf("stats %+v", s)
+	}
+}
+
+// slowJournal is a memJournal whose writes of one job state are slow: each
+// waits until a done record has been written, or a grace period has passed,
+// before it lands. It recreates the interleavings in which a fast worker's
+// later records race a held-back one.
+type slowJournal struct {
+	*memJournal
+	slow State
+	done chan struct{} // closed once a done record is written
+	once sync.Once
+}
+
+func (j *slowJournal) Put(id string, data []byte) error {
+	var rec Job
+	if err := json.Unmarshal(data, &rec); err != nil {
+		return err
+	}
+	if rec.State == j.slow {
+		select {
+		case <-j.done:
+		case <-time.After(250 * time.Millisecond):
+		}
+	}
+	err := j.memJournal.Put(id, data)
+	if rec.State == StateDone {
+		j.once.Do(func() { close(j.done) })
+	}
+	return err
+}
+
+// TestJournalHoldsLatestPublishedState checks the journal's invariant under
+// slow writes: a job's record is always its latest published state, and a
+// state is journaled before Get can return it. A slow queued write must not
+// land after the job's done record, or a restart runs the finished job a
+// second time; a slow done write must land before Get reports done.
+func TestJournalHoldsLatestPublishedState(t *testing.T) {
+	for _, slow := range []State{StateQueued, StateDone} {
+		t.Run(string(slow), func(t *testing.T) {
+			jl := &slowJournal{memJournal: newMemJournal(), slow: slow, done: make(chan struct{})}
+			var runs atomic.Int32
+			opts := Options{Workers: 1, Journal: jl, Run: func(context.Context, json.RawMessage) (json.RawMessage, error) {
+				runs.Add(1)
+				return json.RawMessage(`{}`), nil
+			}}
+			q, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q.Start()
+			j, err := q.Submit(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, q, j.ID, StateDone)
+			if rec := jl.record(t, j.ID); rec.State != StateDone {
+				t.Fatalf("Get reports done while the journal holds %s", rec.State)
+			}
+			if err := q.Drain(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+
+			// A restart on the same journal finds nothing to run.
+			q2, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q2.Start()
+			defer q2.Drain(context.Background())
+			if s := q2.Stats(); s.Recovered != 0 {
+				t.Fatalf("restart recovered %d jobs, want 0", s.Recovered)
+			}
+			if got, ok := q2.Get(j.ID); !ok || got.State != StateDone {
+				t.Fatalf("job after restart: %+v", got)
+			}
+			if n := runs.Load(); n != 1 {
+				t.Fatalf("job ran %d times, want 1", n)
+			}
+		})
 	}
 }
 

@@ -21,10 +21,10 @@ type Model struct {
 // The paper's machine models plus the single-issue baseline used as the
 // speedup denominator, and a wider model for headroom ablations.
 var (
-	Scalar    = Model{Name: "1U", IssueWidth: 1}
-	FourU     = Model{Name: "4U", IssueWidth: 4}
-	EightU    = Model{Name: "8U", IssueWidth: 8}
-	SixteenU  = Model{Name: "16U", IssueWidth: 16}
+	Scalar   = Model{Name: "1U", IssueWidth: 1}
+	FourU    = Model{Name: "4U", IssueWidth: 4}
+	EightU   = Model{Name: "8U", IssueWidth: 8}
+	SixteenU = Model{Name: "16U", IssueWidth: 16}
 )
 
 // Validate checks that the model can execute code at all: a MultiOp must

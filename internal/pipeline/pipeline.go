@@ -120,62 +120,52 @@ func compileMany(ctx context.Context, fns []*ir.Function, profs []*profile.Data,
 	if workers < 1 {
 		workers = 1
 	}
-	if workers == 1 {
-		// Serial fast path: compile on the caller's goroutine with one
-		// arena and no steal-queue locking. A one-worker pool otherwise
-		// pays the goroutine hop and per-chunk mutex for nothing, which
-		// showed up as a single-worker pipeline running measurably slower
-		// than a plain serial loop.
-		arena := eval.NewArena()
-		for i := range fns {
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-			} else {
-				var hit bool
-				frs[i], hit, errs[i] = compileOne(fns[i], profs[i], c, opts, arena)
-				if cached != nil {
-					cached[i] = hit
-				}
-			}
-			if onDone != nil {
-				onDone(i)
-			}
-		}
-		return
-	}
 	q := newStealQueue(n, workers)
 	k := chunkSize(n, workers)
 	var mu sync.Mutex
+	// work is one worker's body: it claims chunks until the queue is dry
+	// and compiles them on the worker's private arena.
+	work := func(w int) {
+		arena := eval.NewArena()
+		for {
+			mu.Lock()
+			chunk, ok := q.take(w, k)
+			mu.Unlock()
+			if !ok {
+				return
+			}
+			for i := chunk.lo; i < chunk.hi; i++ {
+				if err := ctx.Err(); err != nil {
+					// Settle the claimed tail as cancelled so callers
+					// report cancellation rather than a nil result.
+					errs[i] = err
+				} else {
+					var hit bool
+					frs[i], hit, errs[i] = compileOne(fns[i], profs[i], c, opts, arena)
+					if cached != nil {
+						cached[i] = hit
+					}
+				}
+				if onDone != nil {
+					onDone(i)
+				}
+			}
+		}
+	}
+	if workers == 1 {
+		// A single worker runs on the caller's goroutine: a one-worker
+		// pool otherwise pays a goroutine hop for nothing, which showed
+		// up as a single-worker pipeline running measurably slower than a
+		// plain serial loop.
+		work(0)
+		return
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			arena := eval.NewArena()
-			for {
-				mu.Lock()
-				chunk, ok := q.take(w, k)
-				mu.Unlock()
-				if !ok {
-					return
-				}
-				for i := chunk.lo; i < chunk.hi; i++ {
-					if err := ctx.Err(); err != nil {
-						// Settle the claimed tail as cancelled so callers
-						// report cancellation rather than a nil result.
-						errs[i] = err
-					} else {
-						var hit bool
-						frs[i], hit, errs[i] = compileOne(fns[i], profs[i], c, opts, arena)
-						if cached != nil {
-							cached[i] = hit
-						}
-					}
-					if onDone != nil {
-						onDone(i)
-					}
-				}
-			}
+			work(w)
 		}(w)
 	}
 	wg.Wait()
@@ -461,10 +451,6 @@ func observeResult(reg *telemetry.Registry, fr *eval.FunctionResult) {
 			"Wall time per compile phase per function.", telemetry.DefBuckets).Observe(ps.Duration().Seconds())
 		reg.LabeledCounter("treegion_compile_phase_ops_total", lbl,
 			"Ops processed per compile phase.").Add(ps.Ops)
-		if ps.Allocs > 0 {
-			reg.LabeledCounter("treegion_compile_phase_allocs_total", lbl,
-				"Heap allocations per compile phase (sampled only under -phase-allocs).").Add(ps.Allocs)
-		}
 	}
 	ss := fr.Sched
 	reg.Counter("treegion_sched_speculated_ops_total",

@@ -78,8 +78,8 @@ func TestStealTakesUpperHalfOfLargestVictim(t *testing.T) {
 
 func TestChunkSizeBounds(t *testing.T) {
 	for _, tc := range []struct{ n, workers, want int }{
-		{1, 8, 1},    // tiny input: per-function dispatch
-		{64, 8, 2},   // several chunks per worker
+		{1, 8, 1},      // tiny input: per-function dispatch
+		{64, 8, 2},     // several chunks per worker
 		{10000, 2, 16}, // capped so steals can still rebalance
 	} {
 		if got := chunkSize(tc.n, tc.workers); got != tc.want {

@@ -14,9 +14,8 @@ import (
 // straddling level-0 and level-1 word seams, every pending node landing in
 // one calendar bucket, and latency-0 chains that maximize next-queue
 // traffic. Each adversarial graph is scheduled by the production bitmap
-// path, the retained heap reference, and (transitively, via the suite
-// differential test) the sweep reference; the first two must agree node for
-// node.
+// path and by the sweep reference (refListSchedule), which must agree node
+// for node.
 
 // testBitq carves a queue for a rank space of n out of a fresh slab.
 func testBitq(n int) *bitq {
@@ -188,17 +187,17 @@ func synthEdge(from, to *ddg.Node, lat int) {
 }
 
 // assertSameSchedule schedules g with the bitmap production path and the
-// heap reference and requires cycle-for-cycle agreement.
+// sweep reference and requires cycle-for-cycle agreement.
 func assertSameSchedule(t *testing.T, name string, g *ddg.Graph, m machine.Model, prio PriorityFn) {
 	t.Helper()
 	got := ListSchedule(g, m, prio)
-	want := ListScheduleHeapRef(g, m, prio)
+	want := refListSchedule(g, m, prio)
 	if got.Length != want.Length {
-		t.Fatalf("%s: length %d, heap reference %d", name, got.Length, want.Length)
+		t.Fatalf("%s: length %d, reference %d", name, got.Length, want.Length)
 	}
 	for i := range want.Cycle {
 		if got.Cycle[i] != want.Cycle[i] {
-			t.Fatalf("%s: node %d at cycle %d, heap reference %d",
+			t.Fatalf("%s: node %d at cycle %d, reference %d",
 				name, i, got.Cycle[i], want.Cycle[i])
 		}
 	}

@@ -17,12 +17,6 @@ import (
 	"treegion/internal/telemetry"
 )
 
-// EagerTerminators makes terminators sort ahead of every other op so each
-// branch issues at its earliest data-ready cycle (the behaviour the paper's
-// example schedules show). It is exported as an ablation knob for the
-// scheduling-policy benchmarks; the default matches the paper.
-var EagerTerminators = true
-
 // PriorityFn produces a node's static sort keys, most significant first;
 // nodes are ordered by descending keys (ties by node index, which follows
 // region preorder, keeping schedules deterministic).
@@ -41,7 +35,7 @@ type Schedule struct {
 // Scratch holds the scheduler's per-call working set. A caller that owns a
 // Scratch (every compile owns one through its eval.Arena) reuses the
 // buffers across every region it schedules via ListScheduleScratch;
-// ListSchedule and ListScheduleTraced schedule on a fresh one.
+// ListSchedule schedules on a fresh one.
 //
 // The ready queues are hierarchical CLZ bitmaps over the rank space (see
 // bitq.go): qcur/qnext share one word slab, the calendar's buckets another.
@@ -65,10 +59,6 @@ type Scratch struct {
 	qdirty  bool
 
 	occ telemetry.ReadyOccupancySample
-
-	cur    []int32  // heap reference only: min-heap of ready ranks
-	next   []int32  // heap reference only: ranks readied behind the sweep
-	future []uint64 // heap reference only: min-heap of earliest<<32|rank
 }
 
 func (sc *Scratch) reset(n int) {
@@ -87,9 +77,6 @@ func (sc *Scratch) reset(n int) {
 	for i := 0; i < n; i++ {
 		sc.earliest[i] = 0
 	}
-	sc.cur = sc.cur[:0]
-	sc.next = sc.next[:0]
-	sc.future = sc.future[:0]
 }
 
 // resetQueues carves the cur/next bitmaps and the calendar for a rank space
@@ -141,8 +128,7 @@ func (sc *Scratch) resetQueues(n, maxLat int) {
 // several to a cycle, and delaying one delays a whole path — so they issue
 // as soon as their predicate is ready, and the heuristic orders the real
 // ops. (The paper's example schedules likewise issue every branch at its
-// earliest possible cycle.) Shared by the bitmap scheduler and the
-// retained heap reference so both schedule the identical rank space.
+// earliest possible cycle.)
 func prioritize(g *ddg.Graph, prio PriorityFn, sc *Scratch) {
 	order := sc.order
 	copy(order, g.Nodes)
@@ -155,7 +141,7 @@ func prioritize(g *ddg.Graph, prio PriorityFn, sc *Scratch) {
 	// at pdqsort speed rather than symmerge. The sort is over half the
 	// scheduler's time on stress-tier regions.
 	slices.SortFunc(order, func(a, b *ddg.Node) int {
-		if EagerTerminators && a.Term != b.Term {
+		if a.Term != b.Term {
 			if a.Term {
 				return -1
 			}
@@ -177,14 +163,16 @@ func prioritize(g *ddg.Graph, prio PriorityFn, sc *Scratch) {
 	}
 }
 
-// ListSchedule builds the schedule. It never fails: the DDG is acyclic by
-// construction (node order is topological).
+// ListSchedule builds the schedule on a fresh Scratch. It never fails: the
+// DDG is acyclic by construction (node order is topological).
 func ListSchedule(g *ddg.Graph, m machine.Model, prio PriorityFn) *Schedule {
-	return ListScheduleTraced(g, m, prio, nil)
+	return ListScheduleScratch(g, m, prio, nil, new(Scratch))
 }
 
-// ListScheduleTraced is ListSchedule recording the priority sort and the
-// scheduling loop as separate phases on tr (nil disables tracing).
+// ListScheduleScratch is ListSchedule scheduling into a caller-owned
+// Scratch and recording the priority sort and the scheduling loop as
+// separate phases on tr (nil disables tracing). A compile that schedules
+// many regions back to back passes the same Scratch every time.
 //
 // The ready queue is a trio of hierarchical CLZ bitmaps over the static
 // rank order (bitq.go), engineered to reproduce the classic sweep
@@ -201,17 +189,10 @@ func ListSchedule(g *ddg.Graph, m machine.Model, prio PriorityFn) *Schedule {
 //     the calendar bucketed by earliest; when nothing is eligible the
 //     cycle jumps straight to the minimum pending earliest (one CLZ).
 //
-// Every pop therefore yields precisely the node the legacy scheduler would
-// have picked next, at the same cycle — schedules are byte-identical (the
-// retained heap reference, ListScheduleHeapRef, is the differential
-// witness) — but each readiness event costs O(1) instead of O(log n).
-func ListScheduleTraced(g *ddg.Graph, m machine.Model, prio PriorityFn, tr *telemetry.CompileTrace) *Schedule {
-	return ListScheduleScratch(g, m, prio, tr, new(Scratch))
-}
-
-// ListScheduleScratch is ListScheduleTraced scheduling into a caller-owned
-// Scratch. A compile that schedules many regions back to back passes the
-// same Scratch every time.
+// Every pop therefore yields precisely the node the classic sweep scheduler
+// would have picked next, at the same cycle — schedules are byte-identical
+// (refListSchedule in the tests is the differential witness) — but each
+// readiness event costs O(1).
 func ListScheduleScratch(g *ddg.Graph, m machine.Model, prio PriorityFn, tr *telemetry.CompileTrace, sc *Scratch) *Schedule {
 	n := len(g.Nodes)
 	s := &Schedule{Graph: g, Model: m, Cycle: make([]int, n)}
@@ -219,15 +200,11 @@ func ListScheduleScratch(g *ddg.Graph, m machine.Model, prio PriorityFn, tr *tel
 		return s
 	}
 	t0 := time.Now()
-	a0 := telemetry.AllocMark()
-
 	sc.reset(n)
 	prioritize(g, prio, sc)
-	tr.ObserveAllocs(telemetry.PhasePrioritySort, a0)
 	tr.Observe(telemetry.PhasePrioritySort, time.Since(t0), n)
 
 	t0 = time.Now()
-	a0 = telemetry.AllocMark()
 	order := sc.order
 	rankOf, preds, earliest := sc.rankOf, sc.preds, sc.earliest
 	maxLat := 0
@@ -316,7 +293,6 @@ func ListScheduleScratch(g *ddg.Graph, m machine.Model, prio PriorityFn, tr *tel
 			s.Length = c
 		}
 	}
-	tr.ObserveAllocs(telemetry.PhaseListSched, a0)
 	tr.Observe(telemetry.PhaseListSched, time.Since(t0), n)
 	return s
 }

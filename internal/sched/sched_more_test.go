@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"treegion/internal/core"
-	"treegion/internal/ddg"
 	"treegion/internal/ir"
 	"treegion/internal/machine"
 	"treegion/internal/region"
@@ -55,59 +54,6 @@ func TestCopiesAreSlotFree(t *testing.T) {
 		if k := perCycle[c]; k > 4 {
 			t.Fatalf("cycle %d issues %d real ops", c, k)
 		}
-	}
-}
-
-func TestEagerTerminatorsToggle(t *testing.T) {
-	// With eager terminators a data-ready branch issues before taller ALU
-	// chains; with the knob off, the chain wins the slot on a 1-wide
-	// machine and the branch slips.
-	build := func() (*ddg.Graph, *ir.Op) {
-		f := ir.NewFunction("et")
-		b0, tgt, ft := f.NewBlock(), f.NewBlock(), f.NewBlock()
-		r0 := ir.GPR(0)
-		f.NoteReg(r0)
-		p := f.NewReg(ir.ClassPred)
-		f.EmitCmpp(b0, p, ir.NoReg, ir.CondGT, r0, r0)
-		// A three-deep chain with greater height than the branch.
-		a := f.NewReg(ir.ClassGPR)
-		c := f.NewReg(ir.ClassGPR)
-		d := f.NewReg(ir.ClassGPR)
-		f.EmitALU(b0, ir.Add, a, r0, r0)
-		f.EmitALU(b0, ir.Add, c, a, r0)
-		f.EmitALU(b0, ir.Add, d, c, r0)
-		br := f.EmitBrct(b0, ir.NoReg, p, tgt.ID, 0.5)
-		b0.FallThrough = ft.ID
-		// The chain result d is dead at both exits, so the chain may sink
-		// below the branch; only the priority order decides who goes first.
-		_ = d
-		f.EmitSt(tgt, r0, 0, r0)
-		f.EmitRet(tgt)
-		f.EmitSt(ft, r0, 8, r0)
-		f.EmitRet(ft)
-		r := region.New(f, region.KindBasicBlock, b0.ID)
-		return buildGraph(t, f, r), br
-	}
-
-	g1, br1 := build()
-	s1 := ListSchedule(g1, machine.Scalar, depHeight)
-	eagerCycle := s1.Cycle[g1.NodeOf(br1).Index]
-
-	old := EagerTerminators
-	EagerTerminators = false
-	defer func() { EagerTerminators = old }()
-	g2, br2 := build()
-	s2 := ListSchedule(g2, machine.Scalar, depHeight)
-	lazyCycle := s2.Cycle[g2.NodeOf(br2).Index]
-
-	if err := s1.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	if eagerCycle >= lazyCycle {
-		t.Fatalf("eager branch at %d, lazy at %d: the knob has no effect", eagerCycle, lazyCycle)
 	}
 }
 

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"sort"
 	"testing"
 
@@ -12,10 +11,10 @@ import (
 	"treegion/internal/progen"
 )
 
-// refListSchedule is the pre-heap sweep scheduler, kept verbatim as the
-// reference the heap-based ListSchedule must reproduce cycle for cycle: each
-// cycle rescans the full rank order until the issue slots fill or no more
-// ops become same-cycle ready.
+// refListSchedule is the classic sweep scheduler, kept as the reference the
+// bitmap-queue ListSchedule must reproduce cycle for cycle: each cycle
+// rescans the full rank order until the issue slots fill or no more ops
+// become same-cycle ready. It is the scheduler's only test oracle.
 func refListSchedule(g *ddg.Graph, m machine.Model, prio PriorityFn) *Schedule {
 	n := len(g.Nodes)
 	s := &Schedule{Graph: g, Model: m, Cycle: make([]int, n)}
@@ -30,7 +29,7 @@ func refListSchedule(g *ddg.Graph, m machine.Model, prio PriorityFn) *Schedule {
 	}
 	sort.SliceStable(order, func(i, j int) bool {
 		ni, nj := order[i], order[j]
-		if EagerTerminators && ni.Term != nj.Term {
+		if ni.Term != nj.Term {
 			return ni.Term
 		}
 		a, b := keys[ni.Index], keys[nj.Index]
@@ -111,10 +110,10 @@ func refListSchedule(g *ddg.Graph, m machine.Model, prio PriorityFn) *Schedule {
 	return s
 }
 
-// TestListScheduleMatchesReference differentially checks the heap-based
+// TestListScheduleMatchesReference differentially checks the bitmap-queue
 // scheduler against the reference sweep scheduler over every region of the
-// benchmark suite, for all four heuristics, several machine widths, and
-// both terminator policies. Schedules must match cycle for cycle.
+// benchmark suite, for all four heuristics and several machine widths.
+// Schedules must match cycle for cycle.
 func TestListScheduleMatchesReference(t *testing.T) {
 	progs, err := progen.GenerateAll()
 	if err != nil {
@@ -124,40 +123,36 @@ func TestListScheduleMatchesReference(t *testing.T) {
 		t.Fatal("empty benchmark suite")
 	}
 	models := []machine.Model{machine.Scalar, machine.FourU, machine.EightU}
-	defer func(old bool) { EagerTerminators = old }(EagerTerminators)
 	regions := 0
-	for _, eager := range []bool{true, false} {
-		EagerTerminators = eager
-		for _, p := range progs {
-			for _, fn := range p.Funcs {
-				f := fn.Clone() // renaming mutates; keep the suite pristine
-				g := cfg.New(f)
-				lv := cfg.ComputeLiveness(g)
-				for _, r := range core.Form(f, g) {
-					dg, err := ddg.Build(f, r, ddg.Options{Rename: true, Liveness: lv})
-					if err != nil {
-						t.Fatalf("%s/%s: %v", p.Name, f.Name, err)
-					}
-					regions++
-					for _, h := range core.Heuristics() {
-						prio := h.Keys
-						for _, m := range models {
-							got := ListSchedule(dg, m, prio)
-							want := refListSchedule(dg, m, prio)
-							if got.Length != want.Length {
-								t.Fatalf("%s/%s root=bb%d %s %s eager=%v: length %d, reference %d",
-									p.Name, f.Name, r.Root, h, m.Name, eager, got.Length, want.Length)
+	for _, p := range progs {
+		for _, fn := range p.Funcs {
+			f := fn.Clone() // renaming mutates; keep the suite pristine
+			g := cfg.New(f)
+			lv := cfg.ComputeLiveness(g)
+			for _, r := range core.Form(f, g) {
+				dg, err := ddg.Build(f, r, ddg.Options{Rename: true, Liveness: lv})
+				if err != nil {
+					t.Fatalf("%s/%s: %v", p.Name, f.Name, err)
+				}
+				regions++
+				for _, h := range core.Heuristics() {
+					prio := h.Keys
+					for _, m := range models {
+						got := ListSchedule(dg, m, prio)
+						want := refListSchedule(dg, m, prio)
+						if got.Length != want.Length {
+							t.Fatalf("%s/%s root=bb%d %s %s: length %d, reference %d",
+								p.Name, f.Name, r.Root, h, m.Name, got.Length, want.Length)
+						}
+						for i := range want.Cycle {
+							if got.Cycle[i] != want.Cycle[i] {
+								t.Fatalf("%s/%s root=bb%d %s %s: node %d (%v) at cycle %d, reference %d",
+									p.Name, f.Name, r.Root, h, m.Name,
+									i, dg.Nodes[i].Op, got.Cycle[i], want.Cycle[i])
 							}
-							for i := range want.Cycle {
-								if got.Cycle[i] != want.Cycle[i] {
-									t.Fatalf("%s/%s root=bb%d %s %s eager=%v: node %d (%v) at cycle %d, reference %d",
-										p.Name, f.Name, r.Root, h, m.Name, eager,
-										i, dg.Nodes[i].Op, got.Cycle[i], want.Cycle[i])
-								}
-							}
-							if err := got.Verify(); err != nil {
-								t.Fatalf("%s/%s %s %s: %v", p.Name, f.Name, h, m.Name, err)
-							}
+						}
+						if err := got.Verify(); err != nil {
+							t.Fatalf("%s/%s %s %s: %v", p.Name, f.Name, h, m.Name, err)
 						}
 					}
 				}
@@ -167,5 +162,4 @@ func TestListScheduleMatchesReference(t *testing.T) {
 	if regions == 0 {
 		t.Fatal("no regions exercised")
 	}
-	_ = fmt.Sprint(regions)
 }

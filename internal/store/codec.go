@@ -10,7 +10,6 @@ import (
 	"treegion/internal/ddg"
 	"treegion/internal/eval"
 	"treegion/internal/ir"
-	"treegion/internal/irtext"
 	"treegion/internal/machine"
 	"treegion/internal/profile"
 	"treegion/internal/region"
@@ -24,7 +23,7 @@ import (
 // whole warm-path win re-parsing textual IR and re-linking the result graph
 // through reflection; tgart2 instead writes fixed-width records that decode
 // straight into the same slabs a cold compile allocates (ir.FuncSnapshot,
-// ddg.Restore, region.Rebuild), with near-zero per-node allocations.
+// ddg.RestoreScratch, region.Rebuild), with near-zero per-node allocations.
 //
 // Layout (all integers little-endian; offsets relative to the payload
 // start, i.e. after the store's magic line):
@@ -34,16 +33,15 @@ import (
 //	sectionCount × { u32 id, u32 reserved, u64 offset, u64 length }
 //	section bytes, contiguous, in table order
 //
-// Section IDs (1-6 required, 7-8 optional, ids strictly increasing):
+// Section IDs (1-5 required, 6-7 optional, ids strictly increasing):
 //
-//	1 ir-text     canonical irtext.Print of the compiled function
-//	2 func        binary ir.FuncSnapshot (IDs + allocator counters exact)
-//	3 profile     block/edge weights, sorted for byte-stable re-encoding
-//	4 regions     preorder (block, parent) lists per region
-//	5 schedules   per-schedule DDG node/edge CSR records + issue cycles
-//	6 stats       fixed-width scalar result fields
-//	7 trace       telemetry.TraceSnapshot (per-phase counters)
-//	8 diagnostics verifier diagnostics riding on the result
+//	1 func        binary ir.FuncSnapshot (IDs + allocator counters exact)
+//	2 profile     block/edge weights, sorted for byte-stable re-encoding
+//	3 regions     preorder (block, parent) lists per region
+//	4 schedules   per-schedule DDG node/edge CSR records + issue cycles
+//	5 stats       fixed-width scalar result fields
+//	6 trace       telemetry.TraceSnapshot (per-phase counters)
+//	7 diagnostics verifier diagnostics riding on the result
 //
 // Decode validates the section table (bounds, contiguity, unknown ids) and
 // every index before use: a corrupt entry must surface as an error (which
@@ -53,18 +51,19 @@ import (
 // miss, because the entry may be perfectly valid for another binary
 // version. The function travels as a binary snapshot rather than text so op
 // IDs, Orig tags and allocator counters survive exactly (irtext.Parse
-// renumbers); the text section is the human-auditable ground truth and the
-// input to the content address.
+// renumbers). The content address is hashed from the input function, not
+// from anything in the payload (see pipeline.contentKey).
 // Schema 4 extended the func section with the interprocedural fields: the
 // call-convention Params/Rets register lists, a callee symbol table, and a
-// per-op callee symbol index (opRecSize 38 -> 42). Schema-3 entries decode
-// as a clean miss.
-const schemaVersion = 4
+// per-op callee symbol index (opRecSize 38 -> 42). Schema 5 dropped the
+// ir-text section, which no decode read, renumbered the sections from 1,
+// and dropped the per-phase allocation column from the trace section.
+// Entries of any other schema decode as a clean miss.
+const schemaVersion = 5
 
 // Section IDs.
 const (
-	secIRText = 1 + iota
-	secFunc
+	secFunc = 1 + iota
 	secProfile
 	secRegions
 	secSchedules
@@ -75,7 +74,7 @@ const (
 
 const (
 	secHdrSize   = 24 // u32 id + u32 reserved + u64 offset + u64 length
-	maxSections  = 8
+	maxSections  = 7
 	schedStatsN  = 8 // field count of sched.Stats; drift => schema skew
 	hyperStatsN  = 3 // field count of hyper.Stats
 	resultStatsN = 8 // scalar fields of FunctionResult in the stats section
@@ -234,10 +233,9 @@ func encode(fr *eval.FunctionResult) ([]byte, error) {
 	if fr == nil || fr.Fn == nil {
 		return nil, fmt.Errorf("store: nil result")
 	}
-	fnText := irtext.Print(fr.Fn)
 	snap := fr.Fn.Snapshot()
 
-	ids := []uint32{secIRText, secFunc, secProfile, secRegions, secSchedules, secStats}
+	ids := []uint32{secFunc, secProfile, secRegions, secSchedules, secStats}
 	hasTrace := fr.Trace != nil
 	if hasTrace {
 		ids = append(ids, secTrace)
@@ -246,7 +244,7 @@ func encode(fr *eval.FunctionResult) ([]byte, error) {
 		ids = append(ids, secDiagnostics)
 	}
 
-	w := &writer{buf: make([]byte, 0, len(fnText)+64*len(snap.Ops)+4096)}
+	w := &writer{buf: make([]byte, 0, 64*len(snap.Ops)+4096)}
 	w.u32(schemaVersion)
 	w.u32(uint32(len(ids)))
 	tableOff := len(w.buf)
@@ -257,8 +255,6 @@ func encode(fr *eval.FunctionResult) ([]byte, error) {
 		starts[i] = len(w.buf)
 		var err error
 		switch id {
-		case secIRText:
-			w.buf = append(w.buf, fnText...)
 		case secFunc:
 			encodeFunc(w, snap)
 		case secProfile:
@@ -821,7 +817,6 @@ func encodeTrace(w *writer, snap telemetry.TraceSnapshot) {
 		w.i64(ps.Nanos)
 		w.i64(ps.Calls)
 		w.i64(ps.Ops)
-		w.i64(ps.Allocs)
 	}
 }
 
@@ -835,10 +830,9 @@ func decodeTrace(data []byte) (*telemetry.CompileTrace, error) {
 	}
 	for p := telemetry.Phase(0); p < telemetry.NumPhases; p++ {
 		snap.Phase[p] = telemetry.PhaseSnapshot{
-			Nanos:  r.i64(),
-			Calls:  r.i64(),
-			Ops:    r.i64(),
-			Allocs: r.i64(),
+			Nanos: r.i64(),
+			Calls: r.i64(),
+			Ops:   r.i64(),
 		}
 	}
 	r.done("trace")
@@ -959,7 +953,7 @@ func decode(data []byte) (*eval.FunctionResult, error) {
 		bySec[s.id] = s.data
 		seen[s.id] = true
 	}
-	for id := secIRText; id <= secStats; id++ {
+	for id := secFunc; id <= secStats; id++ {
 		if !seen[id] {
 			return nil, fmt.Errorf("store: missing section %d", id)
 		}

@@ -378,20 +378,20 @@ func (s *Store) Stats() Stats {
 		return Stats{}
 	}
 	return Stats{
-		Hits:           s.hits.Load(),
-		Misses:         s.misses.Load(),
-		Puts:           s.puts.Load(),
-		Evictions:      s.evictions.Load(),
-		Corrupt:        s.corrupt.Load(),
-		SchemaSkew:     s.skew.Load(),
-		WriteErrors:    s.writeErrs.Load(),
-		EncodeErrors:   s.encodeErrs.Load(),
-		Entries:        s.entries.Load(),
-		Bytes:          s.bytes.Load(),
-		Budget:         s.budget,
-		VerdictHits:    s.verdictHits.Load(),
-		VerdictMisses:  s.verdictMisses.Load(),
-		VerdictPuts:    s.verdictPuts.Load(),
+		Hits:          s.hits.Load(),
+		Misses:        s.misses.Load(),
+		Puts:          s.puts.Load(),
+		Evictions:     s.evictions.Load(),
+		Corrupt:       s.corrupt.Load(),
+		SchemaSkew:    s.skew.Load(),
+		WriteErrors:   s.writeErrs.Load(),
+		EncodeErrors:  s.encodeErrs.Load(),
+		Entries:       s.entries.Load(),
+		Bytes:         s.bytes.Load(),
+		Budget:        s.budget,
+		VerdictHits:   s.verdictHits.Load(),
+		VerdictMisses: s.verdictMisses.Load(),
+		VerdictPuts:   s.verdictPuts.Load(),
 	}
 }
 

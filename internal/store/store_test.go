@@ -384,38 +384,55 @@ func TestHitRefreshesRecency(t *testing.T) {
 	}
 }
 
+// TestSchemaSkewIsMissNotCorruption writes entries of other schema
+// versions under a live key: one re-stamped as a newer binary's, and a real
+// schema-4 entry (testdata/schema4_fig1.tgart, the Figure 1 function as
+// the last schema-4 binary stored it, ir-text section included). Each must
+// read as skew — a miss that is neither counted as corruption nor
+// quarantined, since it is a valid entry for the binary that wrote it.
 func TestSchemaSkewIsMissNotCorruption(t *testing.T) {
 	k, fr := compiled(t)
-	st, err := Open(t.TempDir(), 0)
+	newer, err := encodeWithSchema(fr, schemaVersion+1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put(k, fr); err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the entry under a different schema version.
-	data, err := os.ReadFile(st.pathOf(k))
+	schema4, err := os.ReadFile(filepath.Join("testdata", "schema4_fig1.tgart"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := encodeWithSchema(fr, schemaVersion+1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(st.pathOf(k), append([]byte(magic), body...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_ = data
-	if _, ok := st.Get(k); ok {
-		t.Fatal("foreign-schema entry served as a hit")
-	}
-	s := st.Stats()
-	if s.Corrupt != 0 {
-		t.Fatal("schema skew miscounted as corruption")
-	}
-	// The entry is left in place for the binary that wrote it.
-	if _, err := os.Stat(st.pathOf(k)); err != nil {
-		t.Fatal("foreign-schema entry was quarantined")
+	for _, tc := range []struct {
+		name  string
+		entry []byte
+	}{
+		{"newer schema", append([]byte(magic), newer...)},
+		{"schema 4", schema4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := Open(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Put(k, fr); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(st.pathOf(k), tc.entry, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := st.Get(k); ok {
+				t.Fatal("foreign-schema entry served as a hit")
+			}
+			s := st.Stats()
+			if s.Corrupt != 0 {
+				t.Fatal("schema skew miscounted as corruption")
+			}
+			if s.SchemaSkew != 1 {
+				t.Fatalf("schema skew counted %d times, want 1", s.SchemaSkew)
+			}
+			// The entry is left in place for the binary that wrote it.
+			if _, err := os.Stat(st.pathOf(k)); err != nil {
+				t.Fatal("foreign-schema entry was quarantined")
+			}
+		})
 	}
 }
 

@@ -71,23 +71,13 @@ func (p Phase) String() string {
 	return fmt.Sprintf("phase%d", int(p))
 }
 
-// Phases lists every phase in pipeline order.
-func Phases() []Phase {
-	out := make([]Phase, NumPhases)
-	for i := range out {
-		out[i] = Phase(i)
-	}
-	return out
-}
-
 // phaseStat accumulates one phase's activity. All fields are atomics so a
 // trace attached to a cached (shared) FunctionResult stays safe to read and
 // merge concurrently.
 type phaseStat struct {
-	nanos  atomic.Int64
-	calls  atomic.Int64
-	ops    atomic.Int64
-	allocs atomic.Int64 // heap allocations, sampled only under SetAllocTracking
+	nanos atomic.Int64
+	calls atomic.Int64
+	ops   atomic.Int64
 }
 
 // CompileTrace records per-phase wall time and op counts for one function
@@ -135,7 +125,6 @@ func (t *CompileTrace) Merge(o *CompileTrace) {
 		dst.nanos.Add(src.nanos.Load())
 		dst.calls.Add(src.calls.Load())
 		dst.ops.Add(src.ops.Load())
-		dst.allocs.Add(src.allocs.Load())
 	}
 }
 
@@ -147,17 +136,13 @@ type PhaseSnapshot struct {
 	Calls int64
 	// Ops counts the ops the phase covered across all calls.
 	Ops int64
-	// Allocs counts the phase's heap allocations; zero unless the compile
-	// ran under SetAllocTracking. Excluded from Counts(): sampling is
-	// optional, so allocs are not part of the deterministic columns.
-	Allocs int64
 }
 
 // Duration returns the accumulated wall time.
 func (s PhaseSnapshot) Duration() time.Duration { return time.Duration(s.Nanos) }
 
 func (s PhaseSnapshot) add(o PhaseSnapshot) PhaseSnapshot {
-	return PhaseSnapshot{Nanos: s.Nanos + o.Nanos, Calls: s.Calls + o.Calls, Ops: s.Ops + o.Ops, Allocs: s.Allocs + o.Allocs}
+	return PhaseSnapshot{Nanos: s.Nanos + o.Nanos, Calls: s.Calls + o.Calls, Ops: s.Ops + o.Ops}
 }
 
 // TraceSnapshot is a point-in-time copy of a whole trace, safe to compare
@@ -177,7 +162,7 @@ func (t *CompileTrace) Snapshot() TraceSnapshot {
 	s.Function = t.Function
 	for p := Phase(0); p < NumPhases; p++ {
 		st := &t.phase[p]
-		s.Phase[p] = PhaseSnapshot{Nanos: st.nanos.Load(), Calls: st.calls.Load(), Ops: st.ops.Load(), Allocs: st.allocs.Load()}
+		s.Phase[p] = PhaseSnapshot{Nanos: st.nanos.Load(), Calls: st.calls.Load(), Ops: st.ops.Load()}
 	}
 	return s
 }
@@ -193,7 +178,6 @@ func (s TraceSnapshot) Restore() *CompileTrace {
 		st.nanos.Store(s.Phase[p].Nanos)
 		st.calls.Store(s.Phase[p].Calls)
 		st.ops.Store(s.Phase[p].Ops)
-		st.allocs.Store(s.Phase[p].Allocs)
 	}
 	return t
 }

@@ -23,18 +23,14 @@ import (
 //	RG005  tail duplication exceeded its configured limits (paper Section 4:
 //	       code-expansion limit, path-count limit)
 
-// CheckRegions runs the region rules over a function's region partition. td
-// bounds KindTreegionTD regions; a zero ExpansionLimit skips RG005 (the
-// caller does not know the formation configuration).
-func CheckRegions(fn *ir.Function, regions []*region.Region, td core.TDConfig) []Diagnostic {
-	return CheckRegionsInline(fn, regions, td, nil)
-}
-
-// CheckRegionsInline is CheckRegions aware of demand-driven inlining: the
-// splice records identify the continuation blocks, which carry their host's
-// Orig for trace purposes but are not tail duplicates and must not count
-// against the RG005 expansion budget. A nil stats value reproduces
-// CheckRegions exactly.
+// CheckRegionsInline runs the region rules over a function's region
+// partition. td bounds KindTreegionTD regions; a zero ExpansionLimit skips
+// RG005 (the caller does not know the formation configuration).
+//
+// It is aware of demand-driven inlining: in's splice records identify the
+// continuation blocks, which carry their host's Orig for trace purposes but
+// are not tail duplicates and must not count against the RG005 expansion
+// budget. A nil in means no calls were inlined.
 func CheckRegionsInline(fn *ir.Function, regions []*region.Region, td core.TDConfig, in *inline.Stats) []Diagnostic {
 	c := &regionChecker{fn: fn, g: cfg.New(fn)}
 	if in != nil {

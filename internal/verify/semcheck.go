@@ -22,19 +22,13 @@ import (
 // defaultSeeds drives the differential runs when the caller supplies none.
 var defaultSeeds = []uint64{1, 7, 42, 1998}
 
-// CheckSemantics interprets orig and compiled under identical oracles and
-// compares their observable traces. Calls stay opaque no-ops; use
-// CheckSemanticsProgram to execute them against a resolved program.
-func CheckSemantics(orig, compiled *ir.Function, seeds []uint64, maxSteps int) []Diagnostic {
-	return CheckSemanticsProgram(nil, orig, compiled, seeds, maxSteps)
-}
-
-// CheckSemanticsProgram is CheckSemantics with a program context: resolved
+// CheckSemanticsProgram interprets orig and compiled under identical oracles
+// and compares their observable traces. With a program context, resolved
 // calls execute the callee bodies (interp.RunIn) on both sides, so the
 // comparison certifies inlined compilations — the callee's blocks appear in
 // both traces under the callee's Orig namespace, whether executed in a call
-// frame (original) or spliced inline (compiled). A nil prog reproduces
-// CheckSemantics exactly.
+// frame (original) or spliced inline (compiled). With a nil prog, calls
+// stay opaque no-ops.
 func CheckSemanticsProgram(prog *ir.Program, orig, compiled *ir.Function, seeds []uint64, maxSteps int) []Diagnostic {
 	if len(seeds) == 0 {
 		seeds = defaultSeeds

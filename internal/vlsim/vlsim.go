@@ -38,10 +38,6 @@ import (
 	"treegion/internal/telemetry"
 )
 
-// debugHook, when set by tests, is called for on-path non-speculatable ops
-// scheduled beyond the taken exit (which would be a model violation).
-var debugHook func(s *sched.Schedule, n *ddg.Node, exitCycle int)
-
 // Machine state. Register reads honour write latency via pending writes.
 type state struct {
 	regs    map[ir.Reg]int64
@@ -206,13 +202,6 @@ walk:
 	for _, n := range s.Graph.Nodes {
 		c := s.Cycle[n.Index]
 		rows[c] = append(rows[c], n)
-	}
-	if debugHook != nil {
-		for _, n := range s.Graph.Nodes {
-			if onPath[n.Home] && !n.Spec && !n.Term && s.Cycle[n.Index] > exit.cycle {
-				debugHook(s, n, exit.cycle)
-			}
-		}
 	}
 	for c := 0; c <= exit.cycle && c < s.Length; c++ {
 		slices.SortStableFunc(rows[c], func(a, b *ddg.Node) int { return a.Index - b.Index })
