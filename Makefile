@@ -43,22 +43,23 @@ race:
 # off and on (BenchmarkCompileSuiteInline), plus the per-phase
 # micro-benchmarks of the compiler core (liveness; DDG build, list
 # scheduling and region measurement per tier — suite, stress, stress2 —
-# with us/region for the DDG and measure phases), with allocation counts.
-# The raw `go test -json` stream is captured in BENCH_11.json for machine
-# comparison against earlier runs (BENCH_10.json holds the capture from
-# before the heap reference scheduler and the per-phase allocation sampler
-# were deleted). The parallel and stress benchmarks report
+# with us/region for the DDG and measure phases; the verifier's ir, rg, sc
+# and sem rule families with ms/pass), with allocation counts.
+# The raw `go test -json` stream is captured in BENCH_12.json for machine
+# comparison against earlier runs (BENCH_11.json holds the capture from
+# before the verifier's dense IR009, schedule-path and interpreter
+# rewrites). The parallel and stress benchmarks report
 # speedup-vs-serial; on a single-core box that metric caps at ~1x by
 # physics.
 bench:
-	$(GO) test -run XXX -bench 'BenchmarkCompileSuite|BenchmarkCompileStress|BenchmarkColdCompile' -benchmem -benchtime 3x -json . | tee BENCH_11.json
+	$(GO) test -run XXX -bench 'BenchmarkCompileSuite|BenchmarkCompileStress|BenchmarkColdCompile' -benchmem -benchtime 3x -json . | tee BENCH_12.json
 
 # bench-compare diffs two bench captures. benchstat is used when installed
 # (fed plain text extracted from the JSON captures); otherwise the bundled
 # dependency-free cmd/benchdiff prints the old/new/delta table. Override the
 # endpoints with BENCH_OLD= / BENCH_NEW=.
-BENCH_OLD ?= BENCH_10.json
-BENCH_NEW ?= BENCH_11.json
+BENCH_OLD ?= BENCH_11.json
+BENCH_NEW ?= BENCH_12.json
 bench-compare:
 	@if command -v benchstat >/dev/null 2>&1; then \
 		$(GO) run ./cmd/benchdiff -extract $(BENCH_OLD) > /tmp/benchdiff_old.txt; \
@@ -75,7 +76,9 @@ bench-compare:
 # each pipeline worker keeps across its chunk of functions) and one racing
 # pass over the hot-path micro-benchmarks.
 # The inliner and the call-executing interpreter race here because pipeline
-# workers run splices concurrently across functions of one program.
+# workers run splices concurrently across functions of one program; the
+# verifier races beside them because every pipeline worker runs it
+# concurrently, and its differential witnesses live there.
 # The eval -short slice includes TestVerifyStress2Slice, so one giant
 # stress2 function races through compile-and-verify on every check, and
 # TestArenaReuseMatchesFreshArena, the differential check on arena and
@@ -90,7 +93,7 @@ check: lint build test
 	$(GO) test -race -short ./internal/store/ ./internal/eval/
 	$(GO) test -race ./internal/jobs/ ./internal/compcache/ ./internal/pipeline/ ./internal/router/ ./cmd/treegiond/
 	$(GO) test -race ./internal/telemetry/ ./internal/ddg/ ./internal/sched/
-	$(GO) test -race ./internal/inline/ ./internal/interp/
+	$(GO) test -race ./internal/inline/ ./internal/interp/ ./internal/verify/
 	$(GO) test -race -run NONE -bench 'BenchmarkColdCompile' -benchtime 1x .
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 

@@ -8,8 +8,9 @@ package treegion
 // whole-pipeline BenchmarkCompileSuiteSerial number. The DDG, scheduler and
 // measurement benchmarks run three tiers — the suite, stress and stress2 —
 // so a cost that grows with the function rather than the region shows up
-// as a per-region figure that climbs from tier to tier. `make bench`
-// captures them; `make check` runs them once under the race detector.
+// as a per-region figure that climbs from tier to tier. The verifier's rule
+// families get one benchmark each over the suite. `make bench` captures
+// them; `make check` runs them once under the race detector.
 
 import (
 	"sync"
@@ -23,6 +24,7 @@ import (
 	"treegion/internal/machine"
 	"treegion/internal/region"
 	"treegion/internal/sched"
+	"treegion/internal/verify"
 )
 
 // coldTier is one input scale of the cold compile-core benchmarks: suite
@@ -214,6 +216,71 @@ func BenchmarkColdCompileSched(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				schedule()
 			}
+		})
+	}
+}
+
+// verifySink keeps the verifier's findings live so the compiler cannot
+// drop the calls under test.
+var verifySink []verify.Diagnostic
+
+// BenchmarkColdCompileVerify measures the verifier one rule family at a
+// time over the suite's headline compiles, which are built and given their
+// liveness outside the timer: ir is the IR rules (IR009's must-define
+// dataflow among them), rg the region-shape rules, sc the schedule rules
+// over every region, and sem the differential interpretation of the
+// original against the compiled function under the default seeds. ms/pass
+// is the family's cost for one pass over the suite, the share of a
+// verified suite compile it accounts for.
+func BenchmarkColdCompileVerify(b *testing.B) {
+	s := sharedSuite(b)
+	type compiled struct {
+		orig *ir.Function
+		fr   *eval.FunctionResult
+		lv   *cfg.Liveness
+	}
+	var fns []compiled
+	c := DefaultConfig()
+	for pi, p := range s.Programs {
+		for fi, fn := range p.Funcs {
+			fr, err := eval.CompileFunction(fn.Clone(), s.Profiles[pi][fi].Clone(), c)
+			if err != nil {
+				b.Fatal(err)
+			}
+			fns = append(fns, compiled{fn, fr, cfg.ComputeLiveness(cfg.New(fr.Fn))})
+		}
+	}
+	families := []struct {
+		name string
+		run  func(f compiled) []verify.Diagnostic
+	}{
+		{"ir", func(f compiled) []verify.Diagnostic { return verify.CheckFunction(f.fr.Fn, c.IfConvert) }},
+		{"rg", func(f compiled) []verify.Diagnostic {
+			return verify.CheckRegionsInline(f.fr.Fn, f.fr.Regions, core.TDConfig{}, nil)
+		}},
+		{"sc", func(f compiled) []verify.Diagnostic {
+			var ds []verify.Diagnostic
+			for i, sch := range f.fr.Schedules {
+				ds = append(ds, verify.CheckSchedule(f.fr.Fn, f.fr.Regions[i], sch, f.lv)...)
+			}
+			return ds
+		}},
+		{"sem", func(f compiled) []verify.Diagnostic {
+			return verify.CheckSemanticsProgram(nil, f.orig, f.fr.Fn, nil, 0)
+		}},
+	}
+	for _, fam := range families {
+		b.Run(fam.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, f := range fns {
+					if verifySink = fam.run(f); verify.HasErrors(verifySink) {
+						b.Fatalf("%s: %v", f.fr.Fn.Name, verifySink)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/pass")
 		})
 	}
 }

@@ -184,9 +184,11 @@ func TestBatchClientDisconnectStopsCompiling(t *testing.T) {
 	s, ts := testServer(t)
 
 	// Unique, deliberately heavy functions (no cache hits, long compiles)
-	// so cancellation demonstrably lands before the batch drains.
+	// so cancellation demonstrably lands before the batch drains. At 3000
+	// ops, all ten compile before a disconnect lands on a quiet 2-vCPU
+	// host; 12000 leaves a wide margin.
 	p := progen.Stress()
-	p.NumFuncs, p.OpsPerFunc = 10, 3000
+	p.NumFuncs, p.OpsPerFunc = 10, 12000
 	irs := presetIRs(t, p)
 	body := batchBody(t, irs, 2)
 

@@ -75,67 +75,6 @@ type Config struct {
 
 const defaultMaxSteps = 200000
 
-// Run executes fn once under the oracle and returns its trace. It reports
-// an error if the trip exceeds the step bound (runaway loop) or executes an
-// ill-formed op.
-func Run(fn *ir.Function, o Oracle, cfg Config) (*Trace, error) {
-	maxSteps := cfg.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = defaultMaxSteps
-	}
-	st := newState()
-	tr := &Trace{}
-	occ := make(map[int]int)
-	cur := fn.Entry
-	for {
-		b := fn.Block(cur)
-		tr.Blocks = append(tr.Blocks, b.Orig)
-		next := b.FallThrough
-		jumped := false
-		done := false
-		for _, op := range b.Ops {
-			tr.Steps++
-			if tr.Steps > maxSteps {
-				return tr, fmt.Errorf("interp: %s exceeded %d steps (runaway loop?)", fn.Name, maxSteps)
-			}
-			switch op.Opcode {
-			case ir.Brct, ir.Brcf:
-				n := occ[op.Orig]
-				occ[op.Orig] = n + 1
-				if o.Take(op.Orig, n, op.Prob) {
-					next = op.Target
-					jumped = true
-				}
-			case ir.Bru:
-				next = op.Target
-				jumped = true
-			case ir.Ret:
-				done = true
-			case ir.St:
-				if op.Guarded() && st.get(op.Guard) == 0 {
-					break // squashed predicated store
-				}
-				addr := st.get(op.Srcs[0]) + op.Imm
-				v := st.get(op.Srcs[1])
-				st.mem[addr] = v
-				tr.Stores = append(tr.Stores, StoreEvent{Addr: addr, Value: v})
-			default:
-				st.exec(op)
-			}
-			if jumped || done {
-				break
-			}
-		}
-		if done {
-			return tr, nil
-		}
-		if next == ir.NoBlock {
-			return tr, fmt.Errorf("interp: %s: bb%d has no successor and no RET", fn.Name, cur)
-		}
-		cur = next
-	}
-}
-
 // Profile runs fn `trips` times with seeds seed, seed+1, ... and accumulates
 // block and edge counts. Each trip's visited path contributes to the
 // profile keyed by the *current* block IDs (not originals), since region

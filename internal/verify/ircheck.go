@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 
 	"treegion/internal/cfg"
 	"treegion/internal/ir"
@@ -68,7 +69,11 @@ func (c *irChecker) structure() {
 		c.add("IR001", Error, ir.NoBlock, -1, "entry bb%d out of range (%d blocks)", fn.Entry, len(fn.Blocks))
 	}
 	inRange := func(b ir.BlockID) bool { return b >= 0 && int(b) < len(fn.Blocks) }
-	seenOp := make(map[int]bool)
+	nops := 0
+	for _, b := range fn.Blocks {
+		nops += len(b.Ops)
+	}
+	seenOp := make(map[int]bool, nops)
 	for i, b := range fn.Blocks {
 		if b.ID != ir.BlockID(i) {
 			c.add("IR002", Error, b.ID, -1, "block at index %d has ID %d", i, b.ID)
@@ -113,12 +118,11 @@ func (c *irChecker) structure() {
 				c.add("IR004", Error, b.ID, -1, "fallthrough after BRU")
 			}
 		}
-		seen := make(map[ir.BlockID]bool)
-		for _, s := range b.Succs() {
-			if seen[s] {
+		succs := b.Succs()
+		for j, s := range succs {
+			if slices.Contains(succs[:j], s) {
 				c.add("IR006", Error, b.ID, -1, "duplicate successor bb%d", s)
 			}
-			seen[s] = true
 		}
 	}
 }
@@ -227,90 +231,131 @@ func (c *irChecker) operands(b *ir.Block, op *ir.Op) {
 // first. Only predicate and branch-target reads are reported: those steer
 // control, while maybe-undefined data registers are the synthetic suite's
 // implicit zero-initialized parameters (the interpreter zero-fills them).
+//
+// The sets range over the control registers the function reads, numbered
+// in order of first sight; every set operation acts on each register
+// independently, so leaving the other registers out changes no result. The
+// numbering is the verifier's own: no table is indexed by a register
+// number, and none is shared with the liveness analysis it checks.
 func (c *irChecker) mustDefine() {
 	fn := c.fn
-	g := cfg.New(fn)
-	// definedIn[b] is the set of registers written on every path from entry
-	// to b. Must-analysis: initialize every non-entry block to "everything"
-	// (nil sentinel) and intersect over predecessors to a fixpoint.
-	definedIn := make([]cfg.RegSet, len(fn.Blocks))
-	definedIn[fn.Entry] = cfg.NewRegSet()
-	blockDefs := func(b *ir.Block, in cfg.RegSet) cfg.RegSet {
-		out := in.Clone()
+	slot := make(map[ir.Reg]int)
+	for _, b := range fn.Blocks {
 		for _, op := range b.Ops {
-			for _, d := range op.Dests {
-				if d.IsValid() {
-					out.Add(d)
+			for _, s := range op.Srcs {
+				if !controlReg(s) {
+					continue
+				}
+				if _, seen := slot[s]; !seen {
+					slot[s] = len(slot)
 				}
 			}
 		}
-		return out
+	}
+	if len(slot) == 0 {
+		return // no control register is read, so none can be undefined
+	}
+	tracked := func(r ir.Reg) (int, bool) {
+		if !controlReg(r) {
+			return 0, false
+		}
+		i, ok := slot[r]
+		return i, ok
+	}
+	words := (len(slot) + 63) / 64
+	n := len(fn.Blocks)
+	backing := make([]uint64, (2*n+1)*words)
+	set := func(i int) regBits { return backing[i*words : (i+1)*words : (i+1)*words] }
+	// gen[b] holds what b writes; out[b] what is defined on every path
+	// through b's exit. Every block but the entry starts at "everything"
+	// until its predecessors constrain it; unreachable predecessors never
+	// do.
+	gen, out := make([]regBits, n), make([]regBits, n)
+	for _, b := range fn.Blocks {
+		gen[b.ID], out[b.ID] = set(int(b.ID)), set(n+int(b.ID))
+		for _, op := range b.Ops {
+			for _, d := range op.Dests {
+				if i, ok := tracked(d); ok {
+					gen[b.ID].add(i)
+				}
+			}
+		}
+		if b.ID != fn.Entry {
+			out[b.ID].fill()
+		}
+	}
+	g := cfg.New(fn)
+	in := set(2 * n)
+	meet := func(bid ir.BlockID) {
+		if bid == fn.Entry {
+			clear(in)
+			return
+		}
+		in.fill()
+		for _, p := range g.Preds[bid] {
+			in.intersect(out[p])
+		}
 	}
 	for changed := true; changed; {
 		changed = false
 		for _, bid := range g.RPO {
-			in := definedIn[bid]
-			if bid != fn.Entry {
-				in = nil // "all registers" until a predecessor constrains it
-				for _, p := range g.Preds[bid] {
-					if definedIn[p] == nil {
-						continue // unprocessed pred: no constraint yet
-					}
-					out := blockDefs(fn.Block(p), definedIn[p])
-					if in == nil {
-						in = out
-					} else {
-						in = intersect(in, out)
-					}
-				}
-				if in == nil {
-					continue
-				}
-			}
-			if definedIn[bid] == nil || len(in) != len(definedIn[bid]) || !subset(definedIn[bid], in) {
-				definedIn[bid] = in
+			meet(bid)
+			if out[bid].assignUnion(in, gen[bid]) {
 				changed = true
 			}
 		}
 	}
 	for _, b := range fn.Blocks {
-		in := definedIn[b.ID]
-		if in == nil {
-			continue // unreachable: never executes
+		if !g.Reachable(b.ID) {
+			continue // never executes
 		}
-		defined := in.Clone()
+		meet(b.ID)
 		for _, op := range b.Ops {
 			for _, s := range op.Srcs {
-				if s.IsValid() && !defined.Has(s) &&
-					(s.Class == ir.ClassPred || s.Class == ir.ClassBTR) {
+				if i, ok := tracked(s); ok && !in.has(i) {
 					c.add("IR009", Error, b.ID, op.ID,
 						"%v reads %v, which has no definition on some path from entry", op, s)
 				}
 			}
 			for _, d := range op.Dests {
-				if d.IsValid() {
-					defined.Add(d)
+				if i, ok := tracked(d); ok {
+					in.add(i)
 				}
 			}
 		}
 	}
 }
 
-func intersect(a, b cfg.RegSet) cfg.RegSet {
-	out := cfg.NewRegSet()
-	for r := range a {
-		if b.Has(r) {
-			out.Add(r)
-		}
+// controlReg reports whether IR009 tracks r: a predicate or branch-target
+// register.
+func controlReg(r ir.Reg) bool { return r.Class == ir.ClassPred || r.Class == ir.ClassBTR }
+
+// regBits is a word-packed set over mustDefine's first-sight numbering.
+type regBits []uint64
+
+func (s regBits) add(i int)      { s[i>>6] |= 1 << (i & 63) }
+func (s regBits) has(i int) bool { return s[i>>6]&(1<<(i&63)) != 0 }
+
+func (s regBits) fill() {
+	for i := range s {
+		s[i] = ^uint64(0)
 	}
-	return out
 }
 
-func subset(a, b cfg.RegSet) bool {
-	for r := range a {
-		if !b.Has(r) {
-			return false
+func (s regBits) intersect(o regBits) {
+	for i, w := range o {
+		s[i] &= w
+	}
+}
+
+// assignUnion sets s to a ∪ b and reports whether s changed.
+func (s regBits) assignUnion(a, b regBits) bool {
+	changed := false
+	for i := range s {
+		if w := a[i] | b[i]; w != s[i] {
+			s[i] = w
+			changed = true
 		}
 	}
-	return true
+	return changed
 }

@@ -24,11 +24,12 @@ var defaultSeeds = []uint64{1, 7, 42, 1998}
 
 // CheckSemanticsProgram interprets orig and compiled under identical oracles
 // and compares their observable traces. With a program context, resolved
-// calls execute the callee bodies (interp.RunIn) on both sides, so the
-// comparison certifies inlined compilations — the callee's blocks appear in
-// both traces under the callee's Orig namespace, whether executed in a call
+// calls execute the callee bodies on both sides, so the comparison
+// certifies inlined compilations — the callee's blocks appear in both
+// traces under the callee's Orig namespace, whether executed in a call
 // frame (original) or spliced inline (compiled). With a nil prog, calls
-// stay opaque no-ops.
+// stay opaque no-ops. One interp.Runner serves every seed, so each function
+// is decoded once per call.
 func CheckSemanticsProgram(prog *ir.Program, orig, compiled *ir.Function, seeds []uint64, maxSteps int) []Diagnostic {
 	if len(seeds) == 0 {
 		seeds = defaultSeeds
@@ -41,14 +42,15 @@ func CheckSemanticsProgram(prog *ir.Program, orig, compiled *ir.Function, seeds 
 		})
 	}
 	cfg := interp.Config{MaxSteps: maxSteps}
+	run := interp.NewRunner(prog)
 	for _, seed := range seeds {
-		want, err := interp.RunIn(prog, orig, interp.NewOracle(seed), cfg)
+		want, err := run.Run(orig, interp.NewOracle(seed), cfg)
 		if err != nil {
 			// The original function does not execute cleanly under this
 			// seed; nothing to compare against.
 			continue
 		}
-		got, err := interp.RunIn(prog, compiled, interp.NewOracle(seed), cfg)
+		got, err := run.Run(compiled, interp.NewOracle(seed), cfg)
 		if err != nil {
 			add("SEM002", "seed %d: compiled function fails to execute: %v", seed, err)
 			continue

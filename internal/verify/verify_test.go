@@ -1,6 +1,8 @@
 package verify
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -56,5 +58,32 @@ func TestCompiledBadMachine(t *testing.T) {
 	ds := Compiled(fn, nil, nil, Options{Machine: machine.Model{Name: "broken", IssueWidth: 0}})
 	if got := Rules(ds); len(got) != 1 || got[0] != "MC001" {
 		t.Fatalf("rules = %v, want [MC001]", got)
+	}
+}
+
+// TestDuplicateSuccessorsAndOpIDs: a block branching and falling through to
+// the same successor is one IR006, and each reuse of an op ID one IR007.
+func TestDuplicateSuccessorsAndOpIDs(t *testing.T) {
+	fn := ir.NewFunction("dup")
+	b0, b1 := fn.NewBlock(), fn.NewBlock()
+	p := fn.NewReg(ir.ClassPred)
+	r := fn.NewReg(ir.ClassGPR)
+	fn.EmitCmpp(b0, p, ir.NoReg, ir.CondEQ, r, r)
+	fn.EmitBrct(b0, ir.NoReg, p, b1.ID, 0.5)
+	b0.FallThrough = b1.ID
+	a := fn.EmitMovI(b1, r, 1)
+	fn.EmitMovI(b1, r, 2).ID = a.ID
+	fn.EmitRet(b1).ID = a.ID
+	var got []string
+	for _, d := range CheckFunction(fn, false) {
+		got = append(got, d.String())
+	}
+	want := []string{
+		"error IR006 dup/bb0: duplicate successor bb1",
+		fmt.Sprintf("error IR007 dup/bb1/op%d: duplicate op ID %d", a.ID, a.ID),
+		fmt.Sprintf("error IR007 dup/bb1/op%d: duplicate op ID %d", a.ID, a.ID),
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("diagnostics:\n got %q\nwant %q", got, want)
 	}
 }
