@@ -16,7 +16,7 @@
 //   - The host block is split at the call: the prefix keeps the host's
 //     identity and binds the arguments with Copy ops; the continuation block
 //     keeps the host's Orig, so the trace records the same "control returns
-//     to the caller block" event interp.RunIn logs when a real call returns.
+//     to the caller block" event interp.Runner logs when a real call returns.
 //   - Callee registers are renamed into fresh host registers through the
 //     callee's dense ir.RegIndexTable, one fresh set per splice, so two
 //     inlined instances of the same callee never interfere.

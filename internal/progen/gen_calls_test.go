@@ -125,7 +125,7 @@ func TestGenerateCallsTerminates(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, fn := range prog.Funcs {
-			if _, err := interp.RunIn(resolved, fn, interp.NewOracle(99), interp.Config{MaxSteps: 2_000_000}); err != nil {
+			if _, err := interp.NewRunner(resolved).Run(fn, interp.NewOracle(99), interp.Config{MaxSteps: 2_000_000}); err != nil {
 				t.Errorf("%s/%s: %v", p.Name, fn.Name, err)
 			}
 		}
