@@ -41,25 +41,25 @@ race:
 # Suite compiles (serial/parallel/cached/verified/warm-store/verified-warm),
 # the stress preset at 8 workers, the interprocedural presets with inlining
 # off and on (BenchmarkCompileSuiteInline), plus the per-phase
-# micro-benchmarks of the compiler core (liveness; DDG build, list
-# scheduling and region measurement per tier — suite, stress, stress2 —
-# with us/region for the DDG and measure phases; the verifier's ir, rg, sc
-# and sem rule families with ms/pass), with allocation counts.
-# The raw `go test -json` stream is captured in BENCH_12.json for machine
-# comparison against earlier runs (BENCH_11.json holds the capture from
-# before the verifier's dense IR009, schedule-path and interpreter
-# rewrites). The parallel and stress benchmarks report
-# speedup-vs-serial; on a single-core box that metric caps at ~1x by
-# physics.
+# micro-benchmarks of the compiler core (treeform and treeform-td
+# formation, DDG build, list scheduling and region measurement per tier —
+# suite, stress, stress2 — with us/region for the formation, DDG and
+# measure phases; liveness; the verifier's ir, rg, sc and sem rule families
+# with ms/pass), with allocation counts.
+# The raw `go test -json` stream is captured in BENCH_13.json for machine
+# comparison against earlier runs (BENCH_12.json holds the capture from
+# before formation moved to one block partition per function). The
+# parallel and stress benchmarks report speedup-vs-serial; on a
+# single-core box that metric caps at ~1x by physics.
 bench:
-	$(GO) test -run XXX -bench 'BenchmarkCompileSuite|BenchmarkCompileStress|BenchmarkColdCompile' -benchmem -benchtime 3x -json . | tee BENCH_12.json
+	$(GO) test -run XXX -bench 'BenchmarkCompileSuite|BenchmarkCompileStress|BenchmarkColdCompile' -benchmem -benchtime 3x -json . | tee BENCH_13.json
 
 # bench-compare diffs two bench captures. benchstat is used when installed
 # (fed plain text extracted from the JSON captures); otherwise the bundled
 # dependency-free cmd/benchdiff prints the old/new/delta table. Override the
 # endpoints with BENCH_OLD= / BENCH_NEW=.
-BENCH_OLD ?= BENCH_11.json
-BENCH_NEW ?= BENCH_12.json
+BENCH_OLD ?= BENCH_12.json
+BENCH_NEW ?= BENCH_13.json
 bench-compare:
 	@if command -v benchstat >/dev/null 2>&1; then \
 		$(GO) run ./cmd/benchdiff -extract $(BENCH_OLD) > /tmp/benchdiff_old.txt; \

@@ -1,18 +1,20 @@
 package treegion
 
 // Micro-benchmarks for the rebuilt hot phases of the compiler core —
-// bitset liveness, slab DDG construction, bitmap list scheduling and the
-// path-height measurement — each driven cold over every function of its
-// inputs. They isolate one phase per iteration, so a regression in (say)
-// the scheduler's ready queue shows up here before it moves the
-// whole-pipeline BenchmarkCompileSuiteSerial number. The DDG, scheduler and
-// measurement benchmarks run three tiers — the suite, stress and stress2 —
-// so a cost that grows with the function rather than the region shows up
-// as a per-region figure that climbs from tier to tier. The verifier's rule
-// families get one benchmark each over the suite. `make bench` captures
-// them; `make check` runs them once under the race detector.
+// region formation, bitset liveness, slab DDG construction, bitmap list
+// scheduling and the path-height measurement — each driven cold over every
+// function of its inputs. They isolate one phase per iteration, so a
+// regression in (say) the scheduler's ready queue shows up here before it
+// moves the whole-pipeline BenchmarkCompileSuiteSerial number. The
+// formation, DDG, scheduler and measurement benchmarks run three tiers —
+// the suite, stress and stress2 — so a cost that grows with the function
+// rather than the region shows up as a per-region figure that climbs from
+// tier to tier. The verifier's rule families get one benchmark each over
+// the suite. `make bench` captures them; `make check` runs them once under
+// the race detector.
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -120,6 +122,47 @@ func BenchmarkColdCompileDDG(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(regions), "us/region")
 		})
+	}
+}
+
+// BenchmarkColdCompileForm measures region formation as the compile path
+// runs it — treeform over a fresh CFG, and treeform-td with its tail
+// duplication — over every function of each tier. Formation mutates the
+// function and the profile, so each iteration clones them outside the
+// timer. us/region is the formation cost per region formed: with one
+// partition table per function it stays flat from tier to tier, where a
+// table per region grows with the function.
+func BenchmarkColdCompileForm(b *testing.B) {
+	for _, tier := range coldTiers {
+		for _, kind := range []string{"tree", "tree-td"} {
+			b.Run(tier.name+"/"+kind, func(b *testing.B) {
+				progs, profs := tier.inputs(b)
+				regions := 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					var fns []*ir.Function
+					var ps []*ProfileData
+					for pi, p := range progs {
+						for fi, fn := range p.Funcs {
+							fns = append(fns, fn.Clone())
+							ps = append(ps, profs[pi][fi].Clone())
+						}
+					}
+					runtime.GC() // collect the last iteration's clones untimed
+					b.StartTimer()
+					for j, fn := range fns {
+						if kind == "tree" {
+							regions += len(core.FormInline(fn, cfg.New(fn), nil))
+						} else {
+							regions += len(core.FormTDInlineTraced(fn, ps[j], core.DefaultTDConfig(), nil, nil))
+						}
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(regions), "us/region")
+			})
+		}
 	}
 }
 

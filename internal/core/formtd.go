@@ -125,14 +125,12 @@ func (e *expander) expand(r *region.Region) {
 			dup := region.TailDuplicate(fn, e.prof, p, sap)
 			e.retargetPreds(p, sap, dup)
 			r.Add(dup.ID, p)
-			f.inRegion[dup.ID] = true
 			f.absorb(r, dup.ID)
 			e.tr.Observe(telemetry.PhaseTailDup, time.Since(t0), len(dup.Ops))
 		} else {
 			// A single remaining incoming edge: absorb directly.
 			p := f.preds[sap][0]
 			r.Add(sap, p)
-			f.inRegion[sap] = true
 			f.entered(sap)
 			f.absorb(r, sap)
 		}
@@ -148,9 +146,6 @@ func (e *expander) pickSapling(r *region.Region) ir.BlockID {
 		curSize += blockSize(f.fn, b)
 	}
 	for _, s := range f.saplings(r) {
-		if f.inRegion[s] {
-			continue // already claimed by another treegion
-		}
 		// Merge-count limit, waived for merge points with no successors
 		// (function exits), which are cheap to duplicate repeatedly.
 		if len(f.preds[s]) > e.td.MergeLimit && f.fn.Block(s).NumSuccs() > 0 {

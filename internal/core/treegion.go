@@ -41,10 +41,12 @@ type BlockRewriter interface {
 }
 
 type former struct {
-	fn       *ir.Function
-	g        *cfg.Graph
-	rw       BlockRewriter
-	inRegion map[ir.BlockID]bool
+	fn *ir.Function
+	g  *cfg.Graph
+	rw BlockRewriter
+	// part is the partition every region of fn is formed over, the
+	// former's only record of which blocks are taken.
+	part *region.Partition
 	// preds is maintained incrementally so treeform-td sees merge counts
 	// that reflect its own tail duplications.
 	preds map[ir.BlockID][]ir.BlockID
@@ -52,10 +54,10 @@ type former struct {
 
 func newFormer(fn *ir.Function, g *cfg.Graph) *former {
 	f := &former{
-		fn:       fn,
-		g:        g,
-		inRegion: make(map[ir.BlockID]bool),
-		preds:    make(map[ir.BlockID][]ir.BlockID, len(fn.Blocks)),
+		fn:    fn,
+		g:     g,
+		part:  region.NewPartition(fn),
+		preds: make(map[ir.BlockID][]ir.BlockID, len(fn.Blocks)),
 	}
 	for _, b := range fn.Blocks {
 		for _, s := range b.Succs() {
@@ -115,11 +117,10 @@ func (f *former) form(kind region.Kind, expand func(*region.Region)) []*region.R
 	for len(queue) > 0 {
 		root := queue[0]
 		queue = queue[1:]
-		if f.inRegion[root] {
+		if f.part.Owner(root) != nil {
 			continue
 		}
-		r := region.New(f.fn, kind, root)
-		f.inRegion[root] = true
+		r := f.part.NewRegion(kind, root)
 		f.entered(root)
 		f.absorb(r, root)
 		if expand != nil {
@@ -151,14 +152,13 @@ func (f *former) absorb(r *region.Region, start ir.BlockID) {
 	for len(stack) > 0 {
 		c := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if f.inRegion[c.node] {
+		if f.part.Owner(c.node) != nil {
 			continue
 		}
 		if f.isMerge(c.node) {
 			continue // becomes a sapling
 		}
 		r.Add(c.node, c.parent)
-		f.inRegion[c.node] = true
 		f.entered(c.node)
 		push(c.node)
 	}
@@ -171,7 +171,7 @@ func (f *former) saplings(r *region.Region) []ir.BlockID {
 	seen := make(map[ir.BlockID]bool)
 	for _, b := range r.Blocks {
 		for _, s := range f.fn.Block(b).Succs() {
-			if !f.inRegion[s] && !seen[s] {
+			if f.part.Owner(s) == nil && !seen[s] {
 				seen[s] = true
 				out = append(out, s)
 			}

@@ -400,7 +400,7 @@ func (b *builder) liveExitEdges() {
 					if !br.IsBranch() {
 						continue
 					}
-					if r.Contains(br.Target) && r.Parent(br.Target) == d {
+					if r.IsTreeEdge(d, br.Target) {
 						continue // tree edge, not an exit
 					}
 					for _, dst := range op.Dests {

@@ -244,7 +244,7 @@ func (b *builder) destConflicts(lca ir.BlockID, pre []ir.BlockID, op *ir.Op) boo
 	check := append([]ir.BlockID{lca}, pre...)
 	for _, x := range check {
 		for _, s := range fn.Block(x).Succs() {
-			if r.Contains(s) && r.Parent(s) == x {
+			if r.IsTreeEdge(x, s) {
 				continue // tree edge
 			}
 			for d := range dests {

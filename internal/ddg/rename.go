@@ -134,13 +134,13 @@ func (b *builder) conflictsOffPath(bid ir.BlockID, d ir.Reg) bool {
 		}
 		b.succBuf = fn.Block(parent).AppendSuccs(b.succBuf[:0])
 		for _, s := range b.succBuf {
-			if s == cur && r.Contains(s) && r.Parent(s) == parent {
+			if s == cur && r.IsTreeEdge(parent, s) {
 				continue // the on-path edge
 			}
 			if lv.LiveIn[s].Has(d) {
 				return true
 			}
-			if r.Contains(s) && r.Parent(s) == parent {
+			if r.IsTreeEdge(parent, s) {
 				// Sibling subtree: a second definition of d there would race
 				// with ours once both speculate above the divergence.
 				b.subtreeBuf = b.appendSubtree(b.subtreeBuf[:0], s)

@@ -187,14 +187,13 @@ func CompileFunctionArena(fn *ir.Function, prof *profile.Data, c Config, ar *Are
 	if in != nil {
 		rw = in
 	}
-	g := cfg.New(fn)
 	switch c.Kind {
 	case BasicBlocks:
 		res.Regions = linear.BasicBlocks(fn)
 	case SLR:
-		res.Regions = linear.SLRs(fn, g, prof)
+		res.Regions = linear.SLRs(fn, cfg.New(fn), prof)
 	case Treegion:
-		res.Regions = core.FormInline(fn, g, rw)
+		res.Regions = core.FormInline(fn, cfg.New(fn), rw)
 	case Superblock:
 		sb := c.SB
 		if sb.MaxTraceLen == 0 && sb.ExpansionLimit == 0 {
@@ -216,7 +215,12 @@ func CompileFunctionArena(fn *ir.Function, prof *profile.Data, c Config, ar *Are
 	res.OpsAfter = fn.NumOps()
 	tr.Observe(telemetry.PhaseTreeform,
 		time.Since(t0)-time.Duration(tr.PhaseNanos(telemetry.PhaseTailDup)), res.OpsAfter)
-	if err := region.CheckPartition(fn, res.Regions); err != nil {
+	// Every former forms over one region.Partition; its owned-block count
+	// confirms the regions cover the function without a map.
+	if len(res.Regions) == 0 {
+		return nil, fmt.Errorf("eval: %s: no regions formed", fn.Name)
+	}
+	if err := res.Regions[0].Partition().Check(res.Regions); err != nil {
 		return nil, fmt.Errorf("eval: %s: %w", fn.Name, err)
 	}
 	t0 = time.Now()

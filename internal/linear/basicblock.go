@@ -11,9 +11,10 @@ import (
 
 // BasicBlocks makes each block of fn its own region — the paper's baseline.
 func BasicBlocks(fn *ir.Function) []*region.Region {
+	part := region.NewPartition(fn)
 	out := make([]*region.Region, 0, len(fn.Blocks))
 	for _, b := range fn.Blocks {
-		out = append(out, region.New(fn, region.KindBasicBlock, b.ID))
+		out = append(out, part.NewRegion(region.KindBasicBlock, b.ID))
 	}
 	return out
 }

@@ -16,7 +16,7 @@ import (
 // seed new regions, as in treegion formation.
 func SLRs(fn *ir.Function, g *cfg.Graph, prof *profile.Data) []*region.Region {
 	var out []*region.Region
-	inRegion := make(map[ir.BlockID]bool)
+	part := region.NewPartition(fn)
 	queue := []ir.BlockID{fn.Entry}
 	// Unreachable blocks still need regions (scheduling covers all code);
 	// append them to the worklist after the entry so reachable code claims
@@ -29,27 +29,25 @@ func SLRs(fn *ir.Function, g *cfg.Graph, prof *profile.Data) []*region.Region {
 	for len(queue) > 0 {
 		root := queue[0]
 		queue = queue[1:]
-		if inRegion[root] {
+		if part.Owner(root) != nil {
 			continue
 		}
-		r := region.New(fn, region.KindSLR, root)
-		inRegion[root] = true
+		r := part.NewRegion(region.KindSLR, root)
 		// Grow along the best-weighted successor chain.
 		cur := root
 		for {
 			next, _ := prof.BestSucc(fn, cur)
-			if next == ir.NoBlock || inRegion[next] || g.IsMergePoint(next) {
+			if next == ir.NoBlock || part.Owner(next) != nil || g.IsMergePoint(next) {
 				break
 			}
 			r.Add(next, cur)
-			inRegion[next] = true
 			cur = next
 		}
 		out = append(out, r)
 		// Every successor not in a region is a sapling rooting a new one.
 		for _, b := range r.Blocks {
 			for _, s := range fn.Block(b).Succs() {
-				if !inRegion[s] {
+				if part.Owner(s) == nil {
 					queue = append(queue, s)
 				}
 			}

@@ -97,6 +97,7 @@ func Superblocks(fn *ir.Function, prof *profile.Data, cfgc SuperblockConfig) []*
 	}
 
 	// --- Tail duplication: remove side entrances from each trace. ---
+	part := region.NewPartition(fn)
 	var regions []*region.Region
 	for _, trace := range traces {
 		preds = computePreds(fn) // earlier traces may have re-routed edges
@@ -114,14 +115,14 @@ func Superblocks(fn *ir.Function, prof *profile.Data, cfgc SuperblockConfig) []*
 		}
 		if first < 0 {
 			// Already single-entry; the whole trace is one superblock.
-			regions = append(regions, traceRegion(fn, trace))
+			regions = append(regions, traceRegion(part, trace))
 			continue
 		}
 		if float64(fn.NumOps()) > cfgc.ExpansionLimit*float64(origOps) {
 			// Expansion budget exhausted: split the trace at its first side
 			// entrance instead of duplicating.
-			regions = append(regions, traceRegion(fn, trace[:first]))
-			regions = append(regions, traceRegion(fn, trace[first:]))
+			regions = append(regions, traceRegion(part, trace[:first]))
+			regions = append(regions, traceRegion(part, trace[first:]))
 			continue
 		}
 
@@ -148,30 +149,23 @@ func Superblocks(fn *ir.Function, prof *profile.Data, cfgc SuperblockConfig) []*
 				fn.Block(p).ReplaceSucc(trace[j], dups[j].ID)
 			}
 		}
-		regions = append(regions, traceRegion(fn, trace))
+		regions = append(regions, traceRegion(part, trace))
 	}
 
 	// --- Cover everything else as plain basic blocks (IMPACT leaves
 	// non-trace code unregioned: cold blocks and duplicate chains get no
 	// cross-block scheduling scope). ---
-	inRegion := make(map[ir.BlockID]bool)
-	for _, r := range regions {
-		for _, b := range r.Blocks {
-			inRegion[b] = true
-		}
-	}
 	for _, b := range fn.Blocks {
-		if inRegion[b.ID] {
-			continue
+		if part.Owner(b.ID) == nil {
+			regions = append(regions, part.NewRegion(region.KindSuperblock, b.ID))
 		}
-		regions = append(regions, region.New(fn, region.KindSuperblock, b.ID))
 	}
 	return regions
 }
 
 // traceRegion wraps a chain of blocks as a FromTrace superblock region.
-func traceRegion(fn *ir.Function, trace []ir.BlockID) *region.Region {
-	r := region.New(fn, region.KindSuperblock, trace[0])
+func traceRegion(part *region.Partition, trace []ir.BlockID) *region.Region {
+	r := part.NewRegion(region.KindSuperblock, trace[0])
 	r.FromTrace = true
 	for i := 1; i < len(trace); i++ {
 		r.Add(trace[i], trace[i-1])

@@ -56,12 +56,12 @@ type Region struct {
 	// counts only these.
 	FromTrace bool
 
-	// pos maps a BlockID to its preorder index + 1 (0 = not a member). It
-	// is the one function-sized table a region keeps, grown on demand:
-	// tail duplication appends blocks to the function mid-formation and
-	// then Adds them. Everything else is region-sized and indexed by
-	// preorder position (see Pos).
-	pos []int32
+	// part is the function's block partition, where membership and
+	// positions live, and id is this region's 1-based number in it. What
+	// the region keeps itself is region-sized and indexed by preorder
+	// position (see Pos).
+	part *Partition
+	id   int32
 	// parents is parallel to Blocks: parents[i] is the tree parent of
 	// Blocks[i], ir.NoBlock for the root.
 	parents []ir.BlockID
@@ -76,79 +76,50 @@ type Region struct {
 	childSlab []ir.BlockID
 }
 
-// New starts a region containing just the root.
+// New starts a region containing just the root, over a partition of its
+// own. Formers start every region of a function on one Partition instead.
 func New(fn *ir.Function, kind Kind, root ir.BlockID) *Region {
-	return newRegion(fn, kind, root, 1)
+	return NewPartition(fn).NewRegion(kind, root)
 }
 
-// newRegion is New with room reserved for n blocks.
-func newRegion(fn *ir.Function, kind Kind, root ir.BlockID, n int) *Region {
-	r := &Region{
-		Fn:      fn,
-		Kind:    kind,
-		Root:    root,
-		Blocks:  append(make([]ir.BlockID, 0, n), root),
-		parents: append(make([]ir.BlockID, 0, n), ir.NoBlock),
-	}
-	r.ensure(root)
-	r.pos[root] = 1
-	return r
-}
-
-// ensure grows the position table to cover block b, in one reallocation —
-// regions are built by the thousand on the store's warm decode path, so
-// element-at-a-time growth here shows up directly in GC pressure.
-func (r *Region) ensure(b ir.BlockID) {
-	need := int(b) + 1
-	if n := len(r.Fn.Blocks); n > need {
-		need = n
-	}
-	if len(r.pos) >= need {
-		return
-	}
-	pos := make([]int32, need)
-	copy(pos, r.pos)
-	r.pos = pos
-}
+// Partition returns the block partition the region belongs to.
+func (r *Region) Partition() *Partition { return r.part }
 
 // Add places b into the region as a child of parent, which must already be
 // a member (and must actually be a CFG predecessor of b; Validate checks).
+// It panics if any region of the partition already owns b.
 func (r *Region) Add(b, parent ir.BlockID) {
-	r.ensure(b)
-	if r.pos[b] != 0 {
-		panic(fmt.Sprintf("region: bb%d added twice", b))
-	}
 	if !r.Contains(parent) {
 		panic(fmt.Sprintf("region: parent bb%d of bb%d not a member", parent, b))
 	}
+	r.part.claim(r, b, len(r.Blocks))
 	r.Blocks = append(r.Blocks, b)
 	r.parents = append(r.parents, parent)
-	r.pos[b] = int32(len(r.Blocks))
 	r.childOff = nil
 	r.childSlab = nil
 }
 
 // Contains reports membership.
 func (r *Region) Contains(b ir.BlockID) bool {
-	return int(b) >= 0 && int(b) < len(r.pos) && r.pos[b] != 0
+	return r.part.at(b).region == r.id
 }
 
 // Pos returns b's preorder position (r.Blocks[r.Pos(b)] == b), or -1 for a
 // non-member. Per-block tables of one region are indexed by it, so they
 // are sized to the region rather than to the function.
 func (r *Region) Pos(b ir.BlockID) int {
-	if !r.Contains(b) {
-		return -1
+	if s := r.part.at(b); s.region == r.id {
+		return int(s.pos)
 	}
-	return int(r.pos[b]) - 1
+	return -1
 }
 
 // Parent returns b's tree parent (ir.NoBlock for the root and non-members).
 func (r *Region) Parent(b ir.BlockID) ir.BlockID {
-	if !r.Contains(b) {
-		return ir.NoBlock
+	if p := r.Pos(b); p >= 0 {
+		return r.parents[p]
 	}
-	return r.parents[r.pos[b]-1]
+	return ir.NoBlock
 }
 
 // Children returns b's in-region children in successor order. The result
@@ -172,7 +143,7 @@ func (r *Region) buildChildren() {
 	n := len(r.Blocks)
 	off := make([]int32, n+1)
 	for _, p := range r.parents[1:] {
-		off[r.pos[p]]++ // pos is position+1: counts land one slot right
+		off[r.Pos(p)+1]++ // counts land one slot right
 	}
 	for i := 0; i < n; i++ {
 		off[i+1] += off[i]
@@ -183,7 +154,7 @@ func (r *Region) buildChildren() {
 		k := off[i]
 		succs = r.Fn.Block(b).AppendSuccs(succs[:0])
 		for _, s := range succs {
-			if k < off[i+1] && r.isTreeEdge(b, s) {
+			if k < off[i+1] && r.IsTreeEdge(b, s) {
 				slab[k] = s
 				k++
 			}
@@ -216,7 +187,7 @@ func (r *Region) PathCount() int {
 	}
 	internal := make([]bool, len(r.Blocks))
 	for _, p := range r.parents[1:] {
-		internal[r.pos[p]-1] = true
+		internal[r.Pos(p)] = true
 	}
 	leaves := 0
 	for _, in := range internal {
@@ -288,19 +259,22 @@ func (r *Region) Exits() []Exit {
 	for _, bid := range r.Blocks {
 		b := r.Fn.Block(bid)
 		for _, op := range b.Ops {
-			if op.IsBranch() && !r.isTreeEdge(bid, op.Target) {
+			if op.IsBranch() && !r.IsTreeEdge(bid, op.Target) {
 				out = append(out, Exit{From: bid, To: op.Target, Br: op})
 			}
 		}
-		if ft := b.FallThrough; ft != ir.NoBlock && !r.isTreeEdge(bid, ft) {
+		if ft := b.FallThrough; ft != ir.NoBlock && !r.IsTreeEdge(bid, ft) {
 			out = append(out, Exit{From: bid, To: ft})
 		}
 	}
 	return out
 }
 
-func (r *Region) isTreeEdge(from, to ir.BlockID) bool {
-	return r.Contains(to) && r.parents[r.pos[to]-1] == from
+// IsTreeEdge reports whether from→to is an edge of the region's tree: to
+// is a member and from is its tree parent.
+func (r *Region) IsTreeEdge(from, to ir.BlockID) bool {
+	p := r.Pos(to)
+	return p >= 0 && r.parents[p] == from
 }
 
 // ExitsBelow returns, for every member block, the number of region exits
@@ -312,7 +286,7 @@ func (r *Region) ExitsBelow() []int {
 	for i, bid := range r.Blocks {
 		succs = r.Fn.Block(bid).AppendSuccs(succs[:0])
 		for _, s := range succs {
-			if !r.isTreeEdge(bid, s) {
+			if !r.IsTreeEdge(bid, s) {
 				out[i]++
 			}
 		}
@@ -320,7 +294,7 @@ func (r *Region) ExitsBelow() []int {
 	// Preorder reversed visits every block after its whole subtree, so each
 	// count is final when it is added into the parent's.
 	for i := len(r.Blocks) - 1; i > 0; i-- {
-		out[r.pos[r.parents[i]]-1] += out[i]
+		out[r.Pos(r.parents[i])] += out[i]
 	}
 	return out
 }

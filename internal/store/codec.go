@@ -530,6 +530,7 @@ func decodeRegions(data []byte, fn *ir.Function) ([]*region.Region, error) {
 	r := &reader{b: data}
 	n := r.count(regionRecMin)
 	out := make([]*region.Region, 0, n)
+	part := region.NewPartition(fn)
 	// Rebuild copies both lists into the region's own tables, so one pair of
 	// buffers serves every region in the entry.
 	var blocks, parents []ir.BlockID
@@ -549,7 +550,7 @@ func decodeRegions(data []byte, fn *ir.Function) ([]*region.Region, error) {
 			blocks[j] = ir.BlockID(int32(le.Uint32(raw[j*regionBlockRecSize:])))
 			parents[j] = ir.BlockID(int32(le.Uint32(raw[j*regionBlockRecSize+4:])))
 		}
-		reg, err := region.Rebuild(fn, kind, blocks, parents, fromTrace)
+		reg, err := region.Rebuild(part, kind, blocks, parents, fromTrace)
 		if err != nil {
 			return nil, err
 		}
@@ -558,6 +559,11 @@ func decodeRegions(data []byte, fn *ir.Function) ([]*region.Region, error) {
 	r.done("regions")
 	if r.err != nil {
 		return nil, r.err
+	}
+	// Rebuild refused overlaps; records that leave a block uncovered are
+	// corrupt too.
+	if err := part.Check(out); err != nil {
+		return nil, fmt.Errorf("store: regions: %w", err)
 	}
 	return out, nil
 }

@@ -3,9 +3,11 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"treegion/internal/core"
@@ -111,9 +113,48 @@ func putRow(body []byte, i int, row [3]uint64) {
 	le.PutUint64(p[16:], row[2])
 }
 
+// secondRegionEnd returns the payload offset just past region 1's block
+// records in the regions section.
+func secondRegionEnd(t *testing.T, body []byte) int {
+	t.Helper()
+	_, rows := sectionTable(t, body)
+	le := binary.LittleEndian
+	for _, r := range rows {
+		if r[0] != secRegions {
+			continue
+		}
+		end := int(r[1])
+		if r[2] < 4 || le.Uint32(body[end:]) < 2 {
+			t.Fatal("fixture needs at least two regions")
+		}
+		end += 4
+		for j := 0; j < 2; j++ {
+			nb := int(le.Uint32(body[end+2:])) // past u8 kind and bool fromTrace
+			end += 6 + nb*regionBlockRecSize
+		}
+		return end
+	}
+	t.Fatal("no regions section")
+	return 0
+}
+
+// TestDecodeRegionsRejectsUncovered: region records that leave a block in
+// no region are corrupt, even when every record is a well-formed tree.
+func TestDecodeRegionsRejectsUncovered(t *testing.T) {
+	_, fr := compiled(t)
+	w := &writer{}
+	encodeRegions(w, fr.Regions[:len(fr.Regions)-1])
+	last := fr.Regions[len(fr.Regions)-1].Root
+	_, err := decodeRegions(w.buf, fr.Fn)
+	if want := fmt.Sprintf("bb%d in no region", last); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("decode of regions without the last one: %v, want an error containing %q", err, want)
+	}
+}
+
 // TestCorruptSectionFixtures: every malformed-section-table shape — a table
 // truncated mid-row, an offset pointing past the payload, overlapping
-// section ranges, a gap between sections — must decode to an error (which
+// section ranges, a gap between sections — and region records that overlap
+// must decode to an error (which
 // the store turns into a quarantined miss), never a panic, and never a
 // result built from garbage.
 func TestCorruptSectionFixtures(t *testing.T) {
@@ -168,6 +209,14 @@ func TestCorruptSectionFixtures(t *testing.T) {
 		},
 		"section-count-overflow": func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[4:], maxSections+1)
+			return b
+		},
+		"overlapping-regions": func(b []byte) []byte {
+			// Rewrite region 1's last (leaf) block record to bb0, which
+			// region 0 roots: bb0 lands in two regions and the leaf in none,
+			// while every region on its own stays a well-formed tree.
+			end := secondRegionEnd(t, b)
+			binary.LittleEndian.PutUint32(b[end-regionBlockRecSize:], 0)
 			return b
 		},
 	}

@@ -471,7 +471,7 @@ func (c *schedChecker) liveExits() {
 	exits := make(map[ir.BlockID][]exitBr)
 	for _, bid := range c.r.Blocks {
 		for _, t := range c.terms[bid] {
-			if t.Op.IsBranch() && !(c.r.Contains(t.Op.Target) && c.r.Parent(t.Op.Target) == bid) {
+			if t.Op.IsBranch() && !c.r.IsTreeEdge(bid, t.Op.Target) {
 				exits[bid] = append(exits[bid], exitBr{t, t.Op.Target})
 			}
 		}
@@ -532,7 +532,7 @@ func (c *schedChecker) offPathClobbers() {
 			terms := c.terms[parent]
 			admitted := true
 			for _, t := range terms {
-				if t.Op.IsBranch() && t.Op.Target == cur && c.r.Contains(cur) && c.r.Parent(cur) == parent {
+				if t.Op.IsBranch() && t.Op.Target == cur && c.r.IsTreeEdge(parent, cur) {
 					if !c.ok(t) || c.cyc(n) > c.cyc(t) {
 						admitted = false
 					}
@@ -546,7 +546,7 @@ func (c *schedChecker) offPathClobbers() {
 					continue
 				}
 				tgt := t.Op.Target
-				if tgt == cur && c.r.Contains(tgt) && c.r.Parent(tgt) == parent {
+				if tgt == cur && c.r.IsTreeEdge(parent, tgt) {
 					continue // the on-path edge
 				}
 				if c.ok(t) && c.cyc(n) <= c.cyc(t) {
@@ -578,7 +578,7 @@ func (c *schedChecker) clobber(n *ddg.Node, a, s ir.BlockID) {
 					n.Op, c.cyc(n), d, s)
 			}
 		}
-		if !(c.r.Contains(s) && c.r.Parent(s) == a) {
+		if !c.r.IsTreeEdge(a, s) {
 			continue
 		}
 		for _, sb := range c.r.Subtree(s) {

@@ -169,7 +169,7 @@ walk:
 				taken = o.Take(op.Orig, n, op.Prob)
 			}
 			if taken {
-				if r.Contains(op.Target) && r.Parent(op.Target) == cur {
+				if r.IsTreeEdge(cur, op.Target) {
 					cur = op.Target
 					continue walk
 				}
@@ -182,7 +182,7 @@ walk:
 		if ft == ir.NoBlock {
 			return 0, false, fmt.Errorf("vlsim: bb%d has no continuation", cur)
 		}
-		if r.Contains(ft) && r.Parent(ft) == cur {
+		if r.IsTreeEdge(cur, ft) {
 			cur = ft
 			continue
 		}
