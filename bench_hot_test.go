@@ -54,26 +54,34 @@ type hotFunc struct {
 	lv      *cfg.Liveness
 }
 
-// BenchmarkColdCompileLiveness measures the bitset dataflow phase exactly as
-// the compile path runs it: CFG construction plus iterate-to-fixpoint
-// liveness for every function of the suite.
+// BenchmarkColdCompileLiveness measures liveness exactly as the compile
+// path runs it — CFG construction plus the dataflow, after treeform — over
+// every function of each tier. Liveness never mutates the function, so the
+// formed clones are built once. us/block is the cost per block: the sets
+// span only the registers some block reads before writing them, so it
+// grows with the function's live registers, not with all of them.
 func BenchmarkColdCompileLiveness(b *testing.B) {
-	s := sharedSuite(b)
-	var fns []*ir.Function
-	for _, p := range s.Programs {
-		for _, fn := range p.Funcs {
-			fns = append(fns, fn.Clone())
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, f := range fns {
-			lv := cfg.ComputeLiveness(cfg.New(f))
-			if len(lv.LiveIn) == 0 {
-				b.Fatal("empty liveness")
+	for _, tier := range coldTiers {
+		b.Run(tier.name, func(b *testing.B) {
+			progs, _ := tier.inputs(b)
+			blocks := 0
+			var fns []*ir.Function
+			for _, h := range prepareHot(progs) {
+				fns = append(fns, h.fn)
+				blocks += len(h.fn.Blocks)
 			}
-		}
+			runtime.GC()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, f := range fns {
+					if lv := cfg.ComputeLiveness(cfg.New(f)); len(lv.LiveIn) != len(f.Blocks) {
+						b.Fatal("liveness does not cover the function")
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*blocks), "us/block")
+		})
 	}
 }
 

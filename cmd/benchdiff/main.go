@@ -5,6 +5,11 @@
 // with -extract), and otherwise this tool prints an old/new/delta table for
 // every benchmark present in either capture.
 //
+// A capture taken with -count N holds N runs of each benchmark; every run
+// is kept. Each side prints its median and interquartile range, and a
+// delta is marked "~" (noise) when either side's median falls inside the
+// other side's interquartile range.
+//
 //	benchdiff OLD.json NEW.json     # comparison table
 //	benchdiff -extract CAP.json     # plain benchmark lines, benchstat format
 package main
@@ -14,18 +19,18 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// result is one benchmark's parsed measurements.
-type result struct {
-	nsPerOp     float64
-	bytesPerOp  float64
-	allocsPerOp float64
-	hasMem      bool
+// runs is one benchmark's measurements, one entry per run in capture
+// order.
+type runs struct {
+	nsPerOp     []float64
+	allocsPerOp []float64
 }
 
 // event is the subset of the `go test -json` stream benchdiff reads.
@@ -70,11 +75,12 @@ func benchLines(path string) ([]string, error) {
 	return lines, sc.Err()
 }
 
-// parse turns benchmark result lines into named results. A line reads
+// parse groups benchmark result lines by name, keeping every run. A line
+// reads
 //
 //	BenchmarkName-8  3  248532221 ns/op  241959616 B/op  365493 allocs/op ...
-func parse(lines []string) map[string]result {
-	out := make(map[string]result)
+func parse(lines []string) map[string]*runs {
+	out := make(map[string]*runs)
 	for _, line := range lines {
 		fields := strings.Fields(line)
 		if len(fields) < 4 {
@@ -86,7 +92,7 @@ func parse(lines []string) map[string]result {
 				name = name[:i] // strip -GOMAXPROCS suffix
 			}
 		}
-		var r result
+		ns, allocs := 0.0, 0.0
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -94,27 +100,83 @@ func parse(lines []string) map[string]result {
 			}
 			switch fields[i+1] {
 			case "ns/op":
-				r.nsPerOp = v
-			case "B/op":
-				r.bytesPerOp = v
-				r.hasMem = true
+				ns = v
 			case "allocs/op":
-				r.allocsPerOp = v
-				r.hasMem = true
+				allocs = v
 			}
 		}
-		if r.nsPerOp > 0 {
+		if ns <= 0 {
+			continue
+		}
+		r := out[name]
+		if r == nil {
+			r = &runs{}
 			out[name] = r
 		}
+		r.nsPerOp = append(r.nsPerOp, ns)
+		r.allocsPerOp = append(r.allocsPerOp, allocs)
 	}
 	return out
 }
 
-func delta(old, new float64) string {
-	if old == 0 {
+// summary is a sample's median and quartiles.
+type summary struct {
+	n           int
+	q1, med, q3 float64
+}
+
+// summarize returns the quartiles of xs, interpolating linearly between
+// the closest ranks.
+func summarize(xs []float64) summary {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	at := func(p float64) float64 {
+		pos := p * float64(len(s)-1)
+		i := int(pos)
+		if i+1 >= len(s) {
+			return s[len(s)-1]
+		}
+		return s[i] + (pos-float64(i))*(s[i+1]-s[i])
+	}
+	return summary{n: len(s), q1: at(0.25), med: at(0.5), q3: at(0.75)}
+}
+
+// noise reports whether either median falls inside the other side's
+// interquartile range.
+func noise(a, b summary) bool {
+	return (a.med >= b.q1 && a.med <= b.q3) || (b.med >= a.q1 && b.med <= a.q3)
+}
+
+// delta renders the change of the new median against the old one, marked
+// "~" when it is noise.
+func delta(old, new summary) string {
+	if old.med == 0 {
 		return "n/a"
 	}
-	return fmt.Sprintf("%+.1f%%", (new-old)/old*100)
+	d := fmt.Sprintf("%+.1f%%", (new.med-old.med)/old.med*100)
+	if noise(old, new) {
+		d += " ~"
+	}
+	return d
+}
+
+// duration renders nanoseconds with four significant digits in the
+// largest unit that keeps the value at least 1.
+func duration(ns float64) string {
+	switch {
+	case ns >= 1e9:
+		return fmt.Sprintf("%.4gs", ns/1e9)
+	case ns >= 1e6:
+		return fmt.Sprintf("%.4gms", ns/1e6)
+	case ns >= 1e3:
+		return fmt.Sprintf("%.4gus", ns/1e3)
+	}
+	return fmt.Sprintf("%.4gns", ns)
+}
+
+// spread renders a timing summary as "median [q1–q3] n".
+func spread(s summary) string {
+	return fmt.Sprintf("%s [%s–%s] n=%d", duration(s.med), duration(s.q1), duration(s.q3), s.n)
 }
 
 func main() {
@@ -147,35 +209,41 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchdiff: %s: %v\n", flag.Arg(1), err)
 		os.Exit(1)
 	}
-	olds, news := parse(oldLines), parse(newLines)
+	table(os.Stdout, parse(oldLines), parse(newLines))
+}
 
+// table prints one row per benchmark present in either capture: each
+// side's ns/op median and interquartile range, the time delta, each side's
+// median allocs/op and the allocation delta. "~" marks a delta inside the
+// noise.
+func table(w io.Writer, olds, news map[string]*runs) {
 	names := make([]string, 0, len(news))
-	seen := make(map[string]bool)
 	for n := range olds {
-		seen[n] = true
 		names = append(names, n)
 	}
 	for n := range news {
-		if !seen[n] {
+		if olds[n] == nil {
 			names = append(names, n)
 		}
 	}
 	sort.Strings(names)
 
-	fmt.Printf("%-36s %14s %14s %9s %14s %14s %9s\n",
-		"benchmark", "old ns/op", "new ns/op", "time", "old allocs/op", "new allocs/op", "allocs")
+	fmt.Fprintf(w, "%-44s %34s %34s %10s %13s %13s %10s\n",
+		"benchmark", "old ns/op median [IQR]", "new ns/op median [IQR]", "time", "old allocs/op", "new allocs/op", "allocs")
 	for _, n := range names {
-		o, haveOld := olds[n]
-		nw, haveNew := news[n]
+		o, nw := olds[n], news[n]
 		switch {
-		case !haveOld:
-			fmt.Printf("%-36s %14s %14.0f %9s %14s %14.0f %9s\n", n, "-", nw.nsPerOp, "new", "-", nw.allocsPerOp, "new")
-		case !haveNew:
-			fmt.Printf("%-36s %14.0f %14s %9s %14.0f %14s %9s\n", n, o.nsPerOp, "-", "gone", o.allocsPerOp, "-", "gone")
+		case o == nil:
+			ns, al := summarize(nw.nsPerOp), summarize(nw.allocsPerOp)
+			fmt.Fprintf(w, "%-44s %34s %34s %10s %13s %13.0f %10s\n", n, "-", spread(ns), "new", "-", al.med, "new")
+		case nw == nil:
+			ns, al := summarize(o.nsPerOp), summarize(o.allocsPerOp)
+			fmt.Fprintf(w, "%-44s %34s %34s %10s %13.0f %13s %10s\n", n, spread(ns), "-", "gone", al.med, "-", "gone")
 		default:
-			fmt.Printf("%-36s %14.0f %14.0f %9s %14.0f %14.0f %9s\n",
-				n, o.nsPerOp, nw.nsPerOp, delta(o.nsPerOp, nw.nsPerOp),
-				o.allocsPerOp, nw.allocsPerOp, delta(o.allocsPerOp, nw.allocsPerOp))
+			ons, nns := summarize(o.nsPerOp), summarize(nw.nsPerOp)
+			oal, nal := summarize(o.allocsPerOp), summarize(nw.allocsPerOp)
+			fmt.Fprintf(w, "%-44s %34s %34s %10s %13.0f %13.0f %10s\n",
+				n, spread(ons), spread(nns), delta(ons, nns), oal.med, nal.med, delta(oal, nal))
 		}
 	}
 }

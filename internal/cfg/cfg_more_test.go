@@ -79,12 +79,18 @@ func TestLivenessGuardIsUse(t *testing.T) {
 	mov := f.EmitMovI(b1, r, 5)
 	mov.Guard = p
 	f.EmitRet(b1)
-	lv := ComputeLiveness(New(f))
+	g := New(f)
+	lv := ComputeLiveness(g)
 	if !lv.LiveIn[b1.ID].Has(p) {
 		t.Fatal("guard predicate not live-in")
 	}
-	if !lv.LiveOut[b0.ID].Has(p) {
-		t.Fatal("guard predicate not live-out of its def block")
+	for _, s := range g.Succs[b0.ID] {
+		if !lv.LiveIn[s].Has(p) {
+			t.Fatalf("guard predicate not live-out of its def block (not live-in at bb%d)", s)
+		}
+	}
+	if lv.LiveIn[b0.ID].Has(p) {
+		t.Fatal("guard predicate is defined in bb0; must not be live-in there")
 	}
 }
 

@@ -181,12 +181,18 @@ func TestLivenessDiamond(t *testing.T) {
 	if !lv.LiveIn[3].Has(r1) || !lv.LiveIn[3].Has(r2) {
 		t.Error("r1/r2 must be live-in at merge")
 	}
-	if !lv.LiveOut[1].Has(r1) || !lv.LiveOut[2].Has(r1) {
-		t.Error("r1 must be live-out of both arms")
+	// r1 is live-out of both arms: live-in at each arm's successors.
+	for _, arm := range []ir.BlockID{1, 2} {
+		for _, s := range g.Succs[arm] {
+			if !lv.LiveIn[s].Has(r1) {
+				t.Errorf("r1 must be live-out of bb%d (live-in at bb%d)", arm, s)
+			}
+		}
 	}
-	// Nothing is live out of the exit block.
-	if !lv.LiveOut[3].Empty() {
-		t.Errorf("live-out of exit has %d regs, want empty", lv.LiveOut[3].Count())
+	// Nothing flows into the exit block from beyond it: its live-in is
+	// exactly what it reads.
+	if len(g.Succs[3]) != 0 || lv.LiveIn[3].Count() != 2 {
+		t.Errorf("exit bb3 has %d successors and %d live-in regs, want 0 and 2", len(g.Succs[3]), lv.LiveIn[3].Count())
 	}
 	// The predicate is consumed in bb0 and dead beyond it.
 	p := ir.Pred(0)
@@ -211,8 +217,10 @@ func TestLivenessKill(t *testing.T) {
 	if lv.LiveIn[1].Has(r0) {
 		t.Error("r0 is redefined before use in bb1; must not be live-in")
 	}
-	if lv.LiveOut[0].Has(r0) {
-		t.Error("r0 must not be live-out of bb0")
+	for _, s := range g.Succs[0] {
+		if lv.LiveIn[s].Has(r0) {
+			t.Errorf("r0 must not be live-out of bb0 (live-in at bb%d)", s)
+		}
 	}
 }
 
@@ -222,9 +230,13 @@ func TestLivenessLoop(t *testing.T) {
 	lv := ComputeLiveness(g)
 	r := ir.GPR(0)
 	// r is used and defined in the loop body; it must be live around the
-	// back edge, i.e. live-out of bb1 and live-in at bb1.
-	if !lv.LiveOut[1].Has(r) || !lv.LiveIn[1].Has(r) {
+	// back edge bb1→bb1, i.e. live-in at the edge's head, and dead on the
+	// exit edge bb1→bb2.
+	if !lv.LiveIn[1].Has(r) {
 		t.Error("loop-carried register must be live around the back edge")
+	}
+	if lv.LiveIn[2].Has(r) {
+		t.Error("loop-carried register must be dead on the exit edge")
 	}
 }
 

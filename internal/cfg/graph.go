@@ -12,16 +12,22 @@ import "treegion/internal/ir"
 // Graph caches the structural views of a function's CFG that every analysis
 // needs: successor and predecessor lists and a reverse postorder.
 type Graph struct {
-	Fn    *ir.Function
-	Succs [][]ir.BlockID // indexed by BlockID
-	Preds [][]ir.BlockID // indexed by BlockID
+	Fn *ir.Function
+	// Succs and Preds are indexed by BlockID. Each kind of list is carved
+	// from one slab with its capacity capped at its length, so a caller
+	// that appends to a copy of a list gets a fresh array and never writes
+	// into the graph.
+	Succs [][]ir.BlockID
+	Preds [][]ir.BlockID
 	// RPO is a reverse postorder over blocks reachable from the entry.
 	RPO []ir.BlockID
 	// RPONum[b] is b's position in RPO, or -1 if b is unreachable.
 	RPONum []int
 }
 
-// New builds the structural snapshot for fn.
+// New builds the structural snapshot for fn. Its allocations do not
+// depend on the block count: successors and predecessors each fill one
+// slab sized to the edge count.
 func New(fn *ir.Function) *Graph {
 	n := len(fn.Blocks)
 	g := &Graph{
@@ -30,22 +36,42 @@ func New(fn *ir.Function) *Graph {
 		Preds:  make([][]ir.BlockID, n),
 		RPONum: make([]int, n),
 	}
+	edges := 0
 	for _, b := range fn.Blocks {
-		g.Succs[b.ID] = b.Succs()
+		edges += b.NumSuccs()
+	}
+	succs := make([]ir.BlockID, 0, edges)
+	for _, b := range fn.Blocks {
+		lo := len(succs)
+		succs = b.AppendSuccs(succs)
+		g.Succs[b.ID] = succs[lo:len(succs):len(succs)]
+	}
+	// Predecessors by counting sort over the successor slab, in block
+	// order. RPONum counts each block's in-edges until the DFS below.
+	for _, s := range succs {
+		g.RPONum[s]++
+	}
+	preds := make([]ir.BlockID, edges)
+	lo := 0
+	for i, c := range g.RPONum {
+		g.Preds[i] = preds[lo : lo : lo+c]
+		lo += c
 	}
 	for _, b := range fn.Blocks {
 		for _, s := range g.Succs[b.ID] {
 			g.Preds[s] = append(g.Preds[s], b.ID)
 		}
 	}
-	// Iterative postorder DFS from the entry, then reverse.
-	post := make([]ir.BlockID, 0, n)
+
+	// Iterative postorder DFS from the entry, reversed in place.
+	g.RPO = make([]ir.BlockID, 0, n)
 	state := make([]uint8, n) // 0 unvisited, 1 on stack, 2 done
 	type frame struct {
 		b ir.BlockID
 		i int
 	}
-	stack := []frame{{fn.Entry, 0}}
+	stack := make([]frame, 1, n)
+	stack[0] = frame{fn.Entry, 0}
 	state[fn.Entry] = 1
 	for len(stack) > 0 {
 		top := &stack[len(stack)-1]
@@ -59,12 +85,11 @@ func New(fn *ir.Function) *Graph {
 			continue
 		}
 		state[top.b] = 2
-		post = append(post, top.b)
+		g.RPO = append(g.RPO, top.b)
 		stack = stack[:len(stack)-1]
 	}
-	g.RPO = make([]ir.BlockID, len(post))
-	for i := range post {
-		g.RPO[i] = post[len(post)-1-i]
+	for i, j := 0, len(g.RPO)-1; i < j; i, j = i+1, j-1 {
+		g.RPO[i], g.RPO[j] = g.RPO[j], g.RPO[i]
 	}
 	for i := range g.RPONum {
 		g.RPONum[i] = -1

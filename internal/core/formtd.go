@@ -183,8 +183,9 @@ func (e *expander) retargetPreds(p, sap ir.BlockID, dup *ir.Block) {
 			break
 		}
 	}
+	f.grow()
 	f.preds[dup.ID] = []ir.BlockID{p}
-	for _, s := range dup.Succs() {
+	for _, s := range f.succsOf(dup.ID) {
 		f.preds[s] = append(f.preds[s], dup.ID)
 	}
 }

@@ -4,6 +4,8 @@
 package core
 
 import (
+	"slices"
+
 	"treegion/internal/cfg"
 	"treegion/internal/ir"
 	"treegion/internal/region"
@@ -47,24 +49,36 @@ type former struct {
 	// part is the partition every region of fn is formed over, the
 	// former's only record of which blocks are taken.
 	part *region.Partition
-	// preds is maintained incrementally so treeform-td sees merge counts
-	// that reflect its own tail duplications.
-	preds map[ir.BlockID][]ir.BlockID
+	// preds, indexed by BlockID, starts as g.Preds and is maintained
+	// incrementally so treeform-td sees merge counts that reflect its own
+	// tail duplications and the rewriter's splices. The graph's lists are
+	// capped, so editing one here copies it and g is never written.
+	preds [][]ir.BlockID
+	// succs is succsOf's scratch buffer.
+	succs []ir.BlockID
 }
 
 func newFormer(fn *ir.Function, g *cfg.Graph) *former {
-	f := &former{
+	return &former{
 		fn:    fn,
 		g:     g,
 		part:  region.NewPartition(fn),
-		preds: make(map[ir.BlockID][]ir.BlockID, len(fn.Blocks)),
+		preds: append([][]ir.BlockID(nil), g.Preds...),
 	}
-	for _, b := range fn.Blocks {
-		for _, s := range b.Succs() {
-			f.preds[s] = append(f.preds[s], b.ID)
-		}
+}
+
+// grow gives blocks appended since the last call empty predecessor lists.
+func (f *former) grow() {
+	for len(f.preds) < len(f.fn.Blocks) {
+		f.preds = append(f.preds, nil)
 	}
-	return f
+}
+
+// succsOf returns b's successors in arm order, in a buffer that is valid
+// until the next call.
+func (f *former) succsOf(b ir.BlockID) []ir.BlockID {
+	f.succs = f.fn.Block(b).AppendSuccs(f.succs[:0])
+	return f.succs
 }
 
 // isMerge consults the live predecessor bookkeeping.
@@ -93,6 +107,7 @@ func (f *former) entered(b ir.BlockID) {
 			}
 		}
 	}
+	f.grow()
 	for _, nb := range f.fn.Blocks[n0:] {
 		for _, s := range nb.Succs() {
 			f.preds[s] = append(f.preds[s], nb.ID)
@@ -142,7 +157,7 @@ func (f *former) absorb(r *region.Region, start ir.BlockID) {
 	type cand struct{ node, parent ir.BlockID }
 	var stack []cand
 	push := func(b ir.BlockID) {
-		succs := f.fn.Block(b).Succs()
+		succs := f.succsOf(b)
 		// Push in reverse so the first successor is processed first.
 		for i := len(succs) - 1; i >= 0; i-- {
 			stack = append(stack, cand{succs[i], b})
@@ -168,11 +183,9 @@ func (f *former) absorb(r *region.Region, start ir.BlockID) {
 // in any region — the merge points that delimit this tree.
 func (f *former) saplings(r *region.Region) []ir.BlockID {
 	var out []ir.BlockID
-	seen := make(map[ir.BlockID]bool)
 	for _, b := range r.Blocks {
-		for _, s := range f.fn.Block(b).Succs() {
-			if f.part.Owner(s) == nil && !seen[s] {
-				seen[s] = true
+		for _, s := range f.succsOf(b) {
+			if f.part.Owner(s) == nil && !slices.Contains(out, s) {
 				out = append(out, s)
 			}
 		}

@@ -187,13 +187,21 @@ func CompileFunctionArena(fn *ir.Function, prof *profile.Data, c Config, ar *Are
 	if in != nil {
 		rw = in
 	}
+	// g is the CFG snapshot formation reads. SLR and treeform without a
+	// rewriter leave the function as it was, so liveness reads g too.
+	var g *cfg.Graph
 	switch c.Kind {
 	case BasicBlocks:
 		res.Regions = linear.BasicBlocks(fn)
 	case SLR:
-		res.Regions = linear.SLRs(fn, cfg.New(fn), prof)
+		g = cfg.New(fn)
+		res.Regions = linear.SLRs(fn, g, prof)
 	case Treegion:
-		res.Regions = core.FormInline(fn, cfg.New(fn), rw)
+		g = cfg.New(fn)
+		res.Regions = core.FormInline(fn, g, rw)
+		if rw != nil {
+			g = nil
+		}
 	case Superblock:
 		sb := c.SB
 		if sb.MaxTraceLen == 0 && sb.ExpansionLimit == 0 {
@@ -224,7 +232,10 @@ func CompileFunctionArena(fn *ir.Function, prof *profile.Data, c Config, ar *Are
 		return nil, fmt.Errorf("eval: %s: %w", fn.Name, err)
 	}
 	t0 = time.Now()
-	lv := cfg.ComputeLiveness(cfg.New(fn))
+	if g == nil {
+		g = cfg.New(fn)
+	}
+	lv := cfg.ComputeLiveness(g)
 	tr.Observe(telemetry.PhaseLiveness, time.Since(t0), res.OpsAfter)
 	for _, r := range res.Regions {
 		t0 = time.Now()

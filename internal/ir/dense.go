@@ -2,17 +2,16 @@ package ir
 
 // Dense numbering tables. Op IDs are already dense per function (NewOp hands
 // them out sequentially), and virtual registers are dense per class; the hot
-// analyses (liveness, DDG construction, scheduling) exploit both to replace
-// pointer- and struct-keyed maps with flat slices and bitsets. The tables
-// here are snapshots: they cover everything allocated at the time they are
-// taken, and deliberately map later allocations (e.g. registers minted by
-// scheduler renaming after a liveness snapshot) to -1, which set lookups
-// treat as "absent".
+// analyses exploit both to replace pointer- and struct-keyed maps with flat
+// slices and bitsets. The table here is a snapshot: it covers everything
+// allocated at the time it is taken, and deliberately maps later
+// allocations to -1, which lookups treat as "absent".
 
 // RegIndex maps virtual registers to dense indices 0..Len()-1 across all
-// register classes, so register sets pack into bitset words. Take the index
-// with Function.RegIndexTable once per analysis; registers allocated after
-// the snapshot map to -1.
+// register classes, so a table over every register of a function is one
+// flat slice (the inliner renames a callee's registers through one). Take
+// the index with Function.RegIndexTable once per use; registers allocated
+// after the snapshot map to -1.
 type RegIndex struct {
 	// offset[c] is the dense index of register {class c, num 0}.
 	offset [5]int

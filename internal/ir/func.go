@@ -84,6 +84,10 @@ func (f *Function) NoteReg(r Reg) {
 	}
 }
 
+// NumRegs returns the allocator's high-water mark for class c: NewReg and
+// NoteReg have handed out only numbers below it.
+func (f *Function) NumRegs(c RegClass) int { return f.nextReg[c] }
+
 // NumOps returns the total op count across all blocks (static code size).
 func (f *Function) NumOps() int {
 	n := 0

@@ -140,6 +140,25 @@ func (s *FuncSnapshot) Build() (*Function, error) {
 	if int(s.Entry) < 0 || int(s.Entry) >= len(s.Blocks) {
 		return nil, fmt.Errorf("ir: snapshot entry bb%d out of range", s.Entry)
 	}
+	// Registers index per-class tables by class and number, so a class no
+	// builder produces or a negative number is corruption, not a register.
+	for c, n := range s.NextReg {
+		if n < 0 {
+			return nil, fmt.Errorf("ir: snapshot: negative register count %d for class %d", n, c)
+		}
+	}
+	for _, regs := range [][]Reg{s.Params, s.Rets, s.Regs} {
+		for _, r := range regs {
+			if err := checkSnapReg(r); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for i := range s.Ops {
+		if err := checkSnapReg(s.Ops[i].Guard); err != nil {
+			return nil, err
+		}
+	}
 
 	f := &Function{
 		Name:      s.Name,
@@ -200,4 +219,13 @@ func (s *FuncSnapshot) Build() (*Function, error) {
 		f.Blocks[i] = nb
 	}
 	return f, nil
+}
+
+// checkSnapReg rejects a register with a class outside [ClassNone,
+// ClassFPR] or a negative number.
+func checkSnapReg(r Reg) error {
+	if r.Class > ClassFPR || r.Num < 0 {
+		return fmt.Errorf("ir: snapshot: bad register (class %d, number %d)", r.Class, r.Num)
+	}
+	return nil
 }

@@ -113,6 +113,23 @@ func putRow(body []byte, i int, row [3]uint64) {
 	le.PutUint64(p[16:], row[2])
 }
 
+// funcSectionEnd returns the payload offset just past the function
+// section, whose last bytes are its operand register records.
+func funcSectionEnd(t *testing.T, body []byte) int {
+	t.Helper()
+	_, rows := sectionTable(t, body)
+	for _, r := range rows {
+		if r[0] == secFunc {
+			if r[2] < regRecSize {
+				t.Fatal("function section too small")
+			}
+			return int(r[1] + r[2])
+		}
+	}
+	t.Fatal("no function section")
+	return 0
+}
+
 // secondRegionEnd returns the payload offset just past region 1's block
 // records in the regions section.
 func secondRegionEnd(t *testing.T, body []byte) int {
@@ -153,10 +170,10 @@ func TestDecodeRegionsRejectsUncovered(t *testing.T) {
 
 // TestCorruptSectionFixtures: every malformed-section-table shape — a table
 // truncated mid-row, an offset pointing past the payload, overlapping
-// section ranges, a gap between sections — and region records that overlap
-// must decode to an error (which
-// the store turns into a quarantined miss), never a panic, and never a
-// result built from garbage.
+// section ranges, a gap between sections — region records that overlap,
+// and register records with an unknown class or a negative number must
+// decode to an error (which the store turns into a quarantined miss),
+// never a panic, and never a result built from garbage.
 func TestCorruptSectionFixtures(t *testing.T) {
 	_, fr := compiled(t)
 	body, err := encode(fr)
@@ -209,6 +226,17 @@ func TestCorruptSectionFixtures(t *testing.T) {
 		},
 		"section-count-overflow": func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[4:], maxSections+1)
+			return b
+		},
+		"bad-register-class": func(b []byte) []byte {
+			// The function section ends with the operand register records
+			// (u8 class + i32 number); give the last one class 9.
+			b[funcSectionEnd(t, b)-regRecSize] = 9
+			return b
+		},
+		"negative-register": func(b []byte) []byte {
+			n := int32(-7)
+			binary.LittleEndian.PutUint32(b[funcSectionEnd(t, b)-regRecSize+1:], uint32(n))
 			return b
 		},
 		"overlapping-regions": func(b []byte) []byte {
