@@ -76,8 +76,10 @@ bench-compare:
 # over the concurrency-heavy subsystems (artifact store with its tgart2
 # codec tests, job queue, singleflight cache, daemon endpoints, telemetry
 # registry, and the eval.Arena/ddg.Scratch/sched.Scratch reuse paths that
-# each pipeline worker keeps across its chunk of functions) and one racing
-# pass over the hot-path micro-benchmarks.
+# each pipeline worker keeps across every function it compiles) and one
+# racing pass over the hot-path micro-benchmarks.
+# The pipeline's done-channel relay (workers close done[i], the caller emits
+# in index order) races twenty times over, panics and cancellation included.
 # The inliner and the call-executing interpreter race here because pipeline
 # workers run splices concurrently across functions of one program; the
 # verifier races beside them because every pipeline worker runs it
@@ -95,6 +97,7 @@ bench-compare:
 check: lint build test
 	$(GO) test -race -short ./internal/store/ ./internal/eval/
 	$(GO) test -race ./internal/jobs/ ./internal/compcache/ ./internal/pipeline/ ./internal/router/ ./cmd/treegiond/
+	$(GO) test -race -count 20 -run 'CompileEach|PanicDropsWorkerArena|ContextCancellation|FirstErrorByIndex' ./internal/pipeline/
 	$(GO) test -race ./internal/telemetry/ ./internal/ddg/ ./internal/sched/
 	$(GO) test -race ./internal/inline/ ./internal/interp/ ./internal/verify/
 	$(GO) test -race -run NONE -bench 'BenchmarkColdCompile' -benchtime 1x .

@@ -285,9 +285,9 @@ func serialSuiteSeconds(b *testing.B, s *Suite) float64 {
 }
 
 // BenchmarkCompileSuiteParallel compiles the 8-benchmark suite on the
-// batched work-stealing pool at several worker counts and reports each
-// run's wall-clock ratio over the serial baseline. The workers=1 sub-bench
-// runs compileMany's one worker on the caller's goroutine, so it ties the
+// pipeline at several worker counts and reports each run's wall-clock
+// ratio over the serial baseline. The workers=1 sub-bench runs the
+// pipeline's one worker on the caller's goroutine, so it ties the
 // baseline by construction; its metric is labelled serial-tie
 // rather than speedup-vs-serial so the regression gate reads it as a
 // dispatch-overhead check, not a parallel loss. The parallel metrics are
@@ -320,8 +320,8 @@ func BenchmarkCompileSuiteParallel(b *testing.B) {
 // functions, ~7000 ops each — an order of magnitude past the largest suite
 // benchmark) at 8 workers, reporting speedup-vs-serial against a 1-worker
 // pass over the same program. This is the scale-out headline number: large
-// independent functions are the work-stealing pool's best case, and the
-// per-worker arena reuse pays off most on functions this size.
+// independent functions are the pipeline's best case, and the per-worker
+// arena reuse pays off most on functions this size.
 func BenchmarkCompileStress(b *testing.B) {
 	stressOnce.Do(func() {
 		stressProg, stressErr = GenerateBenchmark("stress")

@@ -79,7 +79,6 @@ func newServer(cfg serverConfig) (*server, error) {
 		Workers:  cfg.jobWorkers,
 		Capacity: cfg.jobQueue,
 		Timeout:  cfg.jobTimeout,
-		Retries:  2,
 		Journal:  journal,
 		Run:      s.runJob,
 	})

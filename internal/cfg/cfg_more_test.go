@@ -2,7 +2,6 @@ package cfg
 
 import (
 	"testing"
-	"testing/quick"
 
 	"treegion/internal/ir"
 )
@@ -29,27 +28,6 @@ func nestedLoops(t *testing.T) *ir.Function {
 		t.Fatal(err)
 	}
 	return f
-}
-
-func TestDominatorsNestedLoops(t *testing.T) {
-	f := nestedLoops(t)
-	g := New(f)
-	d := Dominators(g)
-	// pre dominates everything; h1 dominates h2, b2, after; h2 dominates b2.
-	for b := ir.BlockID(1); b < 6; b++ {
-		if !d.Dominates(0, b) {
-			t.Errorf("pre must dominate bb%d", b)
-		}
-	}
-	if !d.Dominates(1, 3) || !d.Dominates(1, 5) {
-		t.Error("outer header must dominate inner header and exit")
-	}
-	if !d.Dominates(3, 4) {
-		t.Error("inner header must dominate inner body")
-	}
-	if d.Dominates(4, 3) {
-		t.Error("inner body must not dominate inner header")
-	}
 }
 
 func TestBackEdgesNested(t *testing.T) {
@@ -119,52 +97,5 @@ func TestLivenessGuardedDefDoesNotKill(t *testing.T) {
 	lv = ComputeLiveness(New(f))
 	if lv.LiveIn[b1.ID].Has(r) {
 		t.Fatal("unguarded def must kill")
-	}
-}
-
-// Property: dominance is reflexive and antisymmetric on random chains with
-// a random skip edge.
-func TestDominanceProperties(t *testing.T) {
-	fn := func(skipFrom, skipTo uint8) bool {
-		const n = 8
-		f := ir.NewFunction("q")
-		blocks := make([]*ir.Block, n)
-		for i := range blocks {
-			blocks[i] = f.NewBlock()
-		}
-		for i := 0; i < n-1; i++ {
-			blocks[i].FallThrough = blocks[i+1].ID
-		}
-		f.EmitRet(blocks[n-1])
-		from := int(skipFrom) % (n - 2)
-		to := from + 2 + int(skipTo)%(n-from-2)
-		p := f.NewReg(ir.ClassPred)
-		// Insert the branch before the fallthrough chain op ordering rules:
-		f.EmitBrct(blocks[from], ir.NoReg, p, blocks[to].ID, 0.5)
-		if err := f.Validate(); err != nil {
-			return true // skip malformed combinations (duplicate succ)
-		}
-		g := New(f)
-		d := Dominators(g)
-		for i := 0; i < n; i++ {
-			if !d.Dominates(ir.BlockID(i), ir.BlockID(i)) {
-				return false
-			}
-			for j := i + 1; j < n; j++ {
-				if d.Dominates(ir.BlockID(i), ir.BlockID(j)) && d.Dominates(ir.BlockID(j), ir.BlockID(i)) {
-					return false
-				}
-			}
-		}
-		// Entry dominates all reachable blocks.
-		for i := 1; i < n; i++ {
-			if g.Reachable(ir.BlockID(i)) && !d.Dominates(0, ir.BlockID(i)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(fn, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }

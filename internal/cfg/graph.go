@@ -1,6 +1,6 @@
 // Package cfg provides control-flow-graph analyses over ir.Functions:
-// predecessor maps, reverse postorder, dominators, liveness, merge points and
-// back-edge detection. Region formation and the scheduler consume these.
+// predecessor lists, reverse postorder, liveness, merge points and back-edge
+// detection. Region formation and the scheduler consume these.
 //
 // All analyses are snapshots: they are computed from the function's current
 // shape and are not updated when the function mutates. Transformations that
@@ -107,9 +107,6 @@ func (g *Graph) Reachable(b ir.BlockID) bool { return g.RPONum[b] >= 0 }
 // treegion formation stops at merge points.) The entry block is never a
 // merge point unless something branches back to it.
 func (g *Graph) IsMergePoint(b ir.BlockID) bool { return len(g.Preds[b]) >= 2 }
-
-// MergeCount returns the number of incoming edges of b.
-func (g *Graph) MergeCount(b ir.BlockID) int { return len(g.Preds[b]) }
 
 // BackEdges returns the back edges (tail→head) of the reachable CFG, found
 // via DFS edge classification. A treegion can never contain one (merge

@@ -373,19 +373,6 @@ func (b *builder) resolver(bid ir.BlockID) *Node {
 func (b *builder) liveExitEdges() {
 	r := b.g.Region
 	lv := b.opts.Liveness
-	if lv == nil {
-		// Without liveness (renaming disabled and no analysis supplied) we
-		// fall back to the conservative rule: everything precedes its own
-		// block's terminators.
-		for _, bid := range r.Blocks {
-			for _, n := range b.bodyNodes(bid) {
-				for _, t := range b.termNodes(bid) {
-					b.addEdge(n, t, 0, EdgeLive)
-				}
-			}
-		}
-		return
-	}
 	for _, bid := range r.Blocks {
 		b.subtreeBuf = b.appendSubtree(b.subtreeBuf[:0], bid)
 		sub := b.subtreeBuf

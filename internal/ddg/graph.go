@@ -25,17 +25,16 @@
 // speculation mechanism.
 //
 // The graph is slab-allocated: all Nodes live in one array, all edges in two
-// (successor and predecessor sides), and per-op lookups go through dense
-// op-ID tables instead of pointer-keyed maps. Edges are accumulated as flat
-// (from, to) records during the build and installed in one counting-sort
-// pass that preserves insertion order, which downstream consumers (verifier,
-// store serialization) iterate and therefore must be deterministic.
+// (successor and predecessor sides), and the builder's per-op lookups go
+// through dense op-ID tables instead of pointer-keyed maps. Edges are
+// accumulated as flat (from, to) records during the build and installed in
+// one counting-sort pass that preserves insertion order, which downstream
+// consumers (verifier, store serialization) iterate and therefore must be
+// deterministic.
 package ddg
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"treegion/internal/cfg"
 	"treegion/internal/ir"
@@ -123,63 +122,22 @@ type Graph struct {
 	Region *region.Region
 	Nodes  []*Node
 
-	// byID maps op.ID → node index + 1 (0 = no node). Op IDs are dense per
-	// function, so this replaces the old map[*ir.Op]*Node. It is built
-	// lazily on the first NodeOf: the table costs one entry per op ID up to
-	// the largest among the nodes, and the compile path never takes a
-	// NodeOf lookup at all (the simulator does). The hand-rolled
-	// double-checked guard (rather than sync.Once) keeps NodeOf's fast path
-	// allocation-free: a method-value closure per call would dwarf the
-	// lookup itself in the simulator's inner loop.
-	indexed atomic.Bool
-	indexMu sync.Mutex
-	byID    []int32
-
 	// Transformation statistics.
 	NumRenamed int // ops whose destination was renamed
 	NumCopies  int // compensation copies inserted
 	NumMerged  int // duplicate ops eliminated by dominator parallelism
 }
 
-// NodeOf returns the node for op, or nil (eliminated or foreign op). The
-// identity check guards against an op from a different function whose dense
-// ID happens to collide. Safe for concurrent use once the graph is built.
+// NodeOf returns the node for op, or nil (eliminated or foreign op). It
+// scans Nodes: the compile path never looks a node up by op, and the
+// simulator does so once per region exit.
 func (g *Graph) NodeOf(op *ir.Op) *Node {
-	if !g.indexed.Load() {
-		g.indexMu.Lock()
-		if !g.indexed.Load() {
-			g.indexNodes()
-			g.indexed.Store(true)
+	for _, n := range g.Nodes {
+		if n.Op == op {
+			return n
 		}
-		g.indexMu.Unlock()
-	}
-	if op == nil || op.ID < 0 || op.ID >= len(g.byID) {
-		return nil
-	}
-	k := g.byID[op.ID]
-	if k == 0 {
-		return nil
-	}
-	if n := g.Nodes[k-1]; n.Op == op {
-		return n
 	}
 	return nil
-}
-
-// indexNodes builds the dense op-ID lookup from g.Nodes, sized to the
-// largest op ID among them (no scan of the function). Only the NodeOf guard
-// may call it; Nodes must not change afterwards.
-func (g *Graph) indexNodes() {
-	bound := 0
-	for _, n := range g.Nodes {
-		bound = max(bound, n.Op.ID+1)
-	}
-	g.byID = make([]int32, bound)
-	for i, n := range g.Nodes {
-		if n.Op.ID >= 0 {
-			g.byID[n.Op.ID] = int32(i + 1)
-		}
-	}
 }
 
 // edgeRec is one pending dependence edge, by node index. Edges are recorded
@@ -227,8 +185,7 @@ type Options struct {
 	Rename bool
 	// DominatorParallelism enables duplicate merging (Section 4).
 	DominatorParallelism bool
-	// Liveness must cover the current function when Rename or
-	// DominatorParallelism is set.
+	// Liveness must cover the current function; Build requires it.
 	Liveness *cfg.Liveness
 	// Profile supplies node weights for the profile-driven heuristics; nil
 	// means all weights zero.
@@ -248,11 +205,8 @@ func Build(fn *ir.Function, r *region.Region, opts Options) (*Graph, error) {
 // caller-owned Scratch. Its cost is O(region): nothing it touches is sized
 // to, or scanned over, the whole function (see Scratch).
 func BuildScratch(fn *ir.Function, r *region.Region, opts Options, sc *Scratch) (*Graph, error) {
-	if opts.DominatorParallelism && opts.Liveness == nil {
-		return nil, fmt.Errorf("ddg: dominator parallelism requires liveness")
-	}
-	if opts.Rename && opts.Liveness == nil {
-		return nil, fmt.Errorf("ddg: renaming requires liveness")
+	if opts.Liveness == nil {
+		return nil, fmt.Errorf("ddg: build requires liveness")
 	}
 	g := &Graph{Fn: fn, Region: r}
 	b := &sc.builder
@@ -260,14 +214,13 @@ func BuildScratch(fn *ir.Function, r *region.Region, opts Options, sc *Scratch) 
 	if opts.DominatorParallelism {
 		b.mergeDominatorParallel()
 	}
+	b.buildDefBits()
 	if opts.Rename {
-		b.buildDefBits()
 		b.rename()
-	} else if opts.Liveness != nil {
+	} else {
 		// Restricted speculation (IMPACT-style superblock scheduling): with
 		// no compile-time renaming, an op whose destination is live on some
 		// other path must not be hoisted above the diverging branch — pin it.
-		b.buildDefBits()
 		b.pinConflicting()
 	}
 	b.buildEffective()
@@ -300,7 +253,6 @@ type blkRange struct {
 type builder struct {
 	g    *Graph
 	opts Options
-	busy bool // between begin and finish
 
 	// Function-indexed tables, all-zero between builds.
 	marks  []opMark   // by op.ID; ops minted mid-build stay unmarked

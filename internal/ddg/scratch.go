@@ -5,9 +5,9 @@ import "treegion/internal/ir"
 // Scratch holds the builder's reusable working set: every table and buffer
 // that does NOT escape into the returned Graph. A compile passes one Scratch
 // to every BuildScratch call of a function, and a pipeline worker keeps it
-// across its whole chunk of functions. The Graph-owned allocations (the
-// Node slab, the Succs/Preds edge slabs, the NodeOf index) are always fresh:
-// results outlive the scratch.
+// across every function it compiles. The Graph-owned allocations (the Node
+// slab, the Succs/Preds edge slabs) are always fresh: results outlive the
+// scratch.
 //
 // Each build costs O(region), whatever the size of the function around it
 // (DESIGN.md §17). The tables come in two kinds:
@@ -23,7 +23,9 @@ import "treegion/internal/ir"
 //     region-local register numbering assigned on first sight. Registers
 //     that renaming mints mid-build are numbered like any other.
 //
-// A Scratch must not be shared between concurrent builds.
+// A build that panics never reaches the reset, so a Scratch whose call
+// panicked must be discarded. A Scratch must not be shared between
+// concurrent builds.
 type Scratch struct {
 	builder
 }
@@ -64,19 +66,8 @@ func growClear[T any](buf []T, n int) []T {
 	return buf
 }
 
-// begin readies the builder for one build of g. A build that never
-// reached finish (a panic the caller recovered from) leaves logged entries
-// behind, so the function-indexed tables are then swept in full.
+// begin readies the builder for one build of g.
 func (b *builder) begin(g *Graph, opts Options) {
-	if b.busy {
-		clear(b.marks)
-		for c := range b.regNum {
-			clear(b.regNum[c])
-		}
-		b.marked = b.marked[:0]
-		b.regOf = b.regOf[:0]
-	}
-	b.busy = true
 	b.g, b.opts = g, opts
 	clear(b.moved)
 	b.recs = b.recs[:0]
@@ -95,7 +86,6 @@ func (b *builder) finish() {
 	}
 	b.regOf = b.regOf[:0]
 	b.g, b.w.nodes, b.w.lastStore = nil, nil, nil
-	b.busy = false
 }
 
 // markOf returns op's mark (zero for ops minted after the build began).

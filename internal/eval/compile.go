@@ -162,8 +162,8 @@ func CompileFunction(fn *ir.Function, prof *profile.Data, c Config) (*FunctionRe
 }
 
 // CompileFunctionArena is CompileFunction compiling through a caller-owned
-// scratch arena. The batched pipeline gives each worker one arena and
-// reuses it across the worker's whole chunk of functions.
+// scratch arena. The pipeline gives each worker one arena and reuses it
+// across every function the worker compiles.
 func CompileFunctionArena(fn *ir.Function, prof *profile.Data, c Config, ar *Arena) (*FunctionResult, error) {
 	tr := telemetry.NewTrace(fn.Name)
 	res := &FunctionResult{Fn: fn, Prof: prof, OpsBefore: fn.NumOps(), Trace: tr}

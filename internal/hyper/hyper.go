@@ -16,6 +16,7 @@
 package hyper
 
 import (
+	"treegion/internal/cfg"
 	"treegion/internal/ir"
 	"treegion/internal/profile"
 )
@@ -55,11 +56,11 @@ func IfConvert(fn *ir.Function, prof *profile.Data, c Config) Stats {
 	var st Stats
 	for pass := 0; pass < c.MaxPasses; pass++ {
 		changed := false
-		preds := computePreds(fn)
+		preds := cfg.New(fn).Preds
 		for _, head := range fn.Blocks {
 			if convertOne(fn, prof, preds, head, c, &st) {
 				changed = true
-				preds = computePreds(fn)
+				preds = cfg.New(fn).Preds
 			}
 		}
 		if !changed {
@@ -74,7 +75,7 @@ func IfConvert(fn *ir.Function, prof *profile.Data, c Config) Stats {
 //
 //	triangle: head --br--> T -> J,  head -> J        (if-then)
 //	diamond:  head --br--> T -> J,  head -> E -> J   (if-then-else)
-func convertOne(fn *ir.Function, prof *profile.Data, preds map[ir.BlockID][]ir.BlockID,
+func convertOne(fn *ir.Function, prof *profile.Data, preds [][]ir.BlockID,
 	head *ir.Block, c Config, st *Stats) bool {
 	brs := head.Branches()
 	if len(brs) != 1 || head.FallThrough == ir.NoBlock {
@@ -176,7 +177,7 @@ func dropBranch(head *ir.Block, br *ir.Op) {
 // armOK reports whether blk is a convertible arm: solely reached from head,
 // straight-line (no branches, no Ret), small enough, and free of
 // unpredicable ops.
-func armOK(fn *ir.Function, preds map[ir.BlockID][]ir.BlockID, blk *ir.Block, head ir.BlockID, c Config) bool {
+func armOK(fn *ir.Function, preds [][]ir.BlockID, blk *ir.Block, head ir.BlockID, c Config) bool {
 	if len(preds[blk.ID]) != 1 || preds[blk.ID][0] != head {
 		return false
 	}
@@ -241,14 +242,4 @@ func removeOp(blk *ir.Block, op *ir.Op) {
 			return
 		}
 	}
-}
-
-func computePreds(fn *ir.Function) map[ir.BlockID][]ir.BlockID {
-	preds := make(map[ir.BlockID][]ir.BlockID, len(fn.Blocks))
-	for _, b := range fn.Blocks {
-		for _, s := range b.Succs() {
-			preds[s] = append(preds[s], b.ID)
-		}
-	}
-	return preds
 }

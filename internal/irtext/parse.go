@@ -77,8 +77,8 @@ func ParseProgram(src string) (*ir.Program, error) {
 // functions (an op after a branch, a RET with successors) must be loadable
 // so the IR well-formedness rules can be exercised against them.
 //
-// The parser sits on the artifact-store decode path (tgart2 ships functions
-// as canonical text), so it slab-allocates: one pre-scan counts ops and
+// The parser sits on the daemon's request path (every /v1 compile body
+// carries .tir text), so it slab-allocates: one pre-scan counts ops and
 // operands, then all ops, op pointers, and operand registers are carved out
 // of three backing arrays instead of one allocation per op.
 func ParseUnchecked(src string) (*ir.Function, error) {

@@ -1,6 +1,6 @@
 // Package jobs is the asynchronous compile-job subsystem: a bounded
 // in-process queue that runs opaque payloads on a worker pool with per-job
-// timeouts, cancellation, and retry-with-backoff for transient failures.
+// timeouts and cancellation. A job runs once: a runner error fails it.
 //
 // The queue is persistence-aware but storage-agnostic: every job state
 // transition is journaled through the Journal interface (implemented by the
@@ -48,7 +48,7 @@ type Job struct {
 	// Error and ErrorCode describe a failed/interrupted job.
 	Error     string `json:"error,omitempty"`
 	ErrorCode string `json:"error_code,omitempty"`
-	// Attempts counts runner invocations (> 1 after transient retries).
+	// Attempts is 0 while the job is queued and 1 once the runner starts.
 	Attempts int       `json:"attempts"`
 	Created  time.Time `json:"created"`
 	Started  time.Time `json:"started,omitempty"`
@@ -70,30 +70,6 @@ type Journal interface {
 	List() (map[string][]byte, error)
 }
 
-// TransientError marks a failure worth retrying (resource exhaustion, a
-// flaky backend). Wrap with Transient; the queue retries with backoff.
-type TransientError struct{ Err error }
-
-// Error implements error.
-func (e *TransientError) Error() string { return e.Err.Error() }
-
-// Unwrap exposes the cause.
-func (e *TransientError) Unwrap() error { return e.Err }
-
-// Transient wraps err as retryable.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &TransientError{Err: err}
-}
-
-// IsTransient reports whether err is marked retryable.
-func IsTransient(err error) bool {
-	var te *TransientError
-	return errors.As(err, &te)
-}
-
 // Coder lets runner errors carry a machine-readable code (the daemon's
 // structured API errors do); the code lands in Job.ErrorCode.
 type Coder interface{ Code() string }
@@ -113,15 +89,8 @@ type Options struct {
 	// Capacity bounds the number of queued-but-not-running jobs; Submit
 	// fails with ErrQueueFull beyond it (<= 0 means 64).
 	Capacity int
-	// Timeout bounds one job's total execution including retries
-	// (<= 0 means no timeout).
+	// Timeout bounds one job's execution (<= 0 means no timeout).
 	Timeout time.Duration
-	// Retries is how many times a transient failure is retried (so a job
-	// runs at most Retries+1 times). Negative means 0.
-	Retries int
-	// Backoff is the first retry delay; it doubles per retry
-	// (<= 0 means 50ms).
-	Backoff time.Duration
 	// Journal persists job records; nil disables persistence.
 	Journal Journal
 	// Run executes one payload; required.
@@ -143,7 +112,6 @@ type Queue struct {
 
 	submitted, completed, failed atomic.Int64
 	canceled, rejected           atomic.Int64
-	retries                      atomic.Int64
 	recovered, interrupted       atomic.Int64
 	running                      atomic.Int64
 	journalErrs                  atomic.Int64
@@ -159,12 +127,6 @@ func New(opts Options) (*Queue, error) {
 	}
 	if opts.Capacity <= 0 {
 		opts.Capacity = 64
-	}
-	if opts.Retries < 0 {
-		opts.Retries = 0
-	}
-	if opts.Backoff <= 0 {
-		opts.Backoff = 50 * time.Millisecond
 	}
 	return &Queue{
 		opts:    opts,
@@ -357,7 +319,7 @@ func (q *Queue) worker() {
 	}
 }
 
-// process runs one job through the retry loop.
+// process runs one job.
 func (q *Queue) process(id string) {
 	q.mu.Lock()
 	j, ok := q.jobs[id]
@@ -374,31 +336,13 @@ func (q *Queue) process(id string) {
 	}
 	q.cancels[id] = cancel
 	q.persist(j)
+	// The running record is journaled with Attempts 0; the terminal record
+	// carries the 1.
+	j.Attempts = 1
 	payload := j.Payload
 	q.mu.Unlock()
 	q.running.Add(1)
-
-	var result json.RawMessage
-	var err error
-	backoff := q.opts.Backoff
-	for attempt := 0; ; attempt++ {
-		q.mu.Lock()
-		j.Attempts = attempt + 1
-		q.mu.Unlock()
-		result, err = q.run(ctx, payload)
-		if err == nil || ctx.Err() != nil || !IsTransient(err) || attempt >= q.opts.Retries {
-			break
-		}
-		q.retries.Add(1)
-		select {
-		case <-ctx.Done():
-		case <-time.After(backoff):
-		}
-		if ctx.Err() != nil {
-			break
-		}
-		backoff *= 2
-	}
+	result, err := q.run(ctx, payload)
 	q.running.Add(-1)
 
 	q.mu.Lock()
@@ -495,7 +439,6 @@ func (q *Queue) Drain(ctx context.Context) error {
 type Stats struct {
 	Submitted, Completed, Failed int64
 	Canceled, Rejected           int64
-	Retries                      int64
 	Recovered, Interrupted       int64
 	Running, Depth               int64
 }
@@ -508,7 +451,6 @@ func (q *Queue) Stats() Stats {
 		Failed:      q.failed.Load(),
 		Canceled:    q.canceled.Load(),
 		Rejected:    q.rejected.Load(),
-		Retries:     q.retries.Load(),
 		Recovered:   q.recovered.Load(),
 		Interrupted: q.interrupted.Load(),
 		Running:     q.running.Load(),
@@ -523,7 +465,6 @@ func (q *Queue) Register(reg *telemetry.Registry, prefix string) {
 	reg.CounterFunc(prefix+"_jobs_failed_total", "Jobs that failed (including timeouts).", q.failed.Load)
 	reg.CounterFunc(prefix+"_jobs_canceled_total", "Jobs canceled by clients.", q.canceled.Load)
 	reg.CounterFunc(prefix+"_jobs_rejected_total", "Submissions rejected (queue full or draining).", q.rejected.Load)
-	reg.CounterFunc(prefix+"_jobs_retries_total", "Transient-failure retries executed.", q.retries.Load)
 	reg.CounterFunc(prefix+"_jobs_recovered_total", "Journaled jobs re-enqueued after restart.", q.recovered.Load)
 	reg.CounterFunc(prefix+"_jobs_interrupted_total", "Mid-run jobs marked interrupted after restart.", q.interrupted.Load)
 	reg.GaugeFunc(prefix+"_jobs_running", "Jobs currently executing.", q.running.Load)

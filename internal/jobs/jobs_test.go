@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -212,51 +211,25 @@ func TestFailureCarriesCode(t *testing.T) {
 	}
 }
 
-func TestTransientRetryWithBackoff(t *testing.T) {
-	var attempts int
-	mu := sync.Mutex{}
-	q, err := New(Options{Retries: 3, Backoff: time.Millisecond, Run: func(ctx context.Context, p json.RawMessage) (json.RawMessage, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		attempts++
-		if attempts < 3 {
-			return nil, Transient(fmt.Errorf("flaky"))
-		}
-		return json.RawMessage(`"ok"`), nil
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.Start()
-	defer q.Drain(context.Background())
-	j, _ := q.Submit(nil)
-	done := waitState(t, q, j.ID, StateDone)
-	if done.Attempts != 3 {
-		t.Fatalf("attempts %d, want 3", done.Attempts)
-	}
-	if s := q.Stats(); s.Retries != 2 {
-		t.Fatalf("retries %d, want 2", s.Retries)
-	}
-}
-
+// TestPermanentErrorIsNotRetried: a failed job runs exactly once. The
+// queue has no retry policy, so every runner error is final.
 func TestPermanentErrorIsNotRetried(t *testing.T) {
-	var attempts int
-	mu := sync.Mutex{}
-	q, err := New(Options{Retries: 3, Backoff: time.Millisecond, Run: func(ctx context.Context, p json.RawMessage) (json.RawMessage, error) {
-		mu.Lock()
-		attempts++
-		mu.Unlock()
+	var calls atomic.Int32
+	q, err := New(Options{Run: func(ctx context.Context, p json.RawMessage) (json.RawMessage, error) {
+		calls.Add(1)
 		return nil, errors.New("permanent")
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	q.Start()
-	defer q.Drain(context.Background())
 	j, _ := q.Submit(nil)
 	failed := waitState(t, q, j.ID, StateFailed)
-	if failed.Attempts != 1 {
-		t.Fatalf("permanent failure retried (%d attempts)", failed.Attempts)
+	if err := q.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if failed.Attempts != 1 || calls.Load() != 1 {
+		t.Fatalf("failed job ran %d times (attempts %d), want once", calls.Load(), failed.Attempts)
 	}
 }
 

@@ -123,7 +123,7 @@ func TestSuperblocksRemoveSideEntrances(t *testing.T) {
 	}
 	// The hot trace bb0-bb1-bb3 must be single-entry: bb3's copy handles the
 	// bb2 entrance. So bb3 must now have exactly one predecessor.
-	preds := computePreds(f)
+	preds := cfg.New(f).Preds
 	for _, r := range regions {
 		if !r.FromTrace {
 			continue
@@ -204,7 +204,7 @@ func TestSuperblocksSingleEntryInvariant(t *testing.T) {
 			if err := region.CheckPartition(fn, regions); err != nil {
 				t.Fatalf("%s: %v", prog.Name, err)
 			}
-			preds := computePreds(fn)
+			preds := cfg.New(fn).Preds
 			for _, r := range regions {
 				if !r.FromTrace {
 					continue

@@ -3,6 +3,7 @@ package linear
 import (
 	"slices"
 
+	"treegion/internal/cfg"
 	"treegion/internal/ir"
 	"treegion/internal/profile"
 	"treegion/internal/region"
@@ -58,7 +59,7 @@ func Superblocks(fn *ir.Function, prof *profile.Data, cfgc SuperblockConfig) []*
 		return int(a) - int(b)
 	})
 
-	preds := computePreds(fn)
+	preds := cfg.New(fn).Preds
 	claimed := make(map[ir.BlockID]bool)
 	var traces [][]ir.BlockID
 	for _, seed := range seeds {
@@ -100,7 +101,7 @@ func Superblocks(fn *ir.Function, prof *profile.Data, cfgc SuperblockConfig) []*
 	part := region.NewPartition(fn)
 	var regions []*region.Region
 	for _, trace := range traces {
-		preds = computePreds(fn) // earlier traces may have re-routed edges
+		preds = cfg.New(fn).Preds // earlier traces may have re-routed edges
 		first := -1
 		sideW := make([]float64, len(trace))
 		for j := 1; j < len(trace); j++ {
@@ -194,17 +195,6 @@ func firstInternalTarget(fn *ir.Function, trace []ir.BlockID) int {
 		}
 	}
 	return best
-}
-
-// computePreds scans the function for the current predecessor lists.
-func computePreds(fn *ir.Function) map[ir.BlockID][]ir.BlockID {
-	preds := make(map[ir.BlockID][]ir.BlockID, len(fn.Blocks))
-	for _, b := range fn.Blocks {
-		for _, s := range b.Succs() {
-			preds[s] = append(preds[s], b.ID)
-		}
-	}
-	return preds
 }
 
 // bestPredIs reports whether (cand→next) is next's heaviest incoming edge.

@@ -99,85 +99,12 @@ type Metrics struct {
 // inject panics and failures.
 var compileFunc = eval.CompileFunctionArena
 
-// compileMany drives fns through the batched work-stealing pool: each
-// worker claims chunks of K indices from the shared queue (stealing half of
-// the largest remaining range when its own runs dry) and compiles the whole
-// chunk on one private arena, so the DDG/scheduler scratch is reused across
-// every function the worker touches. Results and errors land at their
-// function's index; cached[i], when the slice is non-nil, records cache
-// hits. onDone, when non-nil, is called (possibly concurrently) after each
-// index settles.
-func compileMany(ctx context.Context, fns []*ir.Function, profs []*profile.Data, c eval.Config, opts Options,
-	frs []*eval.FunctionResult, errs []error, cached []bool, onDone func(int)) {
-	n := len(fns)
-	if n == 0 {
-		return
-	}
-	workers := opts.workers()
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	q := newStealQueue(n, workers)
-	k := chunkSize(n, workers)
-	var mu sync.Mutex
-	// work is one worker's body: it claims chunks until the queue is dry
-	// and compiles them on the worker's private arena.
-	work := func(w int) {
-		arena := eval.NewArena()
-		for {
-			mu.Lock()
-			chunk, ok := q.take(w, k)
-			mu.Unlock()
-			if !ok {
-				return
-			}
-			for i := chunk.lo; i < chunk.hi; i++ {
-				if err := ctx.Err(); err != nil {
-					// Settle the claimed tail as cancelled so callers
-					// report cancellation rather than a nil result.
-					errs[i] = err
-				} else {
-					var hit bool
-					frs[i], hit, errs[i] = compileOne(fns[i], profs[i], c, opts, arena)
-					if cached != nil {
-						cached[i] = hit
-					}
-				}
-				if onDone != nil {
-					onDone(i)
-				}
-			}
-		}
-	}
-	if workers == 1 {
-		// A single worker runs on the caller's goroutine: a one-worker
-		// pool otherwise pays a goroutine hop for nothing, which showed
-		// up as a single-worker pipeline running measurably slower than a
-		// plain serial loop.
-		work(0)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			work(w)
-		}(w)
-	}
-	wg.Wait()
-}
-
-// CompileProgram compiles every function of prog under c across the
-// batched work-stealing worker pool and aggregates the results exactly as
-// eval.CompileProgram does. Function results are assembled in function
-// order regardless of completion order, so the returned ProgramResult is
-// deterministic in the inputs. On error it returns the failing function
-// with the lowest index (also deterministic). The originals in prog and
-// profs are never mutated.
+// CompileProgram compiles every function of prog under c through
+// CompileEach and aggregates the results exactly as eval.CompileProgram
+// does. Results are collected in function order, so the returned
+// ProgramResult is deterministic in the inputs. On error it returns the
+// failing function with the lowest index (also deterministic) and compiles
+// nothing past it. The originals in prog and profs are never mutated.
 func CompileProgram(ctx context.Context, prog *progen.Program, profs eval.Profiles, c eval.Config, opts Options) (*eval.ProgramResult, error) {
 	if len(profs) != len(prog.Funcs) {
 		return nil, fmt.Errorf("pipeline: %s: %d profiles for %d functions", prog.Name, len(profs), len(prog.Funcs))
@@ -185,25 +112,28 @@ func CompileProgram(ctx context.Context, prog *progen.Program, profs eval.Profil
 	if err := applyInline(&c, prog.Funcs, profs, opts); err != nil {
 		return nil, fmt.Errorf("pipeline: %s: %w", prog.Name, err)
 	}
-	n := len(prog.Funcs)
-	frs := make([]*eval.FunctionResult, n)
-	errs := make([]error, n)
-	compileMany(ctx, prog.Funcs, profs, c, opts, frs, errs, nil, nil)
-	for i, err := range errs {
+	frs := make([]*eval.FunctionResult, len(prog.Funcs))
+	err := CompileEach(ctx, prog.Funcs, profs, c, opts, func(i int, fr *eval.FunctionResult, _ bool, err error) error {
 		if err != nil {
-			return nil, fmt.Errorf("pipeline: %s: function %s: %w", prog.Name, prog.Funcs[i].Name, err)
+			return fmt.Errorf("function %s: %w", prog.Funcs[i].Name, err)
 		}
+		frs[i] = fr
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: %s: %w", prog.Name, err)
 	}
 	return eval.Aggregate(prog.Name, c, frs), nil
 }
 
-// CompileEach compiles fns[i] against profs[i] on the work-stealing pool
-// and calls emit exactly once per index, in index order, as results become
-// available — the streaming core of the daemon's /v1/compile-batch. A
-// per-function failure is delivered to emit as err (the run continues); an
-// error returned BY emit (e.g. the client went away) cancels the remaining
-// work and is returned after the workers drain. emit runs on the caller's
-// goroutine.
+// CompileEach compiles fns[i] against profs[i] and calls emit exactly once
+// per index, in index order, as results become available — the pipeline's
+// one driver, behind CompileProgram and the daemon's /v1/compile-batch.
+// Each worker claims the next index from a shared counter and compiles it
+// on the worker's own arena. A per-function failure is delivered to emit
+// as err (the run continues); an error returned BY emit (e.g. the client
+// went away) cancels the remaining work and is returned after the workers
+// drain. emit runs on the caller's goroutine.
 func CompileEach(ctx context.Context, fns []*ir.Function, profs []*profile.Data, c eval.Config, opts Options,
 	emit func(i int, fr *eval.FunctionResult, cached bool, err error) error) error {
 	if len(profs) != len(fns) {
@@ -213,53 +143,71 @@ func CompileEach(ctx context.Context, fns []*ir.Function, profs []*profile.Data,
 		return fmt.Errorf("pipeline: %w", err)
 	}
 	n := len(fns)
-	if n == 0 {
+	workers := min(opts.workers(), n)
+	if workers <= 1 {
+		// A single worker compiles and emits in turn on the caller's
+		// goroutine: a goroutine hop per function buys nothing there, and
+		// showed up as a one-worker pipeline running measurably slower
+		// than a plain serial loop.
+		arena := eval.NewArena()
+		for i := range fns {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			fr, hit, err := compileOne(fns[i], profs[i], c, opts, arena)
+			if err := emit(i, fr, hit, err); err != nil {
+				return err
+			}
+		}
 		return nil
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
+	// Worker results land at their index; done[i] closes once index i has
+	// settled, which also publishes frs[i], cached[i] and errs[i].
 	frs := make([]*eval.FunctionResult, n)
-	errs := make([]error, n)
 	cached := make([]bool, n)
-	done := make([]bool, n)
-	var mu sync.Mutex
-	cond := sync.NewCond(&mu)
-	go func() {
-		// Wake the emit loop when the context dies with results pending.
-		<-ctx.Done()
-		cond.Broadcast()
-	}()
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		compileMany(ctx, fns, profs, c, opts, frs, errs, cached, func(i int) {
-			mu.Lock()
-			done[i] = true
-			cond.Broadcast()
-			mu.Unlock()
-		})
-	}()
+	errs := make([]error, n)
+	done := make([]chan struct{}, n)
+	for i := range done {
+		done[i] = make(chan struct{})
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			arena := eval.NewArena()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n || ctx.Err() != nil {
+					return
+				}
+				frs[i], cached[i], errs[i] = compileOne(fns[i], profs[i], c, opts, arena)
+				close(done[i])
+			}
+		}()
+	}
 
-	var emitErr error
-	for i := 0; i < n && emitErr == nil; i++ {
-		mu.Lock()
-		for !done[i] && ctx.Err() == nil {
-			cond.Wait()
+	var err error
+	for i := 0; i < n && err == nil; i++ {
+		select {
+		case <-done[i]:
+		case <-ctx.Done():
 		}
-		ready := done[i]
-		mu.Unlock()
-		if !ready {
-			emitErr = ctx.Err()
-			break
+		// An index that settled as ctx died is still emitted.
+		select {
+		case <-done[i]:
+			err = emit(i, frs[i], cached[i], errs[i])
+		default:
+			err = ctx.Err()
 		}
-		emitErr = emit(i, frs[i], cached[i], errs[i])
 	}
-	if emitErr != nil {
-		cancel() // stop compiling what nobody will read
-	}
-	<-finished
-	return emitErr
+	cancel() // stop compiling what nobody will read
+	wg.Wait()
+	return err
 }
 
 // applyInline copies the pipeline's inline option onto the eval config,
@@ -336,7 +284,7 @@ func contentKey(orig *ir.Function, prof *profile.Data, c eval.Config) compcache.
 // compileOne compiles one function on clones of (orig, prof), going through
 // the tiered cache (memory, then disk, then compile) when one is
 // configured. Concurrent identical requests coalesce onto one compile.
-// arena, when non-nil, is the calling worker's private compile scratch.
+// arena is the calling worker's private compile scratch.
 //
 // Verification rides on top: the artifact is compiled and cached once under
 // the unified key, and the verifier's verdict is cached alongside it under
@@ -522,7 +470,9 @@ func (m *Metrics) Register(reg *telemetry.Registry, prefix string) {
 
 // compileIsolated runs one compile with panic isolation: a panic inside
 // region formation or scheduling becomes an error result for this function
-// instead of killing the process.
+// instead of killing the process. The pipeline is the only code that
+// recovers a compile panic, and a panicked compile leaves its scratch
+// mid-build, so the recovery replaces the worker's arena with an empty one.
 func compileIsolated(fn *ir.Function, prof *profile.Data, c eval.Config, m *Metrics, arena *eval.Arena) (fr *eval.FunctionResult, err error) {
 	if m != nil {
 		m.InFlight.Add(1)
@@ -536,6 +486,7 @@ func compileIsolated(fn *ir.Function, prof *profile.Data, c eval.Config, m *Metr
 			}
 			buf := make([]byte, 4096)
 			buf = buf[:runtime.Stack(buf, false)]
+			*arena = eval.Arena{}
 			fr, err = nil, fmt.Errorf("compile panicked: %v\n%s", r, buf)
 		}
 	}()

@@ -215,6 +215,161 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPanicDropsWorkerArena: a compile that panics leaves its arena in
+// whatever state the panic caught it, so the worker must compile the next
+// function on an empty arena, and every other function must match the
+// serial compile.
+func TestPanicDropsWorkerArena(t *testing.T) {
+	prog, profs := testProgram(t)
+	cfg := eval.DefaultConfig()
+	serial, err := eval.CompileProgram(prog, profs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := compileFunc
+	defer func() { compileFunc = orig }()
+	victim, after := prog.Funcs[1].Name, prog.Funcs[2].Name
+	emptyAfter := false
+	compileFunc = func(fn *ir.Function, prof *profile.Data, c eval.Config, ar *eval.Arena) (*eval.FunctionResult, error) {
+		switch fn.Name {
+		case victim:
+			if _, err := orig(fn, prof, c, ar); err != nil {
+				t.Errorf("filling the arena: %v", err)
+			}
+			panic("injected after filling the arena")
+		case after:
+			emptyAfter = reflect.ValueOf(ar).Elem().IsZero()
+		}
+		return orig(fn, prof, c, ar)
+	}
+	err = CompileEach(context.Background(), prog.Funcs, profs, cfg, Options{Workers: 1},
+		func(i int, fr *eval.FunctionResult, _ bool, cerr error) error {
+			if i == 1 {
+				if cerr == nil || !strings.Contains(cerr.Error(), "injected") {
+					t.Errorf("function 1: err = %v, want the injected panic", cerr)
+				}
+				return nil
+			}
+			if cerr != nil {
+				t.Fatalf("function %d: %v", i, cerr)
+			}
+			want := serial.Funcs[i]
+			if fr.Time != want.Time {
+				t.Errorf("function %d: time %v, serial %v", i, fr.Time, want.Time)
+			}
+			if len(fr.Schedules) != len(want.Schedules) {
+				t.Fatalf("function %d: %d schedules, serial %d", i, len(fr.Schedules), len(want.Schedules))
+			}
+			for k, s := range fr.Schedules {
+				if s.Length != want.Schedules[k].Length {
+					t.Errorf("function %d region %d: length %d, serial %d", i, k, s.Length, want.Schedules[k].Length)
+				}
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !emptyAfter {
+		t.Error("function 2 started on the arena the panicked compile left behind")
+	}
+}
+
+// CompileEach must deliver every result exactly once, in index order, with
+// the same content the batch compiler produces, at any worker count.
+func TestCompileEachOrderedAndComplete(t *testing.T) {
+	prog, profs := testProgram(t)
+	cfg := eval.DefaultConfig()
+
+	want, err := CompileProgram(context.Background(), prog, profs, cfg, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, workers := range []int{1, 3, 8} {
+		var order []int
+		var got []*eval.FunctionResult
+		err := CompileEach(context.Background(), prog.Funcs, profs, cfg,
+			Options{Workers: workers},
+			func(i int, fr *eval.FunctionResult, cached bool, cerr error) error {
+				if cerr != nil {
+					t.Fatalf("workers=%d: function %d: %v", workers, i, cerr)
+				}
+				if cached {
+					t.Fatalf("workers=%d: spurious cache hit without a cache", workers)
+				}
+				order = append(order, i)
+				got = append(got, fr)
+				return nil
+			})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(order) != len(prog.Funcs) {
+			t.Fatalf("workers=%d: %d results for %d functions", workers, len(order), len(prog.Funcs))
+		}
+		for i, idx := range order {
+			if i != idx {
+				t.Fatalf("workers=%d: results out of order: %v", workers, order)
+			}
+		}
+		streamed := eval.Aggregate(prog.Name, cfg, got)
+		if !reflect.DeepEqual(project(streamed), project(want)) {
+			t.Errorf("workers=%d: streamed results differ from batch compile", workers)
+		}
+	}
+}
+
+// An emit error must stop the stream: no later emits, and the error comes
+// back from CompileEach.
+func TestCompileEachEmitErrorStops(t *testing.T) {
+	prog, profs := testProgram(t)
+	sentinel := errors.New("client gone")
+	calls := 0
+	err := CompileEach(context.Background(), prog.Funcs, profs,
+		eval.DefaultConfig(), Options{Workers: 4},
+		func(i int, fr *eval.FunctionResult, cached bool, cerr error) error {
+			calls++
+			return sentinel
+		})
+	if !errors.Is(err, sentinel) {
+		t.Fatalf("err = %v, want the emit error", err)
+	}
+	if calls != 1 {
+		t.Fatalf("emit called %d times after failing on the first call", calls)
+	}
+}
+
+// CompileEach must report cache hits: a second pass over the same inputs
+// with a shared cache serves every function from it.
+func TestCompileEachCacheHits(t *testing.T) {
+	prog, profs := testProgram(t)
+	cfg := eval.DefaultConfig()
+	opts := Options{Workers: 2, Cache: compcache.New(32 << 20)}
+	run := func() (hits int) {
+		err := CompileEach(context.Background(), prog.Funcs, profs, cfg, opts,
+			func(i int, fr *eval.FunctionResult, cached bool, cerr error) error {
+				if cerr != nil {
+					t.Fatal(cerr)
+				}
+				if cached {
+					hits++
+				}
+				return nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hits
+	}
+	if hits := run(); hits != 0 {
+		t.Fatalf("first pass: %d cache hits, want 0", hits)
+	}
+	if hits := run(); hits != len(prog.Funcs) {
+		t.Fatalf("second pass: %d cache hits, want %d", hits, len(prog.Funcs))
+	}
+}
+
 // TestProfileMismatch: profile/function count skew is an input error, not a
 // crash.
 func TestProfileMismatch(t *testing.T) {

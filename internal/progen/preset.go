@@ -241,8 +241,8 @@ func Presets() []Preset {
 
 // Stress returns the scale-out stress preset: an order of magnitude more
 // ops per function than the largest suite benchmark and three times as
-// many functions, built to saturate the batched work-stealing pipeline and
-// the shard router under load. It is deliberately NOT part of Presets():
+// many functions, built to saturate the pipeline's workers and the shard
+// router under load. It is deliberately NOT part of Presets():
 // the eight-benchmark suite is pinned by goldens and the paper's tables,
 // while stress exists only for benchmarks and load generation (reachable
 // through PresetByName("stress")). ProfileTrips is kept low — profiling a

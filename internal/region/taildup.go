@@ -10,8 +10,9 @@ import (
 // retargeted edge's weight, the original loses it, and the original's
 // outgoing edge weights are split proportionally. It returns the clone.
 //
-// This is the primitive both superblock formation and treegion formation
-// with tail duplication are built on.
+// This is the primitive treegion formation with tail duplication is built
+// on. (Superblock formation duplicates a whole trace tail as one chain and
+// re-routes its side entrances itself.)
 func TailDuplicate(fn *ir.Function, prof *profile.Data, pred, target ir.BlockID) *ir.Block {
 	dup := fn.DuplicateBlock(fn.Block(target))
 	w := prof.EdgeWeight(pred, target)

@@ -41,9 +41,8 @@ type Schedule struct {
 // bitq.go): qcur/qnext share one word slab, the calendar's buckets another.
 // Both slabs rely on the drain invariant — every completed schedule leaves
 // all queues empty, so the slabs are all-zero between calls and reset never
-// sweeps them. qdirty guards the one exception: a call that panicked midway
-// (the pipeline recovers per-function and reuses the worker's arena) leaves
-// bits behind, so the next reset clears the slabs explicitly.
+// sweeps them. A call that panics midway leaves bits behind, so a Scratch
+// whose call panicked must be discarded.
 type Scratch struct {
 	order    []*ddg.Node
 	keys     [][3]float64
@@ -56,7 +55,6 @@ type Scratch struct {
 	qcal    calendar // not-yet-eligible ranks bucketed by earliest
 	qslab   []uint64 // backing words for qcur and qnext
 	calslab []uint64 // backing words for the calendar buckets
-	qdirty  bool
 
 	occ telemetry.ReadyOccupancySample
 }
@@ -107,11 +105,6 @@ func (sc *Scratch) resetQueues(n, maxLat int) {
 		sc.qcal.buckets = make([]bitq, w)
 	}
 	sc.qcal.buckets = sc.qcal.buckets[:w]
-	if sc.qdirty {
-		clear(sc.qslab[:cap(sc.qslab)])
-		clear(sc.calslab[:cap(sc.calslab)])
-	}
-	sc.qdirty = true
 
 	off := sc.qcur.carve(sc.qslab, 0, lvl, depth)
 	sc.qnext.carve(sc.qslab, off, lvl, depth)
@@ -285,7 +278,6 @@ func ListScheduleScratch(g *ddg.Graph, m machine.Model, prio PriorityFn, tr *tel
 	}
 	// Every node issued, so every queue drained back to empty: the slabs are
 	// all-zero again and the next reset can skip sweeping them.
-	sc.qdirty = false
 	sc.occ.Flush()
 
 	for _, nd := range g.Nodes {

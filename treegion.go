@@ -266,8 +266,9 @@ func CompileOne(ctx context.Context, fn *Function, prof *ProfileData, c Config, 
 }
 
 // CompileEach compiles fns[i] against profs[i] (on clones — the originals
-// are never mutated) across the batched work-stealing pool and calls emit
-// exactly once per index, in index order, as results become available. A
+// are never mutated) on the pipeline's workers, which claim indices from
+// one shared counter, and calls emit exactly once per index, in index
+// order, on the caller's goroutine, as results become available. A
 // per-function failure is delivered to emit as err and the run continues;
 // an error returned by emit cancels the remaining work and is returned.
 // This is the streaming core behind the daemon's /v1/compile-batch.
