@@ -436,11 +436,10 @@ func BenchmarkCompileSuiteWarmStore(b *testing.B) {
 }
 
 // BenchmarkCompileSuiteVerifiedWarm is BenchmarkCompileSuiteWarmStore with
-// the static verifier on: the store holds both the artifacts and the
-// persisted verdicts, so a warm verifying pass decodes each artifact, finds
-// its verdict by the same content key, and runs neither the scheduler nor
-// the verifier. The cost over the plain warm benchmark is one verdict
-// lookup per function — it must stay within a few percent.
+// the static verifier on: the store holds the verified artifacts, each
+// carrying its diagnostics, so a warm verifying pass decodes each artifact
+// and runs neither the scheduler nor the verifier. Its cost must stay
+// within a few percent of the plain warm benchmark.
 func BenchmarkCompileSuiteVerifiedWarm(b *testing.B) {
 	s := sharedSuite(b)
 	dir := b.TempDir()
@@ -448,7 +447,7 @@ func BenchmarkCompileSuiteVerifiedWarm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Populate artifacts AND verdicts once, outside the timed region.
+	// Populate the verified artifacts once, outside the timed region.
 	warmCache := NewCompileCache(0)
 	warmCache.SetL2(seed)
 	compileSuite(b, s, WithCache(warmCache), WithVerify())
@@ -479,9 +478,8 @@ func BenchmarkCompileSuiteVerifiedWarm(b *testing.B) {
 		b.Fatalf("verified warm pass invoked the scheduler %d times, want 0", got)
 	}
 	if got := m.VerifyRuns.Load(); got != 0 {
-		b.Fatalf("verified warm pass ran the verifier %d times, want 0 (verdicts are persisted)", got)
+		b.Fatalf("verified warm pass ran the verifier %d times, want 0 (diagnostics are stored with the artifacts)", got)
 	}
-	b.ReportMetric(float64(m.VerdictHits.Load())/float64(b.N), "verdict-hits/op")
 }
 
 // BenchmarkCompileSuiteInline compiles the two interprocedural presets

@@ -134,14 +134,6 @@ func main() {
 	if *inlineFlag {
 		mainOpts = append(mainOpts, treegion.WithInline(treegion.DefaultInlineConfig()))
 	}
-	// Verify time is not a compile-trace phase (a cached artifact's trace is
-	// shared by every caller that verifies it); -stats -verify reads it from
-	// the verify-phase histogram the pipeline fills once per verifier run.
-	var tel *treegion.Telemetry
-	if *stats && *verifyFlag {
-		tel = treegion.NewTelemetry()
-		mainOpts = append(mainOpts, treegion.WithTelemetry(tel))
-	}
 	res, err := treegion.Compile(ctx, prog, profs, cfg, mainOpts...)
 	if err != nil {
 		fatalCompile(err)
@@ -193,9 +185,8 @@ func main() {
 		fmt.Printf("region blocks:  %s\n", res.RegionStats.Blocks)
 		fmt.Printf("region paths:   %s\n", res.RegionStats.Paths)
 		if *verifyFlag {
-			h := tel.Histogram("treegion_compile_phase_seconds",
-				telemetry.Labels{"phase": telemetry.PhaseVerify.String()}, "", nil)
-			fmt.Printf("verify time:    %d verifier runs, %.1f ms wall\n", h.Count(), h.Sum()*1e3)
+			v := res.Trace.Snapshot().Phase[telemetry.PhaseVerify]
+			fmt.Printf("verify time:    %d verifier runs, %.1f ms wall\n", v.Calls, float64(v.Nanos)/1e6)
 		}
 		fmt.Printf("\n== compile trace: %s\n%s", prog.Name, res.Trace.Snapshot().Table())
 		for _, fr := range res.Funcs {

@@ -753,9 +753,6 @@ func (s *server) handleStoreStats(w http.ResponseWriter, r *http.Request) {
 			Entries:       st.Entries,
 			Bytes:         st.Bytes,
 			Budget:        st.Budget,
-			VerdictHits:   st.VerdictHits,
-			VerdictMisses: st.VerdictMisses,
-			VerdictPuts:   st.VerdictPuts,
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -61,8 +61,4 @@ type StoreStats struct {
 	Entries int64 `json:"entries"`
 	Bytes   int64 `json:"bytes"`
 	Budget  int64 `json:"budget_bytes"`
-
-	VerdictHits   int64 `json:"verdict_hits"`
-	VerdictMisses int64 `json:"verdict_misses"`
-	VerdictPuts   int64 `json:"verdict_puts"`
 }

@@ -4,10 +4,10 @@
 // scheduling, and the Config — so the cache key is a SHA-256 over exactly
 // those, and a hit can stand in for a recompile byte-for-byte.
 //
-// Entries carry the FunctionResult plus lightweight schedule metadata and
-// an estimated in-memory size; each shard evicts least-recently-used entries
-// once its slice of the byte budget is exceeded. Hit, miss and eviction
-// counters are exported for the daemon's /metrics endpoint.
+// Entries carry the FunctionResult and an estimated in-memory size; each
+// shard evicts least-recently-used entries once its slice of the byte
+// budget is exceeded. Hit, miss and eviction counters are exported for the
+// daemon's /metrics endpoint.
 //
 // Cached results are shared between callers and MUST be treated as
 // immutable: do not mutate the Fn, Prof, Regions or Schedules of a
@@ -22,31 +22,17 @@ import (
 
 	"treegion/internal/eval"
 	"treegion/internal/telemetry"
-	"treegion/internal/verify"
 )
 
 // Key is the content address of one (function IR, profile, config)
 // compilation.
 type Key [sha256.Size]byte
 
-// KeyOf hashes the three compilation inputs. irText must be the canonical
-// textual IR (irtext.Print), profCanonical a profile.Data.Canonical() dump,
-// and cfgFingerprint an eval.Config.Fingerprint().
-func KeyOf(irText, profCanonical, cfgFingerprint string) Key {
-	h := sha256.New()
-	h.Write([]byte(irText))
-	h.Write([]byte{0})
-	h.Write([]byte(profCanonical))
-	h.Write([]byte{0})
-	h.Write([]byte(cfgFingerprint))
-	var k Key
-	h.Sum(k[:0])
-	return k
-}
-
-// KeyOfBytes is KeyOf over byte slices — same hash for the same content,
-// but the hot compile path can feed it slices of one pooled buffer instead
-// of materializing strings per lookup.
+// KeyOfBytes hashes the three compilation inputs: the function's key form
+// (irtext.AppendFuncKey), the profile's (profile.Data.AppendKey) and a
+// configuration fingerprint (eval.Config.Fingerprint). Zero separators keep
+// the boundaries between them unambiguous. Byte slices let the hot compile
+// path feed it one pooled buffer instead of materializing strings.
 func KeyOfBytes(irText, profCanonical []byte, cfgFingerprint string) Key {
 	h := sha256.New()
 	h.Write(irText)
@@ -59,11 +45,9 @@ func KeyOfBytes(irText, profCanonical []byte, cfgFingerprint string) Key {
 	return k
 }
 
-// Entry is one cached compilation: the result plus schedule metadata.
+// Entry is one cached compilation.
 type Entry struct {
 	Result *eval.FunctionResult
-	// ScheduleLengths are the per-region schedule lengths in cycles.
-	ScheduleLengths []int
 	// Size is the estimated in-memory footprint charged against the budget.
 	Size int64
 }
@@ -90,14 +74,9 @@ func EstimateSize(fr *eval.FunctionResult) int64 {
 	return n
 }
 
-// NewEntry wraps a compile result, extracting schedule metadata and
-// estimating its size.
+// NewEntry wraps a compile result, estimating its size.
 func NewEntry(fr *eval.FunctionResult) *Entry {
-	e := &Entry{Result: fr, Size: EstimateSize(fr)}
-	for _, s := range fr.Schedules {
-		e.ScheduleLengths = append(e.ScheduleLengths, s.Length)
-	}
-	return e
+	return &Entry{Result: fr, Size: EstimateSize(fr)}
 }
 
 // Stats is a point-in-time snapshot of the cache counters.
@@ -108,9 +87,6 @@ type Stats struct {
 	// InflightDedups counts concurrent identical compiles that were
 	// coalesced onto another caller's in-flight compile.
 	InflightDedups int64
-	// VerdictHits/VerdictMisses count verification-verdict lookups served
-	// from cache (either tier) vs. requiring a verifier run.
-	VerdictHits, VerdictMisses int64
 }
 
 // HitRate returns hits / (hits + misses), or 0 before any lookup.
@@ -134,15 +110,6 @@ type L2 interface {
 	Put(Key, *eval.FunctionResult) error
 }
 
-// VerdictStore persists verification verdicts keyed by artifact hash —
-// internal/store's disk layer in practice. A verdict is valid exactly as
-// long as the artifact under the same key is, so the two share one content
-// address.
-type VerdictStore interface {
-	GetVerdict(Key) (*verify.Verdict, bool)
-	PutVerdict(Key, *verify.Verdict) error
-}
-
 // Cache is a sharded LRU cache under a byte budget. The zero value is not
 // usable; call New. A nil *Cache is a valid "no caching" sentinel: Get
 // always misses (without counting) and Put is a no-op.
@@ -156,18 +123,6 @@ type Cache struct {
 	// l2 is the optional second level (disk store). Set before concurrent
 	// use via SetL2.
 	l2 L2
-
-	// verdicts is the optional persistent verdict tier under verdictMem.
-	// Set before concurrent use via SetVerdictStore.
-	verdicts VerdictStore
-
-	// verdictMem memoizes verdicts in memory so a warm verified lookup in
-	// the same process doesn't touch disk. Verdicts are tiny; the map is
-	// cleared wholesale at a soft cap instead of tracking LRU order.
-	verdictMu  sync.RWMutex
-	verdictMem map[Key]*verify.Verdict
-
-	verdictHits, verdictMisses atomic.Int64
 
 	// flightMu guards inflight: one compile per key at a time, with
 	// late-arriving identical requests waiting on the leader's flight
@@ -209,7 +164,6 @@ func New(budgetBytes int64) *Cache {
 	c := &Cache{
 		shardBudget: budgetBytes / numShards,
 		inflight:    make(map[Key]*flight),
-		verdictMem:  make(map[Key]*verify.Verdict),
 	}
 	if c.shardBudget < 1 {
 		c.shardBudget = 1
@@ -288,74 +242,11 @@ func (c *Cache) Put(k Key, e *Entry) {
 
 // SetL2 layers a second-level store (the disk-backed artifact store) under
 // the memory cache. Call once at setup, before the cache is shared across
-// goroutines. An L2 that also persists verdicts (internal/store does) is
-// wired as the verdict tier too, unless one was set explicitly.
+// goroutines.
 func (c *Cache) SetL2(l2 L2) {
-	if c == nil {
-		return
-	}
-	c.l2 = l2
-	if vs, ok := l2.(VerdictStore); ok && c.verdicts == nil {
-		c.verdicts = vs
-	}
-}
-
-// SetVerdictStore layers a persistent verdict tier under the in-memory
-// verdict map. Call once at setup, before the cache is shared.
-func (c *Cache) SetVerdictStore(vs VerdictStore) {
 	if c != nil {
-		c.verdicts = vs
+		c.l2 = l2
 	}
-}
-
-// verdictMemCap is the soft cap on memoized verdicts; far above any suite
-// size, it only bounds a pathological workload.
-const verdictMemCap = 1 << 16
-
-// Verdict returns the cached verification verdict for the artifact keyed
-// by k: memory first, then the persistent tier (promoting a hit into
-// memory). A miss means the caller must run the verifier and PutVerdict.
-func (c *Cache) Verdict(k Key) (*verify.Verdict, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.verdictMu.RLock()
-	v, ok := c.verdictMem[k]
-	c.verdictMu.RUnlock()
-	if ok {
-		c.verdictHits.Add(1)
-		return v, true
-	}
-	if c.verdicts != nil {
-		if v, ok := c.verdicts.GetVerdict(k); ok {
-			c.memoizeVerdict(k, v)
-			c.verdictHits.Add(1)
-			return v, true
-		}
-	}
-	c.verdictMisses.Add(1)
-	return nil, false
-}
-
-// PutVerdict records the verdict at both tiers. Like artifact writes, a
-// failed persistent write never fails the compile it serves.
-func (c *Cache) PutVerdict(k Key, v *verify.Verdict) {
-	if c == nil || v == nil {
-		return
-	}
-	c.memoizeVerdict(k, v)
-	if c.verdicts != nil {
-		_ = c.verdicts.PutVerdict(k, v)
-	}
-}
-
-func (c *Cache) memoizeVerdict(k Key, v *verify.Verdict) {
-	c.verdictMu.Lock()
-	if len(c.verdictMem) >= verdictMemCap {
-		c.verdictMem = make(map[Key]*verify.Verdict)
-	}
-	c.verdictMem[k] = v
-	c.verdictMu.Unlock()
 }
 
 // Source identifies where GetOrCompute served a result from.
@@ -475,10 +366,6 @@ func (c *Cache) Register(reg *telemetry.Registry, prefix string) {
 	})
 	reg.CounterFunc(prefix+"_compcache_inflight_dedup_total",
 		"Concurrent identical compiles coalesced onto one in-flight compile.", c.dedups.Load)
-	reg.CounterFunc(prefix+"_cache_verdict_hits_total",
-		"Verification verdicts served from cache.", c.verdictHits.Load)
-	reg.CounterFunc(prefix+"_cache_verdict_misses_total",
-		"Verdict lookups that required a verifier run.", c.verdictMisses.Load)
 }
 
 // Stats snapshots the counters.
@@ -494,7 +381,5 @@ func (c *Cache) Stats() Stats {
 		Bytes:          c.bytes.Load(),
 		Budget:         c.shardBudget * numShards,
 		InflightDedups: c.dedups.Load(),
-		VerdictHits:    c.verdictHits.Load(),
-		VerdictMisses:  c.verdictMisses.Load(),
 	}
 }

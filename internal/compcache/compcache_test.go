@@ -35,18 +35,21 @@ func compiled(t testing.TB) (fn string, prof string, cfg eval.Config, fr *eval.F
 	return fnText, profText, cfg, fr
 }
 
-func TestKeyOf(t *testing.T) {
-	k1 := KeyOf("func f", "b0=1;", "k/tree")
-	if k2 := KeyOf("func f", "b0=1;", "k/tree"); k1 != k2 {
+// keyOf hashes string inputs through KeyOfBytes.
+func keyOf(fn, prof, cfg string) Key { return KeyOfBytes([]byte(fn), []byte(prof), cfg) }
+
+func TestKeyOfBytes(t *testing.T) {
+	k1 := keyOf("func f", "b0=1;", "k/tree")
+	if k2 := keyOf("func f", "b0=1;", "k/tree"); k1 != k2 {
 		t.Error("equal inputs produced different keys")
 	}
 	// Every component participates, and the separators prevent boundary
 	// ambiguity between the concatenated inputs.
 	for _, k2 := range []Key{
-		KeyOf("func g", "b0=1;", "k/tree"),
-		KeyOf("func f", "b0=2;", "k/tree"),
-		KeyOf("func f", "b0=1;", "k/slr"),
-		KeyOf("func fb", "0=1;", "k/tree"),
+		keyOf("func g", "b0=1;", "k/tree"),
+		keyOf("func f", "b0=2;", "k/tree"),
+		keyOf("func f", "b0=1;", "k/slr"),
+		keyOf("func fb", "0=1;", "k/tree"),
 	} {
 		if k1 == k2 {
 			t.Error("different inputs collided")
@@ -57,7 +60,7 @@ func TestKeyOf(t *testing.T) {
 func TestHitMissAccounting(t *testing.T) {
 	fnText, profText, cfg, fr := compiled(t)
 	c := New(64 << 20)
-	k := KeyOf(fnText, profText, cfg.Fingerprint())
+	k := keyOf(fnText, profText, cfg.Fingerprint())
 
 	if _, ok := c.Get(k); ok {
 		t.Fatal("hit on empty cache")
@@ -69,9 +72,6 @@ func TestHitMissAccounting(t *testing.T) {
 	}
 	if e.Result != fr {
 		t.Error("entry does not hold the stored result")
-	}
-	if len(e.ScheduleLengths) != len(fr.Schedules) {
-		t.Errorf("schedule metadata: %d lengths for %d schedules", len(e.ScheduleLengths), len(fr.Schedules))
 	}
 
 	st := c.Stats()
@@ -95,7 +95,7 @@ func TestHitDeepEqualColdCompile(t *testing.T) {
 	_, _, _, cold := compiled(t) // an independent cold compile of the same inputs
 
 	c := New(64 << 20)
-	k := KeyOf(fnText, profText, cfg.Fingerprint())
+	k := keyOf(fnText, profText, cfg.Fingerprint())
 	c.Put(k, NewEntry(fr))
 	e, ok := c.Get(k)
 	if !ok {
@@ -140,7 +140,7 @@ func TestEvictionUnderTinyBudget(t *testing.T) {
 	c := New(entry.Size * 2 * numShards)
 	var keys []Key
 	for i := 0; i < 64; i++ {
-		k := KeyOf(fnText, profText, fmt.Sprintf("%s/%d", cfg.Fingerprint(), i))
+		k := keyOf(fnText, profText, fmt.Sprintf("%s/%d", cfg.Fingerprint(), i))
 		keys = append(keys, k)
 		c.Put(k, NewEntry(fr))
 	}
@@ -172,7 +172,7 @@ func TestEvictionUnderTinyBudget(t *testing.T) {
 func TestOversizedSingletonStaysResident(t *testing.T) {
 	fnText, profText, cfg, fr := compiled(t)
 	c := New(1) // absurd budget: smaller than any entry
-	k := KeyOf(fnText, profText, cfg.Fingerprint())
+	k := keyOf(fnText, profText, cfg.Fingerprint())
 	c.Put(k, NewEntry(fr))
 	if _, ok := c.Get(k); !ok {
 		t.Error("singleton entry evicted under impossible budget (thrash)")
@@ -182,7 +182,7 @@ func TestOversizedSingletonStaysResident(t *testing.T) {
 func TestReplaceExistingKey(t *testing.T) {
 	fnText, profText, cfg, fr := compiled(t)
 	c := New(64 << 20)
-	k := KeyOf(fnText, profText, cfg.Fingerprint())
+	k := keyOf(fnText, profText, cfg.Fingerprint())
 	c.Put(k, NewEntry(fr))
 	bytes1 := c.Stats().Bytes
 	c.Put(k, NewEntry(fr))
@@ -197,7 +197,7 @@ func TestReplaceExistingKey(t *testing.T) {
 
 func TestNilCacheIsNoCaching(t *testing.T) {
 	var c *Cache
-	k := KeyOf("f", "p", "c")
+	k := keyOf("f", "p", "c")
 	if _, ok := c.Get(k); ok {
 		t.Error("nil cache hit")
 	}
@@ -216,7 +216,7 @@ func TestConcurrentAccess(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				k := KeyOf(fnText, profText, fmt.Sprintf("%s/%d/%d", cfg.Fingerprint(), g, i%16))
+				k := keyOf(fnText, profText, fmt.Sprintf("%s/%d/%d", cfg.Fingerprint(), g, i%16))
 				if _, ok := c.Get(k); !ok {
 					c.Put(k, NewEntry(fr))
 				}

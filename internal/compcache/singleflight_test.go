@@ -17,7 +17,7 @@ import (
 func TestConcurrentIdenticalCompilesCoalesce(t *testing.T) {
 	fnText, profText, cfg, fr := compiled(t)
 	c := New(64 << 20)
-	k := KeyOf(fnText, profText, cfg.Fingerprint())
+	k := keyOf(fnText, profText, cfg.Fingerprint())
 
 	const n = 16
 	var computes atomic.Int64
@@ -84,14 +84,14 @@ func TestConcurrentIdenticalCompilesCoalesce(t *testing.T) {
 
 // TestDistinctKeyedFlightsAreDistinct proves that compiles under different
 // keys never coalesce: each distinct key runs its own compute, only
-// identical keys share a flight. (Verified and plain compiles of one
-// function share a single key — and therefore a single flight — since the
-// verdict cache made the "/verified" key split obsolete.)
+// identical keys share a flight. Plain and verified compiles of one
+// function are such a pair: the pipeline appends "/verify" to a verified
+// compile's fingerprint, so each runs its own flight.
 func TestDistinctKeyedFlightsAreDistinct(t *testing.T) {
 	fnText, profText, cfg, fr := compiled(t)
 	c := New(64 << 20)
-	plain := KeyOf(fnText, profText, cfg.Fingerprint())
-	verified := KeyOf(fnText, profText, cfg.Fingerprint()+"+issue16")
+	plain := keyOf(fnText, profText, cfg.Fingerprint())
+	verified := keyOf(fnText, profText, cfg.Fingerprint()+"/verify")
 	if plain == verified {
 		t.Fatal("distinct keys collided")
 	}
@@ -143,7 +143,7 @@ func TestDistinctKeyedFlightsAreDistinct(t *testing.T) {
 // next request retries.
 func TestFlightErrorIsSharedAndNotCached(t *testing.T) {
 	c := New(1 << 20)
-	k := KeyOf("f", "p", "cfg")
+	k := keyOf("f", "p", "cfg")
 	boom := errors.New("boom")
 
 	const n = 4
@@ -222,7 +222,7 @@ func TestTieredLookupOrder(t *testing.T) {
 	c := New(64 << 20)
 	l2 := &fakeL2{m: make(map[Key]*eval.FunctionResult)}
 	c.SetL2(l2)
-	k := KeyOf(fnText, profText, cfg.Fingerprint())
+	k := keyOf(fnText, profText, cfg.Fingerprint())
 
 	// Cold: compute runs, both tiers are populated.
 	_, src, err := c.GetOrCompute(k, func() (*eval.FunctionResult, error) { return fr, nil })

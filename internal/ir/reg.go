@@ -39,12 +39,19 @@ func (c RegClass) String() string {
 }
 
 // Reg is a virtual register: a class plus an index within that class's file.
-// Registers are unbounded; the paper's study pre-dates register allocation
-// and we follow it.
+// Register files are unbounded up to MaxRegNum; the paper's study pre-dates
+// register allocation and we follow it.
 type Reg struct {
 	Class RegClass
 	Num   int
 }
+
+// MaxRegNum bounds the register numbers that input may carry (.tir text
+// and stored artifacts). Liveness and the DDG index tables by register
+// number, so an unbounded number lets a few bytes of input demand
+// gigabytes. Generated programs stay far below it: the largest number is
+// 54,181 (stress2) before compilation and 63,181 after tree-td compiles it.
+const MaxRegNum = 1 << 20
 
 // NoReg is the absent register.
 var NoReg = Reg{}

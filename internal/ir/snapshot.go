@@ -141,10 +141,11 @@ func (s *FuncSnapshot) Build() (*Function, error) {
 		return nil, fmt.Errorf("ir: snapshot entry bb%d out of range", s.Entry)
 	}
 	// Registers index per-class tables by class and number, so a class no
-	// builder produces or a negative number is corruption, not a register.
+	// builder produces, a negative number or one above MaxRegNum is
+	// corruption, not a register.
 	for c, n := range s.NextReg {
-		if n < 0 {
-			return nil, fmt.Errorf("ir: snapshot: negative register count %d for class %d", n, c)
+		if n < 0 || n > MaxRegNum+1 {
+			return nil, fmt.Errorf("ir: snapshot: bad register count %d for class %d", n, c)
 		}
 	}
 	for _, regs := range [][]Reg{s.Params, s.Rets, s.Regs} {
@@ -222,9 +223,9 @@ func (s *FuncSnapshot) Build() (*Function, error) {
 }
 
 // checkSnapReg rejects a register with a class outside [ClassNone,
-// ClassFPR] or a negative number.
+// ClassFPR] or a number outside [0, MaxRegNum].
 func checkSnapReg(r Reg) error {
-	if r.Class > ClassFPR || r.Num < 0 {
+	if r.Class > ClassFPR || r.Num < 0 || r.Num > MaxRegNum {
 		return fmt.Errorf("ir: snapshot: bad register (class %d, number %d)", r.Class, r.Num)
 	}
 	return nil

@@ -126,6 +126,7 @@ func TestParseErrors(t *testing.T) {
 		{"op outside block", "func a\n  ret"},
 		{"undeclared target", "func a\nbb0:\n  bru @bb9"},
 		{"bad register", "func a\nbb0:\n  q1 = movi 3\n  ret"},
+		{"register above MaxRegNum", "func a\nbb0:\n  r0 = movi 1\n  r1048577 = add r0, r0\n  ret"},
 		{"bad opcode", "func a\nbb0:\n  r1 = frobnicate r2, r3\n  ret"},
 		{"bad immediate", "func a\nbb0:\n  r1 = movi abc\n  ret"},
 		{"bad mem operand", "func a\nbb0:\n  r1 = ld r2+8\n  ret"},

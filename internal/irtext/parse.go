@@ -384,6 +384,9 @@ func reg(tok string) (ir.Reg, error) {
 	if err != nil || n < 0 {
 		return ir.NoReg, fmt.Errorf("bad register %q", tok)
 	}
+	if n > ir.MaxRegNum {
+		return ir.NoReg, fmt.Errorf("register %q above %c%d", tok, tok[0], ir.MaxRegNum)
+	}
 	return ir.Reg{Class: class, Num: n}, nil
 }
 

@@ -45,14 +45,13 @@ type Options struct {
 	// histograms, scheduling counters and region-shape histograms for every
 	// cold compile.
 	Telemetry *telemetry.Registry
-	// Verify runs the static verifier over the compile result. A function
-	// whose schedule produces Error-severity diagnostics fails with a
-	// *verify.Failure carrying the full diagnostic list; advisory
-	// diagnostics ride along on (a private copy of) the FunctionResult.
-	// Verified and plain pipelines share one cache key — the verdict is
-	// cached separately, keyed by the same artifact hash, so a warm
-	// verified lookup re-checks nothing and a plain lookup can reuse an
-	// artifact a verified caller compiled (and vice versa).
+	// Verify runs the static verifier as the last step of every compile
+	// and records its diagnostics on the FunctionResult, which is cached
+	// like any other field under a key of its own (plain and verified
+	// compiles never share an artifact). A function whose result holds an
+	// Error-severity diagnostic fails with a *verify.Failure carrying the
+	// full list, whether it was compiled now or served from a cache tier;
+	// advisory diagnostics ride on the result.
 	Verify bool
 	// Inline enables demand-driven inline-on-absorb: CompileProgram (and
 	// CompileEach) resolve the batch's functions into an ir.Program, and
@@ -86,13 +85,10 @@ type Metrics struct {
 	Errors atomic.Int64
 	// InFlight is the number of compiles currently executing.
 	InFlight atomic.Int64
-	// VerifyFailures counts compiles rejected by the static verifier.
+	// VerifyFailures counts verifier runs that found an Error.
 	VerifyFailures atomic.Int64
-	// VerifyRuns counts actual verifier executions (verdict-cache misses).
+	// VerifyRuns counts verifier executions: one per cold verified compile.
 	VerifyRuns atomic.Int64
-	// VerdictHits counts verified lookups answered from the verdict cache
-	// without running the verifier.
-	VerdictHits atomic.Int64
 }
 
 // compileFunc is the per-function compile entry point; tests swap it to
@@ -254,8 +250,10 @@ var keyBufPool = sync.Pool{New: func() any {
 // (irtext.AppendFuncKey, profile.AppendKey), which carry exactly the
 // information of irtext.Print and profile.Canonical: the keys partition
 // compilations identically to hashing the text forms, without the
-// formatting cost.
-func contentKey(orig *ir.Function, prof *profile.Data, c eval.Config) compcache.Key {
+// formatting cost. A verified compile's result carries the verifier's
+// diagnostics, so it is a different artifact: verified keys append
+// "/verify" to the fingerprint, and plain keys stay as they were.
+func contentKey(orig *ir.Function, prof *profile.Data, c eval.Config, verified bool) compcache.Key {
 	bp := keyBufPool.Get().(*[]byte)
 	buf := irtext.AppendFuncKey((*bp)[:0], orig)
 	// With inlining on, the compile reads the transitive callees' bodies and
@@ -275,7 +273,11 @@ func contentKey(orig *ir.Function, prof *profile.Data, c eval.Config) compcache.
 	}
 	mark := len(buf)
 	buf = prof.AppendKey(buf)
-	k := compcache.KeyOfBytes(buf[:mark], buf[mark:], c.Fingerprint())
+	fp := c.Fingerprint()
+	if verified {
+		fp += "/verify"
+	}
+	k := compcache.KeyOfBytes(buf[:mark], buf[mark:], fp)
 	*bp = buf[:0]
 	keyBufPool.Put(bp)
 	return k
@@ -286,26 +288,20 @@ func contentKey(orig *ir.Function, prof *profile.Data, c eval.Config) compcache.
 // configured. Concurrent identical requests coalesce onto one compile.
 // arena is the calling worker's private compile scratch.
 //
-// Verification rides on top: the artifact is compiled and cached once under
-// the unified key, and the verifier's verdict is cached alongside it under
-// the same key, so the verifier runs only when no verdict is known yet. A
-// failing verdict is cached too — the artifact stays valid for plain
-// callers while verified callers keep getting the recorded Failure without
-// re-running the verifier.
+// A verified result carries its diagnostics from whichever tier served it,
+// so a failing function is compiled and verified once per key, and every
+// later lookup returns the recorded Failure without re-running either.
 func compileOne(orig *ir.Function, prof *profile.Data, c eval.Config, opts Options, arena *eval.Arena) (*eval.FunctionResult, bool, error) {
 	var key compcache.Key
 	if opts.Cache != nil {
-		key = contentKey(orig, prof, c)
+		key = contentKey(orig, prof, c, opts.Verify)
 	}
 	fr, src, err := opts.Cache.GetOrCompute(key, func() (*eval.FunctionResult, error) {
-		fr, err := compileIsolated(orig.Clone(), prof.Clone(), c, opts.Metrics, arena)
-		if err != nil {
-			return nil, err
-		}
-		if opts.Telemetry != nil {
+		fr, err := compileIsolated(orig, prof, c, opts, arena)
+		if err == nil && opts.Telemetry != nil {
 			observeResult(opts.Telemetry, fr)
 		}
-		return fr, nil
+		return fr, err
 	})
 	if err != nil {
 		if opts.Metrics != nil {
@@ -320,65 +316,13 @@ func compileOne(orig *ir.Function, prof *profile.Data, c eval.Config, opts Optio
 			opts.Metrics.StoreHits.Add(1)
 		}
 	}
-	if !opts.Verify {
-		return fr, hit, nil
-	}
-	v, ok := opts.Cache.Verdict(key)
-	if ok {
-		if opts.Metrics != nil {
-			opts.Metrics.VerdictHits.Add(1)
-		}
-	} else {
-		// No verdict yet (or no cache at all): run the verifier. Cached
-		// results are shared and immutable, so the diagnostics go into the
-		// verdict, never onto fr.
-		t0 := time.Now()
-		ds := eval.VerifyDiagnostics(orig, fr, c)
-		elapsed := time.Since(t0)
-		v = &verify.Verdict{Passed: !verify.HasErrors(ds), Diagnostics: ds}
-		opts.Cache.PutVerdict(key, v)
-		if opts.Metrics != nil {
-			opts.Metrics.VerifyRuns.Add(1)
-			if !v.Passed {
-				opts.Metrics.VerifyFailures.Add(1)
-			}
-		}
-		if opts.Telemetry != nil {
-			observeVerify(opts.Telemetry, fr, ds, elapsed)
-		}
-	}
-	if !v.Passed {
+	if opts.Verify && verify.HasErrors(fr.Diagnostics) {
 		if opts.Metrics != nil {
 			opts.Metrics.Errors.Add(1)
 		}
-		return nil, false, &verify.Failure{Fn: orig.Name, Diagnostics: v.Diagnostics}
-	}
-	if len(v.Diagnostics) > 0 {
-		// Advisory diagnostics ride on a private shallow copy: the cached
-		// result stays pristine for plain callers.
-		out := *fr
-		out.Diagnostics = v.Diagnostics
-		fr = &out
+		return nil, false, &verify.Failure{Fn: orig.Name, Diagnostics: fr.Diagnostics}
 	}
 	return fr, hit, nil
-}
-
-// observeVerify publishes one verifier run's telemetry: the verify phase
-// latency (which no longer lives on the compile trace — cached artifacts
-// share one trace regardless of who verifies them) and per-rule diagnostic
-// counters, counted once per verifier execution rather than once per
-// caller served from the verdict cache.
-func observeVerify(reg *telemetry.Registry, fr *eval.FunctionResult, ds []verify.Diagnostic, elapsed time.Duration) {
-	lbl := telemetry.Labels{"phase": telemetry.PhaseVerify.String()}
-	reg.Histogram("treegion_compile_phase_seconds", lbl,
-		"Wall time per compile phase per function.", telemetry.DefBuckets).Observe(elapsed.Seconds())
-	reg.LabeledCounter("treegion_compile_phase_ops_total", lbl,
-		"Ops processed per compile phase.").Add(int64(fr.OpsAfter))
-	for _, d := range ds {
-		reg.LabeledCounter("treegion_verify_diagnostics_total",
-			telemetry.Labels{"rule": d.Rule, "severity": d.Severity.String()},
-			"Static-verifier diagnostics by rule and severity.").Inc()
-	}
 }
 
 // observeResult publishes one cold compile's telemetry: per-phase latency
@@ -388,6 +332,11 @@ func observeResult(reg *telemetry.Registry, fr *eval.FunctionResult) {
 	reg.Counter("treegion_compile_functions_total", "Functions cold-compiled through the pipeline.").Inc()
 	reg.Counter("treegion_compile_ops_total",
 		"Ops compiled (post-formation) across all cold compiles; divide by wall time for ops/sec.").Add(int64(fr.OpsAfter))
+	for _, d := range fr.Diagnostics {
+		reg.LabeledCounter("treegion_verify_diagnostics_total",
+			telemetry.Labels{"rule": d.Rule, "severity": d.Severity.String()},
+			"Static-verifier diagnostics by rule and severity.").Inc()
+	}
 	snap := fr.Trace.Snapshot()
 	for p := telemetry.Phase(0); p < telemetry.NumPhases; p++ {
 		ps := snap.Phase[p]
@@ -463,17 +412,19 @@ func (m *Metrics) Register(reg *telemetry.Registry, prefix string) {
 	reg.CounterFunc(prefix+"_pipeline_errors_total", "Compiles that returned errors.", m.Errors.Load)
 	reg.GaugeFunc(prefix+"_pipeline_in_flight", "Compiles currently executing.", m.InFlight.Load)
 	reg.CounterFunc(prefix+"_pipeline_verify_failures_total", "Compiles rejected by the static verifier.", m.VerifyFailures.Load)
-	reg.CounterFunc(prefix+"_pipeline_verify_runs_total", "Verifier executions (verdict-cache misses).", m.VerifyRuns.Load)
-	reg.CounterFunc(prefix+"_pipeline_verdict_hits_total", "Verified compiles answered from the verdict cache.", m.VerdictHits.Load)
+	reg.CounterFunc(prefix+"_pipeline_verify_runs_total", "Verifier executions (cold verified compiles).", m.VerifyRuns.Load)
 	telemetry.ExportReadyOccupancy(reg)
 }
 
-// compileIsolated runs one compile with panic isolation: a panic inside
-// region formation or scheduling becomes an error result for this function
-// instead of killing the process. The pipeline is the only code that
-// recovers a compile panic, and a panicked compile leaves its scratch
-// mid-build, so the recovery replaces the worker's arena with an empty one.
-func compileIsolated(fn *ir.Function, prof *profile.Data, c eval.Config, m *Metrics, arena *eval.Arena) (fr *eval.FunctionResult, err error) {
+// compileIsolated compiles clones of (orig, prof) with panic isolation: a
+// panic inside region formation, scheduling or the verifier becomes an
+// error result for this function instead of killing the process. The
+// pipeline is the only code that recovers a compile panic, and a panicked
+// compile leaves its scratch mid-build, so the recovery replaces the
+// worker's arena with an empty one. With opts.Verify the verifier runs
+// last: its diagnostics land on the result and its time on the trace.
+func compileIsolated(orig *ir.Function, prof *profile.Data, c eval.Config, opts Options, arena *eval.Arena) (fr *eval.FunctionResult, err error) {
+	m := opts.Metrics
 	if m != nil {
 		m.InFlight.Add(1)
 		defer m.InFlight.Add(-1)
@@ -490,5 +441,18 @@ func compileIsolated(fn *ir.Function, prof *profile.Data, c eval.Config, m *Metr
 			fr, err = nil, fmt.Errorf("compile panicked: %v\n%s", r, buf)
 		}
 	}()
-	return compileFunc(fn, prof, c, arena)
+	fr, err = compileFunc(orig.Clone(), prof.Clone(), c, arena)
+	if err != nil || !opts.Verify {
+		return fr, err
+	}
+	t0 := time.Now()
+	ds := eval.VerifyResult(orig, fr, c)
+	fr.Trace.Observe(telemetry.PhaseVerify, time.Since(t0), fr.OpsAfter)
+	if m != nil {
+		m.VerifyRuns.Add(1)
+		if verify.HasErrors(ds) {
+			m.VerifyFailures.Add(1)
+		}
+	}
+	return fr, nil
 }

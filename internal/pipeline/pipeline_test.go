@@ -9,10 +9,12 @@ import (
 	"testing"
 
 	"treegion/internal/compcache"
+	"treegion/internal/ddg"
 	"treegion/internal/eval"
 	"treegion/internal/ir"
 	"treegion/internal/profile"
 	"treegion/internal/progen"
+	"treegion/internal/verify"
 )
 
 func testProgram(t testing.TB) (*progen.Program, eval.Profiles) {
@@ -152,6 +154,103 @@ func TestPanicIsolation(t *testing.T) {
 	}
 	if m.Errors.Load() != 1 {
 		t.Errorf("errors counter = %d, want 1", m.Errors.Load())
+	}
+}
+
+// TestVerifierPanicIsIsolated: the verifier runs inside the compile's panic
+// isolation, so a result that crashes it becomes an error for that
+// function instead of killing the process.
+func TestVerifierPanicIsIsolated(t *testing.T) {
+	prog, profs := testProgram(t)
+	orig := compileFunc
+	defer func() { compileFunc = orig }()
+	compileFunc = func(fn *ir.Function, prof *profile.Data, c eval.Config, ar *eval.Arena) (*eval.FunctionResult, error) {
+		fr, err := orig(fn, prof, c, ar)
+		if err == nil {
+			fr.Regions[0] = nil
+		}
+		return fr, err
+	}
+	var m Metrics
+	var err error
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("verifier panic escaped the pipeline: %v", r)
+			}
+		}()
+		_, _, err = CompileFunction(context.Background(), prog.Funcs[0], profs[0], eval.DefaultConfig(),
+			Options{Verify: true, Metrics: &m})
+	}()
+	if err == nil || !strings.Contains(err.Error(), "compile panicked") {
+		t.Fatalf("err = %v, want compile panicked", err)
+	}
+	if m.Panics.Load() != 1 {
+		t.Errorf("panics counter = %d, want 1", m.Panics.Load())
+	}
+}
+
+// TestVerifiedResultsCacheTheirDiagnostics: a verified compile has a key of
+// its own, and its result carries the verifier's diagnostics through the
+// cache, so a repeated verified compile runs neither the compiler nor the
+// verifier again — not even when the result failed verification.
+func TestVerifiedResultsCacheTheirDiagnostics(t *testing.T) {
+	prog, profs := testProgram(t)
+	fn, prof, cfg := prog.Funcs[0], profs[0], eval.DefaultConfig()
+	ctx := context.Background()
+
+	var m Metrics
+	opts := Options{Cache: compcache.New(64 << 20), Metrics: &m}
+	if _, _, err := CompileFunction(ctx, fn, prof, cfg, opts); err != nil {
+		t.Fatal(err)
+	}
+	opts.Verify = true
+	if _, hit, err := CompileFunction(ctx, fn, prof, cfg, opts); err != nil || hit {
+		t.Fatalf("verified compile after a plain one: hit %v, err %v; want a cold compile", hit, err)
+	}
+	if _, hit, err := CompileFunction(ctx, fn, prof, cfg, opts); err != nil || !hit {
+		t.Fatalf("repeated verified compile: hit %v, err %v; want a cache hit", hit, err)
+	}
+	if c, v := m.Compiles.Load(), m.VerifyRuns.Load(); c != 2 || v != 1 {
+		t.Fatalf("%d compiles and %d verifier runs, want 2 and 1", c, v)
+	}
+
+	// Break one data dependence: the consumer issues in its producer's
+	// cycle, before the producer's latency has elapsed.
+	orig := compileFunc
+	defer func() { compileFunc = orig }()
+	compileFunc = func(fn *ir.Function, prof *profile.Data, c eval.Config, ar *eval.Arena) (*eval.FunctionResult, error) {
+		fr, err := orig(fn, prof, c, ar)
+		if err != nil {
+			return nil, err
+		}
+		for _, s := range fr.Schedules {
+			for _, n := range s.Graph.Nodes {
+				for _, e := range n.Succs {
+					if e.Kind == ddg.EdgeData && e.Latency > 0 {
+						s.Cycle[e.To.Index] = s.Cycle[n.Index]
+						return fr, nil
+					}
+				}
+			}
+		}
+		t.Fatal("no data dependence with a latency to break")
+		return nil, nil
+	}
+	var bm Metrics
+	bad := Options{Cache: compcache.New(64 << 20), Metrics: &bm, Verify: true}
+	var fails [2]*verify.Failure
+	for i := range fails {
+		_, _, err := CompileFunction(ctx, fn, prof, cfg, bad)
+		if !errors.As(err, &fails[i]) {
+			t.Fatalf("compile %d: err = %v, want a *verify.Failure", i, err)
+		}
+	}
+	if !reflect.DeepEqual(fails[0], fails[1]) {
+		t.Errorf("the cached failure differs from the first:\n%v\n%v", fails[0], fails[1])
+	}
+	if c, v, f := bm.Compiles.Load(), bm.VerifyRuns.Load(), bm.VerifyFailures.Load(); c != 1 || v != 1 || f != 1 {
+		t.Errorf("%d compiles, %d verifier runs, %d verify failures; want 1 each", c, v, f)
 	}
 }
 

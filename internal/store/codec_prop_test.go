@@ -6,13 +6,16 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
 	"treegion/internal/core"
 	"treegion/internal/eval"
+	"treegion/internal/ir"
 	"treegion/internal/progen"
+	"treegion/internal/verify"
 )
 
 // TestCodecRoundTripMatrix is the codec's property test: over every progen
@@ -85,6 +88,45 @@ func TestCodecRoundTripMatrix(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestCodecRoundTripDiagnostics pins section 7, which carries a verified
+// compile's findings: advisory and Error diagnostics survive
+// encode→decode→encode byte for byte, and a severity above Error is
+// corruption, not schema skew.
+func TestCodecRoundTripDiagnostics(t *testing.T) {
+	_, fr := compiled(t)
+	fr.Diagnostics = []verify.Diagnostic{
+		{Rule: "SC008", Severity: verify.Warning, Fn: fr.Fn.Name, Block: 2, Op: 17, Message: "advisory"},
+		{Rule: "SC002", Severity: verify.Error, Fn: fr.Fn.Name, Block: ir.NoBlock, Op: -1, Message: "flow dependence violated"},
+	}
+	b1, err := encode(fr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr2, err := decode(b1)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if !reflect.DeepEqual(fr2.Diagnostics, fr.Diagnostics) {
+		t.Fatalf("diagnostics %v, want %v", fr2.Diagnostics, fr.Diagnostics)
+	}
+	b2, err := encode(fr2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b1, b2) {
+		t.Fatalf("re-encoding is not byte-stable: %d vs %d bytes", len(b1), len(b2))
+	}
+
+	fr.Diagnostics[1].Severity = verify.Error + 1
+	b3, err := encode(fr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decode(b3); err == nil || err == errSchemaSkew {
+		t.Fatalf("severity above Error decoded with err %v, want corruption", err)
 	}
 }
 
@@ -171,9 +213,9 @@ func TestDecodeRegionsRejectsUncovered(t *testing.T) {
 // TestCorruptSectionFixtures: every malformed-section-table shape — a table
 // truncated mid-row, an offset pointing past the payload, overlapping
 // section ranges, a gap between sections — region records that overlap,
-// and register records with an unknown class or a negative number must
-// decode to an error (which the store turns into a quarantined miss),
-// never a panic, and never a result built from garbage.
+// and register records with an unknown class, a negative number or one
+// above ir.MaxRegNum must decode to an error (which the store turns into a
+// quarantined miss), never a panic, and never a result built from garbage.
 func TestCorruptSectionFixtures(t *testing.T) {
 	_, fr := compiled(t)
 	body, err := encode(fr)
@@ -237,6 +279,10 @@ func TestCorruptSectionFixtures(t *testing.T) {
 		"negative-register": func(b []byte) []byte {
 			n := int32(-7)
 			binary.LittleEndian.PutUint32(b[funcSectionEnd(t, b)-regRecSize+1:], uint32(n))
+			return b
+		},
+		"huge-register": func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[funcSectionEnd(t, b)-regRecSize+1:], ir.MaxRegNum+1)
 			return b
 		},
 		"overlapping-regions": func(b []byte) []byte {

@@ -17,10 +17,10 @@
 //     hit refreshes the entry's mtime, and GC removes least-recently-used
 //     entries until the store fits (the most recent entry always stays).
 //
-// The store also hosts two named-blob namespaces: Journal, used by
-// internal/jobs to persist queued/running jobs across restarts, and
-// Verdicts, which caches verification verdicts keyed by artifact hash so a
-// warm verified compile re-checks nothing.
+// The store also hosts a named-blob namespace, Journal, used by
+// internal/jobs to persist queued/running jobs across restarts. A verified
+// compile's artifact carries its verifier diagnostics (tgart2 section 7)
+// under a key of its own, so a warm verified compile re-checks nothing.
 package store
 
 import (
@@ -37,7 +37,6 @@ import (
 	"treegion/internal/compcache"
 	"treegion/internal/eval"
 	"treegion/internal/telemetry"
-	"treegion/internal/verify"
 )
 
 // DefaultBudget is the default disk budget: roomy enough for the full
@@ -53,12 +52,11 @@ const entryExt = ".art"
 // directory are safe too (atomic renames, content-addressed idempotent
 // writes), though their byte accounting is process-local.
 type Store struct {
-	dir      string
-	objects  string
-	tmp      string
-	journal  string
-	verdicts string
-	budget   int64
+	dir     string
+	objects string
+	tmp     string
+	journal string
+	budget  int64
 
 	bytes   atomic.Int64
 	entries atomic.Int64
@@ -68,27 +66,26 @@ type Store struct {
 	skew                  atomic.Int64
 	writeErrs, encodeErrs atomic.Int64
 
-	verdictHits, verdictMisses, verdictPuts atomic.Int64
-
 	gcMu sync.Mutex
 }
 
 // Open creates (or reopens) a store rooted at dir. budgetBytes <= 0 selects
 // DefaultBudget. Leftover temp files from a crashed writer are removed; the
 // resident byte and entry counts are rebuilt by scanning the objects tree.
+// Directories the store does not use, such as the verdicts/ namespace of
+// older binaries, are left alone.
 func Open(dir string, budgetBytes int64) (*Store, error) {
 	if budgetBytes <= 0 {
 		budgetBytes = DefaultBudget
 	}
 	s := &Store{
-		dir:      dir,
-		objects:  filepath.Join(dir, "objects"),
-		tmp:      filepath.Join(dir, "tmp"),
-		journal:  filepath.Join(dir, "journal"),
-		verdicts: filepath.Join(dir, "verdicts"),
-		budget:   budgetBytes,
+		dir:     dir,
+		objects: filepath.Join(dir, "objects"),
+		tmp:     filepath.Join(dir, "tmp"),
+		journal: filepath.Join(dir, "journal"),
+		budget:  budgetBytes,
 	}
-	for _, d := range []string{s.objects, s.tmp, s.journal, s.verdicts} {
+	for _, d := range []string{s.objects, s.tmp, s.journal} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, fmt.Errorf("store: open %s: %w", dir, err)
 		}
@@ -363,8 +360,6 @@ type Stats struct {
 	SchemaSkew                int64
 	WriteErrors, EncodeErrors int64
 	Entries, Bytes, Budget    int64
-
-	VerdictHits, VerdictMisses, VerdictPuts int64
 }
 
 // SchemaVersion is the payload schema this binary reads and writes; entries
@@ -378,20 +373,17 @@ func (s *Store) Stats() Stats {
 		return Stats{}
 	}
 	return Stats{
-		Hits:          s.hits.Load(),
-		Misses:        s.misses.Load(),
-		Puts:          s.puts.Load(),
-		Evictions:     s.evictions.Load(),
-		Corrupt:       s.corrupt.Load(),
-		SchemaSkew:    s.skew.Load(),
-		WriteErrors:   s.writeErrs.Load(),
-		EncodeErrors:  s.encodeErrs.Load(),
-		Entries:       s.entries.Load(),
-		Bytes:         s.bytes.Load(),
-		Budget:        s.budget,
-		VerdictHits:   s.verdictHits.Load(),
-		VerdictMisses: s.verdictMisses.Load(),
-		VerdictPuts:   s.verdictPuts.Load(),
+		Hits:         s.hits.Load(),
+		Misses:       s.misses.Load(),
+		Puts:         s.puts.Load(),
+		Evictions:    s.evictions.Load(),
+		Corrupt:      s.corrupt.Load(),
+		SchemaSkew:   s.skew.Load(),
+		WriteErrors:  s.writeErrs.Load(),
+		EncodeErrors: s.encodeErrs.Load(),
+		Entries:      s.entries.Load(),
+		Bytes:        s.bytes.Load(),
+		Budget:       s.budget,
 	}
 }
 
@@ -405,9 +397,6 @@ func (s *Store) Register(reg *telemetry.Registry, prefix string) {
 	reg.CounterFunc(prefix+"_store_corrupt_total", "Corrupt artifacts quarantined on read.", s.corrupt.Load)
 	reg.CounterFunc(prefix+"_store_schema_skew_total", "Artifacts skipped for carrying another schema version.", s.skew.Load)
 	reg.CounterFunc(prefix+"_store_write_errors_total", "Artifact writes that failed.", s.writeErrs.Load)
-	reg.CounterFunc(prefix+"_store_verdict_hits_total", "Verification verdicts served from the store.", s.verdictHits.Load)
-	reg.CounterFunc(prefix+"_store_verdict_misses_total", "Verdict lookups that missed.", s.verdictMisses.Load)
-	reg.CounterFunc(prefix+"_store_verdict_puts_total", "Verdicts written to the store.", s.verdictPuts.Load)
 	reg.GaugeFunc(prefix+"_store_entries", "Resident disk store entries.", s.entries.Load)
 	reg.GaugeFunc(prefix+"_store_bytes", "Resident disk store bytes.", s.bytes.Load)
 	reg.GaugeFunc(prefix+"_store_budget_bytes", "Configured disk store byte budget.", func() int64 { return s.budget })
@@ -421,14 +410,12 @@ func (s *Store) Journal() *Journal {
 	if s == nil {
 		return nil
 	}
-	return &Journal{store: s, dir: s.journal}
+	return &Journal{store: s}
 }
 
-// Journal is a flat namespace of small named blobs under the store. The
-// store hosts one per namespace directory (job journal, verdicts).
+// Journal is the store's flat namespace of small named blobs.
 type Journal struct {
 	store *Store
-	dir   string
 }
 
 // blobPath validates the id (a single path element) and maps it to a file.
@@ -436,7 +423,7 @@ func (j *Journal) blobPath(id string) (string, error) {
 	if id == "" || strings.ContainsAny(id, "/\\") || id == "." || id == ".." {
 		return "", fmt.Errorf("store: bad journal id %q", id)
 	}
-	return filepath.Join(j.dir, id+".json"), nil
+	return filepath.Join(j.store.journal, id+".json"), nil
 }
 
 // Put writes the blob atomically.
@@ -487,7 +474,7 @@ func (j *Journal) List() (map[string][]byte, error) {
 	if j == nil {
 		return nil, nil
 	}
-	entries, err := os.ReadDir(j.dir)
+	entries, err := os.ReadDir(j.store.journal)
 	if err != nil {
 		return nil, err
 	}
@@ -497,60 +484,11 @@ func (j *Journal) List() (map[string][]byte, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".json") {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(j.dir, name))
+		data, err := os.ReadFile(filepath.Join(j.store.journal, name))
 		if err != nil {
 			continue
 		}
 		out[strings.TrimSuffix(name, ".json")] = data
 	}
 	return out, nil
-}
-
-// Verdicts returns the verdict namespace: small blobs recording the
-// verifier's judgment of an artifact, keyed by the artifact's content
-// address. Like journal blobs, verdicts are written atomically and are not
-// charged against the artifact byte budget (they are tiny and losing them
-// only costs a re-verify).
-func (s *Store) Verdicts() *Journal {
-	if s == nil {
-		return nil
-	}
-	return &Journal{store: s, dir: s.verdicts}
-}
-
-// GetVerdict reads the cached verification verdict for the artifact keyed
-// by k. A missing, malformed, or schema-skewed verdict is a miss — the
-// caller re-runs the verifier and re-puts.
-func (s *Store) GetVerdict(k compcache.Key) (*verify.Verdict, bool) {
-	if s == nil {
-		return nil, false
-	}
-	data, ok := s.Verdicts().Get(fmt.Sprintf("%x", k[:]))
-	if !ok {
-		s.verdictMisses.Add(1)
-		return nil, false
-	}
-	v, err := verify.DecodeVerdict(data)
-	if err != nil {
-		s.verdictMisses.Add(1)
-		return nil, false
-	}
-	s.verdictHits.Add(1)
-	return v, true
-}
-
-// PutVerdict persists the verdict for the artifact keyed by k.
-func (s *Store) PutVerdict(k compcache.Key, v *verify.Verdict) error {
-	if s == nil || v == nil {
-		return nil
-	}
-	data, err := v.Encode()
-	if err != nil {
-		return err
-	}
-	if err := s.Verdicts().Put(fmt.Sprintf("%x", k[:]), data); err != nil {
-		return err
-	}
-	s.verdictPuts.Add(1)
-	return nil
 }

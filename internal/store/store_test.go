@@ -43,12 +43,17 @@ func compiled(t testing.TB) (compcache.Key, *eval.FunctionResult) {
 		t.Fatal(err)
 	}
 	cfg := eval.DefaultConfig()
-	k := compcache.KeyOf(irtext.Print(prog.Funcs[0]), profs[0].Canonical(), cfg.Fingerprint())
+	k := keyOf(irtext.Print(prog.Funcs[0]), profs[0].Canonical(), cfg.Fingerprint())
 	fr, err := eval.CompileFunction(prog.Funcs[0].Clone(), profs[0].Clone(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return k, fr
+}
+
+// keyOf hashes string inputs through compcache.KeyOfBytes.
+func keyOf(fn, prof, cfg string) compcache.Key {
+	return compcache.KeyOfBytes([]byte(fn), []byte(prof), cfg)
 }
 
 // requireEquivalent asserts that a restored result carries the same
@@ -292,9 +297,9 @@ func TestGCEnforcesByteBudgetOldestFirst(t *testing.T) {
 	// about the key, so this cheaply makes N same-sized entries.
 	keys := []compcache.Key{
 		k,
-		compcache.KeyOf("a", "b", "c"),
-		compcache.KeyOf("d", "e", "f"),
-		compcache.KeyOf("g", "h", "i"),
+		keyOf("a", "b", "c"),
+		keyOf("d", "e", "f"),
+		keyOf("g", "h", "i"),
 	}
 	for _, key := range keys {
 		if err := st.Put(key, fr); err != nil {
@@ -353,7 +358,7 @@ func TestGCKeepsNewestEvenOverBudget(t *testing.T) {
 
 func TestHitRefreshesRecency(t *testing.T) {
 	k, fr := compiled(t)
-	k2 := compcache.KeyOf("x", "y", "z")
+	k2 := keyOf("x", "y", "z")
 	st, err := Open(t.TempDir(), 1<<40)
 	if err != nil {
 		t.Fatal(err)

@@ -101,14 +101,11 @@ func TestWarmStoreSuiteCompileSkipsScheduler(t *testing.T) {
 	}
 }
 
-// TestWarmStoreServesVerifiedKeysDistinctly: entries cached by an
-// unverified run must not satisfy a verifying run (the verify bit is part
-// of the content address), and vice versa.
-// TestWarmStoreVerdictsPersist covers the verdict cache across process
-// restarts: verified and plain compiles share one artifact per key, and the
-// verifier's verdict persists beside it, so a verified run over a warm
-// store reuses every artifact, and a second verified run re-checks nothing.
-func TestWarmStoreVerdictsPersist(t *testing.T) {
+// TestWarmStoreVerifiedArtifactsPersist covers verified artifacts across
+// process restarts: a verified compile's artifact carries its diagnostics
+// under a key of its own, so a verifying run in a fresh process, over a
+// store filled by verifying runs, neither compiles nor verifies.
+func TestWarmStoreVerifiedArtifactsPersist(t *testing.T) {
 	dir := t.TempDir()
 	prog, err := GenerateBenchmark("compress")
 	if err != nil {
@@ -118,7 +115,7 @@ func TestWarmStoreVerdictsPersist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(verify bool) *CompileMetrics {
+	run := func() *CompileMetrics {
 		st, err := OpenArtifactStore(dir, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -127,46 +124,32 @@ func TestWarmStoreVerdictsPersist(t *testing.T) {
 		cache := NewCompileCache(0)
 		cache.SetL2(st)
 		m := &CompileMetrics{}
-		opts := []CompileOption{WithCache(cache), WithMetrics(m)}
-		if verify {
-			opts = append(opts, WithVerify())
-		}
-		if _, err := Compile(context.Background(), prog, profs, DefaultConfig(), opts...); err != nil {
+		if _, err := Compile(context.Background(), prog, profs, DefaultConfig(),
+			WithCache(cache), WithMetrics(m), WithVerify()); err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
 
-	cold := run(false)
+	cold := run()
 	if cold.Compiles.Load() == 0 {
-		t.Fatal("cold run compiled nothing")
+		t.Fatal("cold verified run compiled nothing")
 	}
-	// A verifying run reuses the plain artifacts (same key) and only runs
-	// the verifier — once per function, persisting each verdict.
-	verified := run(true)
-	if got := verified.Compiles.Load(); got != 0 {
-		t.Fatalf("verified run compiled %d functions instead of reusing stored artifacts", got)
+	if got := cold.VerifyRuns.Load(); got != cold.Compiles.Load() {
+		t.Fatalf("cold verified run ran the verifier %d times for %d compiles", got, cold.Compiles.Load())
 	}
-	if verified.StoreHits.Load() == 0 {
-		t.Fatal("verified run took no store hits")
-	}
-	if verified.VerifyRuns.Load() == 0 {
-		t.Fatal("verified run never ran the verifier")
-	}
-	// A second verifying run finds both artifact and verdict on disk: no
-	// compiles, no verifier executions.
-	warm := run(true)
+	warm := run()
 	if got := warm.Compiles.Load(); got != 0 {
-		t.Fatalf("second verified run compiled %d functions, want 0", got)
-	}
-	if warm.StoreHits.Load() == 0 {
-		t.Fatal("second verified run took no store hits")
+		t.Fatalf("warm verified run compiled %d functions, want 0", got)
 	}
 	if got := warm.VerifyRuns.Load(); got != 0 {
-		t.Fatalf("second verified run ran the verifier %d times, want 0", got)
+		t.Fatalf("warm verified run ran the verifier %d times, want 0", got)
 	}
-	if warm.VerdictHits.Load() == 0 {
-		t.Fatal("second verified run took no verdict hits")
+	if got, want := warm.CacheHits.Load(), int64(len(prog.Funcs)); got != want {
+		t.Fatalf("warm verified run took %d cache hits, want %d", got, want)
+	}
+	if warm.StoreHits.Load() == 0 {
+		t.Fatal("warm verified run took no store hits")
 	}
 }
 

@@ -205,7 +205,9 @@ func WithTelemetry(t *Telemetry) CompileOption {
 // well-formedness, region invariants, schedule legality and differential
 // semantics are re-derived and proven rather than trusted. A function that
 // fails verification returns a *VerifyFailure; advisory diagnostics are
-// attached to its FunctionResult.
+// attached to its FunctionResult. Verified results cache under a key of
+// their own, diagnostics included, so a cached result is never verified
+// twice.
 func WithVerify() CompileOption {
 	return func(o *pipeline.Options) { o.Verify = true }
 }
