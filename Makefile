@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-compare check loadtest ci
+.PHONY: all build vet lint test race fuzz bench bench-compare bench-ab check loadtest ci
 
 all: build
 
@@ -33,6 +33,14 @@ lint: vet
 test:
 	$(GO) test ./...
 
+# fuzz searches for inputs that break an untrusted-input boundary, outside
+# the tier-1 tests: FuzzParseProgram requires every .tir text ParseProgram
+# accepts to print, re-parse and print back to the same bytes, without a
+# panic. Plain `go test` replays the committed corpus
+# (internal/irtext/testdata/fuzz/); a crasher found here lands there too.
+fuzz:
+	$(GO) test -run XXX -fuzz FuzzParseProgram -fuzztime 60s ./internal/irtext/
+
 # The compilation service is concurrent (worker pool, sharded cache,
 # daemon); every PR must pass the race detector, not just the plain tests.
 race:
@@ -45,24 +53,25 @@ race:
 # formation, liveness, DDG build, list scheduling and region measurement
 # per tier — suite, stress, stress2 — with us/region for the formation, DDG
 # and measure phases and us/block for liveness; the verifier's ir, rg, sc
-# and sem rule families with ms/pass), with allocation counts.
+# and sem rule families one-shot, and compiled, the whole verifier on one
+# reused verify.Scratch, with ms/pass), with allocation counts.
 # Every benchmark runs five times (-count 5), so a capture shows its own
 # spread: cmd/benchdiff prints each side's median and interquartile range.
-# The raw `go test -json` stream is captured in BENCH_14.json for machine
-# comparison against earlier runs (BENCH_13.json holds the single-run
-# capture from before liveness moved to the registers that can be live).
+# The raw `go test -json` stream is captured in BENCH_15.json for machine
+# comparison against earlier runs (BENCH_14.json holds the capture from
+# before the verifier moved onto the worker's arena).
 # The parallel and stress benchmarks report speedup-vs-serial; on a
 # single-core box that metric caps at ~1x by physics.
 bench:
-	$(GO) test -run XXX -bench 'BenchmarkCompileSuite|BenchmarkCompileStress|BenchmarkColdCompile' -benchmem -benchtime 3x -count 5 -json . | tee BENCH_14.json
+	$(GO) test -run XXX -bench 'BenchmarkCompileSuite|BenchmarkCompileStress|BenchmarkColdCompile' -benchmem -benchtime 3x -count 5 -json . | tee BENCH_15.json
 
 # bench-compare diffs two bench captures. benchstat is used when installed
 # (fed plain text extracted from the JSON captures); otherwise the bundled
 # dependency-free cmd/benchdiff prints each side's median and interquartile
 # range and the delta, marking with "~" a delta inside the noise. Override
 # the endpoints with BENCH_OLD= / BENCH_NEW=.
-BENCH_OLD ?= BENCH_13.json
-BENCH_NEW ?= BENCH_14.json
+BENCH_OLD ?= BENCH_14.json
+BENCH_NEW ?= BENCH_15.json
 bench-compare:
 	@if command -v benchstat >/dev/null 2>&1; then \
 		$(GO) run ./cmd/benchdiff -extract $(BENCH_OLD) > /tmp/benchdiff_old.txt; \
@@ -71,6 +80,21 @@ bench-compare:
 	else \
 		$(GO) run ./cmd/benchdiff $(BENCH_OLD) $(BENCH_NEW); \
 	fi
+
+# bench-ab compares this working tree against revision OLD on the
+# repository benchmark (perfbench/), the only comparison safe from host
+# drift: scripts/bench_ab.sh checks OLD out into a git worktree under
+# .bench_build/ab/ (removed on exit), runs PAIRS alternating old/new pairs
+# of WORKLOAD at SEED for SECONDS each, and prints, for every end-to-end
+# metric of BENCHMARK.json, each side's median and interquartile range and
+# how many pairs the working tree won.
+OLD ?= HEAD
+WORKLOAD ?= verified
+SEED ?= 11
+PAIRS ?= 10
+SECONDS ?= 20
+bench-ab:
+	bash scripts/bench_ab.sh $(OLD) $(WORKLOAD) $(SEED) $(PAIRS) $(SECONDS)
 
 # check is the fast gate: lint + build + full tests, plus the race detector
 # over the concurrency-heavy subsystems (artifact store with its tgart2

@@ -280,9 +280,12 @@ var verifySink []verify.Diagnostic
 // liveness outside the timer: ir is the IR rules (IR009's must-define
 // dataflow among them), rg the region-shape rules, sc the schedule rules
 // over every region, and sem the differential interpretation of the
-// original against the compiled function under the default seeds. ms/pass
-// is the family's cost for one pass over the suite, the share of a
-// verified suite compile it accounts for.
+// original against the compiled function under the default seeds. Each of
+// those calls a one-shot entry point, on a fresh verify.Scratch per call.
+// compiled is the production path: verify.CompiledScratch, every family
+// and its own liveness, with one Scratch kept across the whole run as a
+// pipeline worker keeps one. ms/pass is the family's cost for one pass
+// over the suite, the share of a verified suite compile it accounts for.
 func BenchmarkColdCompileVerify(b *testing.B) {
 	s := sharedSuite(b)
 	type compiled struct {
@@ -301,6 +304,7 @@ func BenchmarkColdCompileVerify(b *testing.B) {
 			fns = append(fns, compiled{fn, fr, cfg.ComputeLiveness(cfg.New(fr.Fn))})
 		}
 	}
+	var vsc verify.Scratch
 	families := []struct {
 		name string
 		run  func(f compiled) []verify.Diagnostic
@@ -318,6 +322,10 @@ func BenchmarkColdCompileVerify(b *testing.B) {
 		}},
 		{"sem", func(f compiled) []verify.Diagnostic {
 			return verify.CheckSemanticsProgram(nil, f.orig, f.fr.Fn, nil, 0)
+		}},
+		{"compiled", func(f compiled) []verify.Diagnostic {
+			opts := verify.Options{Machine: c.Machine, Orig: f.orig}
+			return verify.CompiledScratch(f.fr.Fn, f.fr.Regions, f.fr.Schedules, opts, &vsc)
 		}},
 	}
 	for _, fam := range families {

@@ -10,8 +10,14 @@
 // delta is marked "~" (noise) when either side's median falls inside the
 // other side's interquartile range.
 //
+// With -perfbench it summarizes `make bench-ab` instead: OLD and NEW hold
+// one perfbench result line per run, run i of each side forming pair i,
+// and every end-to-end metric of BENCHMARK.json gets each side's median
+// and interquartile range and the new side's win count.
+//
 //	benchdiff OLD.json NEW.json     # comparison table
 //	benchdiff -extract CAP.json     # plain benchmark lines, benchstat format
+//	benchdiff -perfbench OLD NEW    # alternating perfbench pairs
 package main
 
 import (
@@ -181,7 +187,21 @@ func spread(s summary) string {
 
 func main() {
 	extract := flag.String("extract", "", "print the capture's benchmark lines in benchstat's plain format and exit")
+	ab := flag.Bool("perfbench", false, "compare two files of perfbench result lines, one run per line")
+	benchmark := flag.String("benchmark", "BENCHMARK.json", "the benchmark declaration naming the end-to-end metrics (with -perfbench)")
 	flag.Parse()
+
+	if *ab {
+		if flag.NArg() != 2 {
+			fmt.Fprintln(os.Stderr, "usage: benchdiff -perfbench OLD NEW")
+			os.Exit(2)
+		}
+		if err := perfbenchMain(*benchmark, flag.Arg(0), flag.Arg(1)); err != nil {
+			fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
+			os.Exit(1)
+		}
+		return
+	}
 
 	if *extract != "" {
 		lines, err := benchLines(*extract)

@@ -136,3 +136,55 @@ func TestMultiRunCapture(t *testing.T) {
 		t.Errorf("table lacks %q:\n%s", want, out.String())
 	}
 }
+
+// TestPerfbenchPairs summarizes two alternating pairs: medians and
+// quartiles per side, wins by each metric's better direction, and the
+// failed and attempted totals.
+func TestPerfbenchPairs(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	bench := write("BENCHMARK.json", `{"end_to_end": [
+		{"name": "kops_per_s", "unit": "kops/s", "better": "higher", "bound": 0.25},
+		{"name": "peak_rss_mb", "unit": "MiB", "better": "lower", "bound": 0.25}]}`)
+	run := func(kops, rss float64, failed int) string {
+		return fmt.Sprintf(`{"correct":%v,"attempted":1,"failed":%d,"metrics":{"kops_per_s":{"value":%g,"unit":"kops/s"},"peak_rss_mb":{"value":%g,"unit":"MiB"}}}`,
+			failed == 0, failed, kops, rss)
+	}
+	olds := write("old", run(100, 50, 0)+"\n"+run(110, 52, 0)+"\n")
+	news := write("new", run(120, 51, 0)+"\n"+run(105, 49, 1)+"\n")
+	metrics, err := readEndToEnd(bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := readRuns(olds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := readRuns(news)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	abTable(&out, metrics, o, n)
+	for _, want := range []string{
+		"2 pairs",
+		"kops_per_s", "105 [102.5, 107.5]", "112.5 [108.8, 116.2]", "1/2",
+		"peak_rss_mb", "51 [50.5, 51.5]", "50 [49.5, 50.5]",
+		"failed/attempted: old 0/2, new 1/2",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("summary lacks %q:\n%s", want, out.String())
+		}
+	}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, "peak_rss_mb") && !strings.HasSuffix(line, "1/2") {
+			t.Errorf("peak_rss_mb wins: %s, want 1/2 (lower is better)", line)
+		}
+	}
+}

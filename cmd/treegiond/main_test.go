@@ -133,6 +133,7 @@ func TestCompileEndpointErrors(t *testing.T) {
 		{"empty body", ``, http.StatusBadRequest, "bad_json"},
 		{"missing ir", `{}`, http.StatusBadRequest, "missing_field"},
 		{"bad ir", `{"ir": "not a function"}`, http.StatusBadRequest, "bad_ir"},
+		{"empty memory operand", `{"ir": "func f\nbb0:\n  r1 = ld []\n  ret\n"}`, http.StatusBadRequest, "bad_ir"},
 		{"bad region", `{"ir": "func f\nbb0:\n  ret\n", "region": "nope"}`, http.StatusBadRequest, "bad_config"},
 		{"bad machine", `{"ir": "func f\nbb0:\n  ret\n", "machine": "2U"}`, http.StatusBadRequest, "bad_config"},
 	}

@@ -74,8 +74,9 @@ func TestInlineAcceptanceCallhot(t *testing.T) {
 	if off.Inline.Inlined != 0 || len(off.Inline.Splices) != 0 {
 		t.Errorf("inline-off compile recorded splices: %+v", off.Inline)
 	}
+	ar := NewArena()
 	for i, fr := range on.Funcs {
-		for _, d := range VerifyDiagnostics(prog.Funcs[i], fr, onCfg) {
+		for _, d := range VerifyDiagnostics(prog.Funcs[i], fr, onCfg, ar) {
 			t.Errorf("%s: %s", fr.Fn.Name, d)
 		}
 	}
@@ -96,8 +97,9 @@ func TestInlineAcceptanceCalldeep(t *testing.T) {
 	if sOn, sOff := Speedup(base.Time, on.Time), Speedup(base.Time, off.Time); sOn <= sOff {
 		t.Errorf("speedup %.3f with inlining vs %.3f without", sOn, sOff)
 	}
+	ar := NewArena()
 	for i, fr := range on.Funcs {
-		for _, d := range VerifyDiagnostics(prog.Funcs[i], fr, onCfg) {
+		for _, d := range VerifyDiagnostics(prog.Funcs[i], fr, onCfg, ar) {
 			t.Errorf("%s: %s", fr.Fn.Name, d)
 		}
 	}

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -188,9 +189,10 @@ func replayCompile(t *testing.T, fn *ir.Function, prof *profile.Data, c Config, 
 // exactly the schedules of compiles on a fresh arena each. The sequence big
 // → small → a fresh clone of big makes a later compile meet tables an
 // earlier, larger one grew, and then meet a function whose op IDs and
-// registers are identical to one it already saw. Both run under tree and
-// under tree-td with dominator parallelism. It stays on under -short so
-// the race detector sees it.
+// registers are identical to one it already saw. Each compile on the
+// shared arena is verified on it too, and must report what a fresh arena's
+// verifier does. Both run under tree and under tree-td with dominator
+// parallelism. It stays on under -short so the race detector sees it.
 func TestArenaReuseMatchesFreshArena(t *testing.T) {
 	var progs []*progen.Program
 	for _, name := range []string{"compress", "li"} {
@@ -251,6 +253,10 @@ func TestArenaReuseMatchesFreshArena(t *testing.T) {
 				}
 				if got := scheduleDigest(fr); got != fresh[f.fn] {
 					t.Errorf("%s on a shared arena: digest %s, fresh arena %s", f.fn.Name, got, fresh[f.fn])
+				}
+				want := VerifyDiagnostics(f.fn, fr, c, NewArena())
+				if got := VerifyResult(f.fn, fr, c, ar); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s verified on a shared arena: %v, fresh arena %v", f.fn.Name, got, want)
 				}
 			}
 			for pi, prog := range progs {

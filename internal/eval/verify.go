@@ -10,11 +10,12 @@ import (
 // translating the compilation Config into verifier options exactly as
 // CompileFunction interpreted it (tail-duplication defaults included). orig
 // is the pre-compilation function (CompileFunction mutates its input, so
-// callers keep a clone); nil skips the differential semantics check.
+// callers keep a clone); nil skips the differential semantics check. It
+// verifies on ar's verifier tables.
 //
 // Unlike VerifyResult it does not touch fr, so it is safe on results shared
 // out of a cache.
-func VerifyDiagnostics(orig *ir.Function, fr *FunctionResult, c Config) []verify.Diagnostic {
+func VerifyDiagnostics(orig *ir.Function, fr *FunctionResult, c Config, ar *Arena) []verify.Diagnostic {
 	var td core.TDConfig
 	if c.Kind == TreegionTD {
 		td = c.TD
@@ -39,13 +40,13 @@ func VerifyDiagnostics(orig *ir.Function, fr *FunctionResult, c Config) []verify
 		st := fr.Inline
 		opts.Inline = &st
 	}
-	return verify.Compiled(fr.Fn, fr.Regions, fr.Schedules, opts)
+	return verify.CompiledScratch(fr.Fn, fr.Regions, fr.Schedules, opts, &ar.verify)
 }
 
 // VerifyResult is VerifyDiagnostics plus recording the diagnostics on fr.
 // Only call it on a result this caller owns — never on a cached, shared one.
-func VerifyResult(orig *ir.Function, fr *FunctionResult, c Config) []verify.Diagnostic {
-	ds := VerifyDiagnostics(orig, fr, c)
+func VerifyResult(orig *ir.Function, fr *FunctionResult, c Config, ar *Arena) []verify.Diagnostic {
+	ds := VerifyDiagnostics(orig, fr, c, ar)
 	fr.Diagnostics = ds
 	return ds
 }

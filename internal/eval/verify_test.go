@@ -86,12 +86,13 @@ func TestVerifyNoRename(t *testing.T) {
 
 func verifyProgram(t *testing.T, prog *progen.Program, profs Profiles, c Config) {
 	t.Helper()
+	ar := NewArena() // compiles and verifies every function, as a worker does
 	for i, orig := range prog.Funcs {
-		fr, err := CompileFunction(orig.Clone(), profs[i].Clone(), c)
+		fr, err := CompileFunctionArena(orig.Clone(), profs[i].Clone(), c, ar)
 		if err != nil {
 			t.Fatalf("%s/%s [%s]: compile: %v", prog.Name, orig.Name, c.Fingerprint(), err)
 		}
-		for _, d := range VerifyResult(orig, fr, c) {
+		for _, d := range VerifyResult(orig, fr, c, ar) {
 			t.Errorf("%s [%s]: %s", prog.Name, c.Fingerprint(), d)
 		}
 		if t.Failed() {

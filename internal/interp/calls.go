@@ -29,16 +29,60 @@ func nsOrig(base, orig int) int {
 // decode for every later trip, so callers that run the same functions under
 // several oracles decode them once. The functions must not change while the
 // Runner is in use, and a Runner is not safe for concurrent use.
+//
+// Everything a decode or a trip needs beyond the decoded code is reused
+// across trips: the numbering tables, one stack every call frame is carved
+// from, the branch counters and the memory map. Reset keeps that storage
+// and the decode storage too, so a Runner kept across calls (the verifier's
+// Scratch keeps one per worker) stops allocating once it has met its
+// largest function.
 type Runner struct {
 	prog     *ir.Program
+	num      *Numbering
 	codes    map[codeKey]*code
 	branches map[int]int32 // oracle key → occurrence counter slot
+	pending  []pendingCall
+
+	// Decode storage, carved by decode and reclaimed by Reset.
+	codeSlab  []code
+	blockSlab []block
+	instSlab  []inst
+	callSlab  []call
+	slotSlab  []int32
+
+	// Trip state, reused by every trip.
+	stack []int64
+	occ   []int
+	mem   map[int64]int64
 }
 
 // NewRunner returns a Runner resolving calls against prog (nil: every call
 // is opaque).
 func NewRunner(prog *ir.Program) *Runner {
-	return &Runner{prog: prog, codes: make(map[codeKey]*code), branches: make(map[int]int32)}
+	r := &Runner{}
+	r.Reset(prog, new(Numbering))
+	return r
+}
+
+// Reset readies r to run functions against prog, numbering registers
+// through num. It forgets every decode and every branch-counter slot: a
+// later function can reuse a freed function's address, so no decode may
+// outlive the call that made it. The storage behind decodes, frames,
+// counters and memory is kept for reuse.
+func (r *Runner) Reset(prog *ir.Program, num *Numbering) {
+	r.prog, r.num = prog, num
+	if r.codes == nil {
+		r.codes = make(map[codeKey]*code)
+		r.branches = make(map[int]int32)
+		r.mem = make(map[int64]int64)
+	}
+	clear(r.codes)
+	clear(r.branches)
+	r.codeSlab = r.codeSlab[:0]
+	r.blockSlab = r.blockSlab[:0]
+	r.instSlab = r.instSlab[:0]
+	r.callSlab = r.callSlab[:0]
+	r.slotSlab = r.slotSlab[:0]
 }
 
 // Run executes fn once under the oracle, resolving Call ops against the
@@ -59,31 +103,52 @@ func NewRunner(prog *ir.Program) *Runner {
 // the step bound (runaway loop), falls off a block with no successor, or
 // makes a call the callee's signature or the depth bound rejects.
 func (r *Runner) Run(fn *ir.Function, o Oracle, cfg Config) (*Trace, error) {
+	tr := &Trace{}
+	err := r.RunTrace(fn, o, cfg, tr)
+	return tr, err
+}
+
+// RunTrace is Run recording into tr: tr's contents are replaced and its
+// storage reused, so a caller comparing trips keeps one Trace per side.
+func (r *Runner) RunTrace(fn *ir.Function, o Oracle, cfg Config, tr *Trace) error {
 	maxSteps := cfg.MaxSteps
 	if maxSteps <= 0 {
 		maxSteps = defaultMaxSteps
 	}
 	c := r.decode(fn, 0)
-	t := &trip{
-		o:        o,
-		maxSteps: maxSteps,
-		tr:       &Trace{},
-		occ:      make([]int, len(r.branches)),
-		mem:      make(map[int64]int64),
-	}
-	err := t.frame(c, 0, make([]int64, c.nregs))
-	return t.tr, err
+	tr.Blocks, tr.Stores, tr.Steps = tr.Blocks[:0], tr.Stores[:0], 0
+	r.occ = append(r.occ[:0], make([]int, len(r.branches))...)
+	clear(r.mem)
+	t := &trip{o: o, maxSteps: maxSteps, tr: tr, occ: r.occ, mem: r.mem, stack: r.stack}
+	err := t.frame(c, 0, t.push(c.nregs))
+	r.stack = t.stack
+	return err
 }
 
 // trip is the shared state of one run: the trace, the step budget, the
 // branch-occurrence counters and the memory are global across call frames;
-// registers are per-frame.
+// registers are per-frame, carved from one stack.
 type trip struct {
 	o        Oracle
 	maxSteps int
 	tr       *Trace
 	occ      []int
 	mem      map[int64]int64
+	stack    []int64
+	top      int
+}
+
+// push carves an n-register frame off the stack, zeroed. A full stack is
+// replaced by a larger one; the frames below keep the slices they hold,
+// which stay valid, so growing never moves a live frame's registers.
+func (t *trip) push(n int) []int64 {
+	if t.top+n > len(t.stack) {
+		t.stack = make([]int64, max(t.top+n, 2*len(t.stack)))
+	}
+	f := t.stack[t.top : t.top+n : t.top+n]
+	clear(f)
+	t.top += n
+	return f
 }
 
 func (t *trip) frame(c *code, depth int, regs []int64) error {
@@ -177,7 +242,8 @@ func (t *trip) call(c *code, depth int, regs []int64, cl *call) error {
 		return fmt.Errorf("interp: %s: call @%s passes %d args/%d results, want %d/%d",
 			c.fn.Name, cl.name, len(cl.args), len(cl.results), len(callee.params), len(callee.rets))
 	}
-	cregs := make([]int64, callee.nregs)
+	base := t.top
+	cregs := t.push(callee.nregs)
 	for i, p := range callee.params {
 		cregs[p] = regs[cl.args[i]]
 	}
@@ -187,5 +253,6 @@ func (t *trip) call(c *code, depth int, regs []int64, cl *call) error {
 	for i, d := range cl.results {
 		regs[d] = cregs[callee.rets[i]]
 	}
+	t.top = base
 	return nil
 }

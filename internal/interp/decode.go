@@ -14,9 +14,9 @@ const (
 
 // code is one function decoded for frames at one Orig base: each register
 // operand is a slot of a dense frame-local register file, numbered in order
-// of first sight, and each conditional branch carries its namespaced Orig
-// (the oracle key) and the slot of its occurrence counter. No table is
-// indexed by a register number, so a huge one in the IR sizes nothing.
+// of first sight through the Runner's Numbering, and each conditional
+// branch carries its namespaced Orig (the oracle key) and the slot of its
+// occurrence counter.
 type code struct {
 	fn     *ir.Function
 	nregs  int
@@ -61,43 +61,51 @@ type codeKey struct {
 	base int
 }
 
+// pendingCall is a resolved call whose callee is decoded once its caller's
+// numbering is done.
+type pendingCall struct {
+	call *call
+	fn   *ir.Function
+	base int
+}
+
+// carve returns n elements from the end of *slab, starting a larger slab
+// when it is full. What earlier carves returned keeps the slab it came
+// from, so growing never moves decoded code.
+func carve[T any](slab *[]T, n int) []T {
+	s := *slab
+	if len(s)+n > cap(s) {
+		s = make([]T, 0, max(n, 2*cap(s)))
+	}
+	*slab = s[:len(s)+n]
+	return s[len(s) : len(s)+n : len(s)+n]
+}
+
 // decode returns fn decoded at base, decoding it and every callee it can
 // reach on first use. The code is cached before its ops are decoded, so
-// recursive calls resolve to it.
+// recursive calls resolve to it. Callees are decoded only after fn's
+// numbering has been reset: every function numbers its registers through
+// the Runner's one Numbering, which holds one function at a time.
 func (r *Runner) decode(fn *ir.Function, base int) *code {
 	k := codeKey{fn, base}
 	if c, ok := r.codes[k]; ok {
 		return c
 	}
-	c := &code{fn: fn, blocks: make([]block, len(fn.Blocks))}
+	c := &carve(&r.codeSlab, 1)[0]
+	*c = code{fn: fn, blocks: carve(&r.blockSlab, len(fn.Blocks))}
 	r.codes[k] = c
 	nops := 0
 	for _, b := range fn.Blocks {
 		nops += len(b.Ops)
 	}
-	insts := make([]inst, nops)
-	// One numbering map per register class, keyed by number: an int key
-	// hashes faster than the two-field ir.Reg. RegClass is a byte, so the
-	// array covers every class untrusted IR can name. An op defines about
-	// one register, so a map sized by the op count rarely grows.
-	var slots [256]map[int]int32
-	nregs := int32(0)
+	insts := carve(&r.instSlab, nops)
+	num := r.num
+	num.Begin(fn)
 	slot := func(reg ir.Reg, absent int32) int32 {
 		if !reg.IsValid() {
 			return absent
 		}
-		m := slots[reg.Class]
-		if m == nil {
-			m = make(map[int]int32, nops)
-			slots[reg.Class] = m
-		}
-		s, ok := m[reg.Num]
-		if !ok {
-			s = firstRegSlot + nregs
-			m[reg.Num] = s
-			nregs++
-		}
-		return s
+		return firstRegSlot + num.Slot(reg)
 	}
 	operand := func(rs []ir.Reg, i int, absent int32) int32 {
 		if i >= len(rs) {
@@ -106,12 +114,13 @@ func (r *Runner) decode(fn *ir.Function, base int) *code {
 		return slot(rs[i], absent)
 	}
 	slotsOf := func(rs []ir.Reg, absent int32) []int32 {
-		out := make([]int32, len(rs))
+		out := carve(&r.slotSlab, len(rs))
 		for i, reg := range rs {
 			out[i] = slot(reg, absent)
 		}
 		return out
 	}
+	pending := len(r.pending)
 	for bi, b := range fn.Blocks {
 		db := &c.blocks[bi] // control transfers index fn.Blocks, as fn.Block does
 		db.orig = ir.BlockID(nsOrig(base, int(b.Orig)))
@@ -139,12 +148,14 @@ func (r *Runner) decode(fn *ir.Function, base int) *code {
 				continue // control ops ignore guards
 			case ir.Call:
 				if callee := r.prog.Lookup(op.Callee); callee != nil {
-					in.call = &call{
+					cl := &carve(&r.callSlab, 1)[0]
+					*cl = call{
 						name:    op.Callee,
-						callee:  r.decode(callee, r.prog.OrigBase(r.prog.Index(op.Callee))),
 						args:    slotsOf(op.Srcs, zeroSlot),
 						results: slotsOf(op.Dests, sinkSlot),
 					}
+					in.call = cl
+					r.pending = append(r.pending, pendingCall{cl, callee, r.prog.OrigBase(r.prog.Index(op.Callee))})
 				}
 			}
 			if op.Guarded() {
@@ -154,6 +165,14 @@ func (r *Runner) decode(fn *ir.Function, base int) *code {
 	}
 	c.params = slotsOf(fn.Params, sinkSlot)
 	c.rets = slotsOf(fn.Rets, zeroSlot)
-	c.nregs = int(firstRegSlot + nregs)
+	c.nregs = int(firstRegSlot) + num.Len()
+	num.Reset()
+	// A nested decode appends its own calls past end and truncates back to
+	// end before returning, so this range stays put.
+	for i, end := pending, len(r.pending); i < end; i++ {
+		p := r.pending[i]
+		p.call.callee = r.decode(p.fn, p.base)
+	}
+	r.pending = r.pending[:pending]
 	return c
 }

@@ -3,6 +3,7 @@ package interp_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"treegion/internal/eval"
@@ -19,7 +20,11 @@ import (
 // the resolved program and without it, at full length and truncated at 500
 // steps — every trip must produce the reference's exact trace and error
 // text. One Runner serves every trip of a program, so decodes are reused
-// across functions, seeds and lengths as the verifier reuses them.
+// across functions, seeds and lengths as the verifier reuses them. Every
+// trip also runs on one Runner shared by all programs, reset for each as
+// the verifier resets its Scratch's, recording into one reused Trace: its
+// numbering, frames, counters, memory and trace storage must carry nothing
+// from one trip or program to the next.
 func TestRunnerMatchesReference(t *testing.T) {
 	progs, err := progen.GenerateAll()
 	if err != nil {
@@ -37,6 +42,9 @@ func TestRunnerMatchesReference(t *testing.T) {
 		progs = append(progs, p)
 	}
 	trips, failed := 0, 0
+	var shared interp.Runner
+	var sharedNum interp.Numbering
+	var sharedTrace interp.Trace
 	for _, p := range progs {
 		resolved, err := ir.NewProgram(p.Funcs)
 		if err != nil {
@@ -69,6 +77,7 @@ func TestRunnerMatchesReference(t *testing.T) {
 				continue // call-free: a nil program changes nothing
 			}
 			run := interp.NewRunner(prog)
+			shared.Reset(prog, &sharedNum)
 			for _, fn := range fns {
 				for _, seed := range []uint64{1, 42} {
 					for _, maxSteps := range []int{0, 500} {
@@ -82,6 +91,14 @@ func TestRunnerMatchesReference(t *testing.T) {
 						if !reflect.DeepEqual(got, want) {
 							t.Fatalf("%s: trace diverges from the reference:\n got %d blocks %d stores %d steps\nwant %d blocks %d stores %d steps",
 								where, len(got.Blocks), len(got.Stores), got.Steps, len(want.Blocks), len(want.Stores), want.Steps)
+						}
+						sharedErr := shared.RunTrace(fn, interp.NewOracle(seed), cfg, &sharedTrace)
+						if fmt.Sprint(sharedErr) != fmt.Sprint(wantErr) {
+							t.Fatalf("%s: on the shared Runner, error %v, want %v", where, sharedErr, wantErr)
+						}
+						if !slices.Equal(sharedTrace.Blocks, want.Blocks) || !slices.Equal(sharedTrace.Stores, want.Stores) || sharedTrace.Steps != want.Steps {
+							t.Fatalf("%s: on the shared Runner, trace diverges from the reference:\n got %d blocks %d stores %d steps\nwant %d blocks %d stores %d steps",
+								where, len(sharedTrace.Blocks), len(sharedTrace.Stores), sharedTrace.Steps, len(want.Blocks), len(want.Stores), want.Steps)
 						}
 						trips++
 						if wantErr != nil {

@@ -88,6 +88,10 @@ func (f *Function) NoteReg(r Reg) {
 // NoteReg have handed out only numbers below it.
 func (f *Function) NumRegs(c RegClass) int { return f.nextReg[c] }
 
+// NumOpIDs returns the op-ID allocator's high-water mark: NewOp, InitOp and
+// CloneOp have handed out only IDs below it.
+func (f *Function) NumOpIDs() int { return f.nextOpID }
+
 // NumOps returns the total op count across all blocks (static code size).
 func (f *Function) NumOps() int {
 	n := 0

@@ -130,6 +130,8 @@ func TestParseErrors(t *testing.T) {
 		{"bad opcode", "func a\nbb0:\n  r1 = frobnicate r2, r3\n  ret"},
 		{"bad immediate", "func a\nbb0:\n  r1 = movi abc\n  ret"},
 		{"bad mem operand", "func a\nbb0:\n  r1 = ld r2+8\n  ret"},
+		{"empty mem operand in ld", "func a\nbb0:\n  r1 = ld []\n  ret"},
+		{"empty mem operand in st", "func a\nbb0:\n  st [], r1\n  ret"},
 		{"bad cond", "func a\nbb0:\n  p0 = cmpp zz r1, r2\n  ret"},
 		{"bad prob", "func a\nbb0:\n  p0 = cmpp gt r1, r2\n  brct _, p0, @bb1 #7\n  fallthrough @bb1\nbb1:\n  ret"},
 		{"guard not predicate", "func a\nbb0:\n  (r1) r2 = movi 3\n  ret"},

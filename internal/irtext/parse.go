@@ -733,6 +733,9 @@ func memOperand(tok string) (ir.Reg, int64, error) {
 		return ir.NoReg, 0, fmt.Errorf("bad memory operand %q", tok)
 	}
 	inner := tok[1 : len(tok)-1]
+	if inner == "" {
+		return ir.NoReg, 0, fmt.Errorf("bad memory operand %q", tok)
+	}
 	sep := strings.IndexAny(inner[1:], "+-")
 	if sep < 0 {
 		return ir.NoReg, 0, fmt.Errorf("bad memory operand %q", tok)

@@ -446,7 +446,7 @@ func compileIsolated(orig *ir.Function, prof *profile.Data, c eval.Config, opts 
 		return fr, err
 	}
 	t0 := time.Now()
-	ds := eval.VerifyResult(orig, fr, c)
+	ds := eval.VerifyResult(orig, fr, c, arena)
 	fr.Trace.Observe(telemetry.PhaseVerify, time.Since(t0), fr.OpsAfter)
 	if m != nil {
 		m.VerifyRuns.Add(1)

@@ -166,19 +166,8 @@ func (r *Region) buildChildren() {
 // IsLeaf reports whether b has no in-region children.
 func (r *Region) IsLeaf(b ir.BlockID) bool { return len(r.Children(b)) == 0 }
 
-// Leaves returns the leaf blocks in preorder.
-func (r *Region) Leaves() []ir.BlockID {
-	var out []ir.BlockID
-	for _, b := range r.Blocks {
-		if r.IsLeaf(b) {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
 // PathCount returns the number of distinct root-to-leaf paths (== leaves).
-// It counts straight off the parent list rather than via Leaves: statistics
+// It counts straight off the parent list rather than via IsLeaf: statistics
 // aggregation calls this once per region, and forcing the children cache
 // just to count leaves dominated the warm artifact-decode profile.
 func (r *Region) PathCount() int {

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"treegion/internal/cfg"
+	"treegion/internal/interp"
 	"treegion/internal/ir"
 )
 
@@ -28,21 +29,43 @@ import (
 
 // CheckFunction runs the IR rules over fn. ifConverted relaxes IR009
 // (guarded definitions do not kill, so path-sensitive def-before-use over
-// predicated code would report spurious entry-live registers).
+// predicated code would report spurious entry-live registers). It runs on a
+// fresh Scratch.
 func CheckFunction(fn *ir.Function, ifConverted bool) []Diagnostic {
-	c := &irChecker{fn: fn}
+	ds, _ := new(Scratch).checkFunction(fn, ifConverted)
+	return ds
+}
+
+// checkFunction is CheckFunction on the scratch's tables. It also returns
+// the CFG that IR009 built, or nil when IR009 did not run, so the caller's
+// liveness and region checks can share it.
+func (sc *Scratch) checkFunction(fn *ir.Function, ifConverted bool) ([]Diagnostic, *cfg.Graph) {
+	c := &sc.ir
+	c.fn, c.num, c.ds = fn, &sc.regs, nil
 	c.structure()
 	// Def-before-use needs an indexable CFG; skip it when the structure is
 	// already broken or when predication blurs kills.
+	var g *cfg.Graph
 	if !HasErrors(c.ds) && !ifConverted && !anyGuarded(fn) {
-		c.mustDefine()
+		g = cfg.New(fn)
+		c.mustDefine(g)
 	}
-	return c.ds
+	ds := c.ds
+	c.fn, c.ds = nil, nil
+	return ds, g
 }
 
+// irChecker is the IR rules' working state, kept in a Scratch.
 type irChecker struct {
-	fn *ir.Function
-	ds []Diagnostic
+	fn  *ir.Function
+	num *interp.Numbering
+	ds  []Diagnostic
+	// opIDs is IR007's set of op IDs below the function's op-ID bound.
+	opIDs regBits
+	// sets backs mustDefine's rows; rows holds its gen and out rows.
+	sets  []uint64
+	rows  []regBits
+	succs []ir.BlockID
 }
 
 func (c *irChecker) add(rule string, sev Severity, b ir.BlockID, op int, format string, args ...interface{}) {
@@ -69,11 +92,11 @@ func (c *irChecker) structure() {
 		c.add("IR001", Error, ir.NoBlock, -1, "entry bb%d out of range (%d blocks)", fn.Entry, len(fn.Blocks))
 	}
 	inRange := func(b ir.BlockID) bool { return b >= 0 && int(b) < len(fn.Blocks) }
-	nops := 0
-	for _, b := range fn.Blocks {
-		nops += len(b.Ops)
-	}
-	seenOp := make(map[int]bool, nops)
+	// Op IDs below the allocator's bound go in a bitset; a hand-built
+	// function's IDs outside it spill into a map, as Validate's do.
+	bound := fn.NumOpIDs()
+	c.opIDs = growClear(c.opIDs, (bound+63)/64)
+	var overflow map[int]bool
 	for i, b := range fn.Blocks {
 		if b.ID != ir.BlockID(i) {
 			c.add("IR002", Error, b.ID, -1, "block at index %d has ID %d", i, b.ID)
@@ -81,10 +104,20 @@ func (c *irChecker) structure() {
 		sawBranch := false
 		sawBru := false
 		for j, op := range b.Ops {
-			if seenOp[op.ID] {
+			var dup bool
+			if op.ID >= 0 && op.ID < bound {
+				dup = c.opIDs.has(op.ID)
+				c.opIDs.add(op.ID)
+			} else {
+				dup = overflow[op.ID]
+				if overflow == nil {
+					overflow = make(map[int]bool)
+				}
+				overflow[op.ID] = true
+			}
+			if dup {
 				c.add("IR007", Error, b.ID, op.ID, "duplicate op ID %d", op.ID)
 			}
-			seenOp[op.ID] = true
 			if op.IsBranch() || op.Opcode == ir.Pbr {
 				if !inRange(op.Target) {
 					c.add("IR003", Error, b.ID, op.ID, "%s targets missing bb%d", op.Opcode, op.Target)
@@ -118,9 +151,9 @@ func (c *irChecker) structure() {
 				c.add("IR004", Error, b.ID, -1, "fallthrough after BRU")
 			}
 		}
-		succs := b.Succs()
-		for j, s := range succs {
-			if slices.Contains(succs[:j], s) {
+		c.succs = b.AppendSuccs(c.succs[:0])
+		for j, s := range c.succs {
+			if slices.Contains(c.succs[:j], s) {
 				c.add("IR006", Error, b.ID, -1, "duplicate successor bb%d", s)
 			}
 		}
@@ -233,44 +266,45 @@ func (c *irChecker) operands(b *ir.Block, op *ir.Op) {
 // implicit zero-initialized parameters (the interpreter zero-fills them).
 //
 // The sets range over the control registers the function reads, numbered
-// in order of first sight; every set operation acts on each register
-// independently, so leaving the other registers out changes no result. The
-// numbering is the verifier's own: no table is indexed by a register
-// number, and none is shared with the liveness analysis it checks.
-func (c *irChecker) mustDefine() {
+// in order of first sight through the scratch's Numbering; every set
+// operation acts on each register independently, so leaving the other
+// registers out changes no result. The numbering is the verifier's own:
+// none is shared with the liveness analysis it checks. g is fn's CFG.
+func (c *irChecker) mustDefine(g *cfg.Graph) {
 	fn := c.fn
-	slot := make(map[ir.Reg]int)
+	num := c.num
+	num.Begin(fn)
+	defer num.Reset()
 	for _, b := range fn.Blocks {
 		for _, op := range b.Ops {
 			for _, s := range op.Srcs {
-				if !controlReg(s) {
-					continue
-				}
-				if _, seen := slot[s]; !seen {
-					slot[s] = len(slot)
+				if controlReg(s) {
+					num.Slot(s)
 				}
 			}
 		}
 	}
-	if len(slot) == 0 {
+	if num.Len() == 0 {
 		return // no control register is read, so none can be undefined
 	}
 	tracked := func(r ir.Reg) (int, bool) {
 		if !controlReg(r) {
 			return 0, false
 		}
-		i, ok := slot[r]
-		return i, ok
+		i := num.Lookup(r)
+		return int(i), i >= 0
 	}
-	words := (len(slot) + 63) / 64
+	words := (num.Len() + 63) / 64
 	n := len(fn.Blocks)
-	backing := make([]uint64, (2*n+1)*words)
+	c.sets = growClear(c.sets, (2*n+1)*words)
+	backing := c.sets
 	set := func(i int) regBits { return backing[i*words : (i+1)*words : (i+1)*words] }
 	// gen[b] holds what b writes; out[b] what is defined on every path
 	// through b's exit. Every block but the entry starts at "everything"
 	// until its predecessors constrain it; unreachable predecessors never
 	// do.
-	gen, out := make([]regBits, n), make([]regBits, n)
+	c.rows = grow(c.rows, 2*n)
+	gen, out := c.rows[:n], c.rows[n:]
 	for _, b := range fn.Blocks {
 		gen[b.ID], out[b.ID] = set(int(b.ID)), set(n+int(b.ID))
 		for _, op := range b.Ops {
@@ -284,7 +318,6 @@ func (c *irChecker) mustDefine() {
 			out[b.ID].fill()
 		}
 	}
-	g := cfg.New(fn)
 	in := set(2 * n)
 	meet := func(bid ir.BlockID) {
 		if bid == fn.Entry {
@@ -330,7 +363,8 @@ func (c *irChecker) mustDefine() {
 // register.
 func controlReg(r ir.Reg) bool { return r.Class == ir.ClassPred || r.Class == ir.ClassBTR }
 
-// regBits is a word-packed set over mustDefine's first-sight numbering.
+// regBits is a word-packed set over mustDefine's first-sight numbering
+// (and IR007's op IDs).
 type regBits []uint64
 
 func (s regBits) add(i int)      { s[i>>6] |= 1 << (i & 63) }

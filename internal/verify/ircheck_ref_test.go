@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"treegion/internal/cfg"
+	"treegion/internal/interp"
 	"treegion/internal/ir"
 	"treegion/internal/progen"
 )
@@ -152,17 +153,23 @@ func TestMustDefineMatchesReference(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(15))
 	cases, reporting := 0, 0
+	var shared Scratch
 	for _, in := range inputs {
 		fn := in.fn
 		for _, k := range in.corruptions {
 			f := fn.Clone()
 			corruptControlDefs(f, k, rng)
-			got := &irChecker{fn: f}
-			got.mustDefine()
+			got := &irChecker{fn: f, num: new(interp.Numbering)}
+			got.mustDefine(cfg.New(f))
 			want := &irChecker{fn: f}
 			refMustDefine(want)
 			if !reflect.DeepEqual(got.ds, want.ds) {
 				t.Fatalf("%s with %d corrupted definitions:\n got %v\nwant %v", f.Name, k, got.ds, want.ds)
+			}
+			// The same case on the scratch every case shares: its
+			// numbering and rows must hold nothing of earlier functions.
+			if shared, _ := shared.checkFunction(f, false); !reflect.DeepEqual(shared, want.ds) {
+				t.Fatalf("%s with %d corrupted definitions on a shared Scratch:\n got %v\nwant %v", f.Name, k, shared, want.ds)
 			}
 			cases++
 			if len(want.ds) > 0 {

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 
 	"treegion/internal/cfg"
 	"treegion/internal/core"
@@ -30,16 +31,33 @@ import (
 // It is aware of demand-driven inlining: in's splice records identify the
 // continuation blocks, which carry their host's Orig for trace purposes but
 // are not tail duplicates and must not count against the RG005 expansion
-// budget. A nil in means no calls were inlined.
+// budget. A nil in means no calls were inlined. It runs on a fresh Scratch.
 func CheckRegionsInline(fn *ir.Function, regions []*region.Region, td core.TDConfig, in *inline.Stats) []Diagnostic {
-	c := &regionChecker{fn: fn, g: cfg.New(fn)}
+	return new(Scratch).checkRegions(fn, cfg.New(fn), regions, td, in)
+}
+
+// checkRegions is CheckRegionsInline on the scratch's tables; g is fn's
+// CFG.
+func (sc *Scratch) checkRegions(fn *ir.Function, g *cfg.Graph, regions []*region.Region, td core.TDConfig, in *inline.Stats) []Diagnostic {
+	c := &sc.rg
+	c.fn, c.g, c.conts, c.ds = fn, g, nil, nil
 	if in != nil {
 		c.conts = make(map[ir.BlockID]bool, len(in.Splices))
 		for _, sp := range in.Splices {
 			c.conts[sp.Cont] = true
 		}
 	}
-	owner := make(map[ir.BlockID]int)
+	// Block IDs outside the function go in a map.
+	c.owner = growClear(c.owner, len(fn.Blocks))
+	c.seen = growClear(c.seen, len(fn.Blocks))
+	var over map[ir.BlockID]int
+	ownerOf := func(b ir.BlockID) (int, bool) {
+		if b >= 0 && int(b) < len(c.owner) {
+			return int(c.owner[b]) - 1, c.owner[b] != 0
+		}
+		i, ok := over[b]
+		return i, ok
+	}
 	for i, r := range regions {
 		c.tree(i, r)
 		c.kind(i, r)
@@ -47,21 +65,29 @@ func CheckRegionsInline(fn *ir.Function, regions []*region.Region, td core.TDCon
 			c.tdBounds(i, r, td)
 		}
 		for _, b := range r.Blocks {
-			if prev, dup := owner[b]; dup {
+			if prev, dup := ownerOf(b); dup {
 				c.add("RG002", Error, b, "bb%d belongs to regions %d and %d", b, prev, i)
+			} else if b >= 0 && int(b) < len(c.owner) {
+				c.owner[b] = int32(i) + 1
 			} else {
-				owner[b] = i
+				if over == nil {
+					over = make(map[ir.BlockID]int)
+				}
+				over[b] = i
 			}
 		}
 	}
 	for _, b := range fn.Blocks {
-		if _, ok := owner[b.ID]; !ok {
+		if _, ok := ownerOf(b.ID); !ok {
 			c.add("RG002", Error, b.ID, "bb%d belongs to no region", b.ID)
 		}
 	}
-	return c.ds
+	ds := c.ds
+	c.fn, c.g, c.conts, c.ds = nil, nil, nil, nil
+	return ds
 }
 
+// regionChecker is the region rules' working state, kept in a Scratch.
 type regionChecker struct {
 	fn *ir.Function
 	g  *cfg.Graph
@@ -69,6 +95,13 @@ type regionChecker struct {
 	// records were supplied); see tdBounds.
 	conts map[ir.BlockID]bool
 	ds    []Diagnostic
+	// owner and seen are indexed by BlockID over the function's blocks.
+	// owner holds 1 + the first region listing each block; seen marks the
+	// blocks one region's tree walk has passed, and the walk clears its
+	// marks before it returns.
+	owner []int32
+	seen  []bool
+	succs []ir.BlockID
 }
 
 func (c *regionChecker) add(rule string, sev Severity, b ir.BlockID, format string, args ...interface{}) {
@@ -89,7 +122,7 @@ func (c *regionChecker) tree(i int, r *region.Region) {
 	if r.Blocks[0] != r.Root {
 		c.add("RG001", Error, r.Root, "region %d root bb%d is not Blocks[0] (bb%d)", i, r.Root, r.Blocks[0])
 	}
-	seen := make(map[ir.BlockID]bool)
+	seen := c.seen
 	for j, b := range r.Blocks {
 		if b < 0 || int(b) >= len(c.fn.Blocks) {
 			c.add("RG001", Error, b, "region %d contains missing bb%d", i, b)
@@ -104,18 +137,12 @@ func (c *regionChecker) tree(i int, r *region.Region) {
 			continue
 		}
 		p := r.Parent(b)
-		if p == ir.NoBlock || !seen[p] {
+		if p < 0 || int(p) >= len(seen) || !seen[p] {
 			c.add("RG001", Error, b, "region %d member bb%d has parent bb%d outside the preceding preorder", i, b, p)
 			continue
 		}
-		edge := false
-		for _, s := range c.fn.Block(p).Succs() {
-			if s == b {
-				edge = true
-				break
-			}
-		}
-		if !edge {
+		c.succs = c.fn.Block(p).AppendSuccs(c.succs[:0])
+		if !slices.Contains(c.succs, b) {
 			c.add("RG001", Error, b, "region %d tree edge bb%d->bb%d is not a CFG edge", i, p, b)
 		}
 		// Single-entry tree: one predecessor, the tree parent. The root is
@@ -125,6 +152,12 @@ func (c *regionChecker) tree(i int, r *region.Region) {
 			c.add("RG003", Error, b,
 				"region %d member bb%d has %d CFG predecessors (want exactly its tree parent bb%d): merge point inside a region",
 				i, b, len(preds), p)
+		}
+	}
+	// Every block marked above is in range.
+	for _, b := range r.Blocks {
+		if b >= 0 && int(b) < len(seen) {
+			seen[b] = false
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"treegion/internal/cfg"
 	"treegion/internal/ddg"
+	"treegion/internal/interp"
 	"treegion/internal/ir"
 	"treegion/internal/machine"
 	"treegion/internal/region"
@@ -30,67 +31,171 @@ import (
 //	SC008  a value producer issues after a region exit that needs the value
 
 // CheckSchedule verifies one region's schedule. lv must be liveness over
-// the function's current (post-compilation) shape.
+// the function's current (post-compilation) shape. It runs on a fresh
+// Scratch; CompiledScratch checks every region of a function on one.
 func CheckSchedule(fn *ir.Function, r *region.Region, s *sched.Schedule, lv *cfg.Liveness) []Diagnostic {
-	c, ok := newSchedChecker(fn, r, s, lv)
-	if !ok {
-		return c.ds
-	}
-	c.width()
-	c.edgeConformance()
-	c.pathDependences()
-	c.controlWindows()
-	c.liveExits()
-	c.offPathClobbers()
-	return c.ds
+	return new(Scratch).checkSchedule(fn, r, s, lv)
 }
 
-// newSchedChecker indexes the schedule's nodes by home block, reporting
-// SC001 for unscheduled nodes. It reports false, with the SC001 that says
-// why, when the schedule cannot be checked at all.
-func newSchedChecker(fn *ir.Function, r *region.Region, s *sched.Schedule, lv *cfg.Liveness) (*schedChecker, bool) {
-	c := &schedChecker{fn: fn, r: r, s: s, lv: lv, seen: make(map[string]bool)}
+// checkSchedule is CheckSchedule on the scratch's tables.
+func (sc *Scratch) checkSchedule(fn *ir.Function, r *region.Region, s *sched.Schedule, lv *cfg.Liveness) []Diagnostic {
+	c := &sc.sched
+	c.num = &sc.regs
+	if c.begin(fn, r, s, lv) {
+		c.width()
+		c.edgeConformance()
+		c.pathDependences()
+		c.controlWindows()
+		c.liveExits()
+		c.offPathClobbers()
+	}
+	ds := c.ds
+	c.finish()
+	return ds
+}
+
+// begin readies c for one region: it groups the schedule's nodes by home
+// block, reporting SC001 for unscheduled nodes. It reports false, with the
+// SC001 that says why, when the schedule cannot be checked at all.
+func (c *schedChecker) begin(fn *ir.Function, r *region.Region, s *sched.Schedule, lv *cfg.Liveness) bool {
+	c.fn, c.r, c.s, c.lv, c.ds = fn, r, s, lv, nil
+	if len(c.seen) > 0 {
+		clear(c.seen)
+	}
 	if s == nil || s.Graph == nil {
 		c.addAt("SC001", Error, ir.NoBlock, -1, "region at bb%d has no schedule", r.Root)
-		return c, false
+		return false
 	}
 	c.g = s.Graph
 	if c.g.Region != r {
 		c.addAt("SC001", Error, ir.NoBlock, -1, "schedule belongs to a different region (root bb%d, want bb%d)",
 			c.g.Region.Root, r.Root)
-		return c, false
+		return false
 	}
 	if len(s.Cycle) != len(c.g.Nodes) {
 		c.addAt("SC001", Error, ir.NoBlock, -1, "%d cycle assignments for %d nodes", len(s.Cycle), len(c.g.Nodes))
-		return c, false
+		return false
 	}
-	c.byBlock = make(map[ir.BlockID][]*ddg.Node)
-	c.terms = make(map[ir.BlockID][]*ddg.Node)
+	// A counting sort over home positions, stable in Index order. A node
+	// homed outside the region is grouped nowhere: every lookup is by a
+	// member block.
+	nb := len(r.Blocks)
+	pos := func(n *ddg.Node) int {
+		if p := r.Pos(n.Home); p < nb {
+			return p
+		}
+		return -1
+	}
+	c.nodeOff = growClear(c.nodeOff, nb+1)
+	c.termOff = growClear(c.termOff, nb+1)
 	for _, n := range c.g.Nodes {
 		if s.Cycle[n.Index] < 0 {
 			c.addNode("SC001", Error, n, "%v is unscheduled", n.Op)
 		}
-		c.byBlock[n.Home] = append(c.byBlock[n.Home], n)
-		if n.Term {
-			c.terms[n.Home] = append(c.terms[n.Home], n)
+		if p := pos(n); p >= 0 {
+			c.nodeOff[p+1]++
+			if n.Term {
+				c.termOff[p+1]++
+			}
 		}
 	}
-	return c, true
+	for p := 0; p < nb; p++ {
+		c.nodeOff[p+1] += c.nodeOff[p]
+		c.termOff[p+1] += c.termOff[p]
+	}
+	c.nodes = grow(c.nodes, int(c.nodeOff[nb]))
+	c.terms = grow(c.terms, int(c.termOff[nb]))
+	c.fill = append(c.fill[:0], c.nodeOff[:nb]...)
+	c.fill = append(c.fill, c.termOff[:nb]...)
+	nextNode, nextTerm := c.fill[:nb], c.fill[nb:]
+	for _, n := range c.g.Nodes {
+		p := pos(n)
+		if p < 0 {
+			continue
+		}
+		c.nodes[nextNode[p]] = n
+		nextNode[p]++
+		if n.Term {
+			c.terms[nextTerm[p]] = n
+			nextTerm[p]++
+		}
+	}
+	return true
 }
 
+// finish drops the references to the checked region and its schedule.
+// The node buffers are overwritten by the next region, not cleared.
+func (c *schedChecker) finish() {
+	c.fn, c.r, c.s, c.g, c.lv, c.ds = nil, nil, nil, nil, nil, nil
+}
+
+// schedChecker is SC's working state, kept in a Scratch and reused across
+// every region it checks.
 type schedChecker struct {
-	fn *ir.Function
-	r  *region.Region
-	s  *sched.Schedule
-	g  *ddg.Graph
-	lv *cfg.Liveness
-	// byBlock groups nodes by Home in Index order, which is the effective
-	// op order the DDG builder derived (body, merged representatives, then
-	// terminators).
-	byBlock map[ir.BlockID][]*ddg.Node
-	terms   map[ir.BlockID][]*ddg.Node // byBlock's terminators, in effective order
-	seen    map[string]bool
-	ds      []Diagnostic
+	fn  *ir.Function
+	r   *region.Region
+	s   *sched.Schedule
+	g   *ddg.Graph
+	lv  *cfg.Liveness
+	num *interp.Numbering
+	// seen holds the addOnce keys reported in this region; it is made when
+	// the first finding is.
+	seen map[seenKey]bool
+	ds   []Diagnostic
+
+	// The nodes homed at r.Blocks[p] are nodes[nodeOff[p]:nodeOff[p+1]], in
+	// Index order, which is the effective op order the DDG builder derived
+	// (body, merged representatives, then terminators); their terminators
+	// are terms[termOff[p]:termOff[p+1]], in the same order.
+	nodes, terms     []*ddg.Node
+	nodeOff, termOff []int32
+	fill             []int32 // the counting sort's cursors
+	// The region-exit branches from r.Blocks[p] are exits[exitOff[p]:exitOff[p+1]].
+	exits   []exitBr
+	exitOff []int32
+	// Block lists: one root-to-leaf path, one subtree.
+	path, sub []ir.BlockID
+	// width's buffers: issue counts by cycle, or the cycles themselves.
+	cycles []int
+	loads  []*ddg.Node
+	p      pathState
+}
+
+// seenKey identifies one reported finding for addOnce: a rule and the two
+// IDs it relates.
+type seenKey struct {
+	rule string
+	a, b int
+}
+
+// exitBr is a region-exit branch and its target.
+type exitBr struct {
+	n      *ddg.Node
+	target ir.BlockID
+}
+
+// byBlock returns the nodes homed at bid, in Index order.
+func (c *schedChecker) byBlock(bid ir.BlockID) []*ddg.Node { return c.group(c.nodes, c.nodeOff, bid) }
+
+// termsOf returns bid's terminators, in effective order.
+func (c *schedChecker) termsOf(bid ir.BlockID) []*ddg.Node { return c.group(c.terms, c.termOff, bid) }
+
+// group returns bid's range of a slab grouped by preorder position.
+func (c *schedChecker) group(slab []*ddg.Node, off []int32, bid ir.BlockID) []*ddg.Node {
+	if p := c.r.Pos(bid); p >= 0 && p+1 < len(off) {
+		return slab[off[p]:off[p+1]]
+	}
+	return nil
+}
+
+// subtree fills c.sub with bid and its in-region descendants, in the order
+// region.Region.Subtree lists them, and returns it.
+func (c *schedChecker) subtree(bid ir.BlockID) []ir.BlockID {
+	c.sub = append(c.sub[:0], bid)
+	for i := 0; i < len(c.sub); i++ {
+		c.sub = append(c.sub, c.r.Children(c.sub[i])...)
+	}
+	return c.sub
 }
 
 func (c *schedChecker) cyc(n *ddg.Node) int { return c.s.Cycle[n.Index] }
@@ -110,37 +215,79 @@ func (c *schedChecker) addNode(rule string, sev Severity, n *ddg.Node, format st
 	c.addAt(rule, sev, n.Home, n.Op.ID, format, args...)
 }
 
+// firstSight records k and reports whether it is new.
+func (c *schedChecker) firstSight(k seenKey) bool {
+	if c.seen[k] {
+		return false
+	}
+	if c.seen == nil {
+		c.seen = make(map[seenKey]bool)
+	}
+	c.seen[k] = true
+	return true
+}
+
 // addOnce suppresses duplicates: path walks revisit shared tree prefixes, so
 // the same violated pair shows up once per leaf otherwise.
 func (c *schedChecker) addOnce(rule string, from, to *ddg.Node, format string, args ...interface{}) {
-	key := fmt.Sprintf("%s/%d/%d", rule, from.Op.ID, to.Op.ID)
-	if c.seen[key] {
-		return
+	if c.firstSight(seenKey{rule, from.Op.ID, to.Op.ID}) {
+		c.addNode(rule, Error, to, format, args...)
 	}
-	c.seen[key] = true
-	c.addNode(rule, Error, to, format, args...)
 }
 
 // width checks SC003: per-cycle issue counts against the model, reported
 // in cycle order. Renaming copies are slot-free by the paper's accounting
-// and do not count.
+// and do not count. A schedule's cycles span about as many values as it
+// has nodes, so they are counted in a table over that span; a span far
+// wider than the node count (a corrupted cycle) is sorted instead.
 func (c *schedChecker) width() {
-	cycles := make([]int, 0, len(c.g.Nodes))
+	lo, hi, k := 0, -1, 0
 	for _, n := range c.g.Nodes {
 		if c.ok(n) && !n.IsCopy() {
-			cycles = append(cycles, c.cyc(n))
+			cy := c.cyc(n)
+			if k == 0 || cy < lo {
+				lo = cy
+			}
+			hi = max(hi, cy)
+			k++
 		}
 	}
-	slices.Sort(cycles)
-	for i := 0; i < len(cycles); {
+	report := func(cycle, k int) {
+		if k > c.s.Model.IssueWidth {
+			c.addAt("SC003", Error, ir.NoBlock, -1,
+				"cycle %d issues %d ops on a %d-wide machine", cycle, k, c.s.Model.IssueWidth)
+		}
+	}
+	if k == 0 {
+		return
+	}
+	if span := hi - lo + 1; span <= 4*k+64 {
+		c.cycles = growClear(c.cycles, span)
+		for _, n := range c.g.Nodes {
+			if c.ok(n) && !n.IsCopy() {
+				c.cycles[c.cyc(n)-lo]++
+			}
+		}
+		for i, k := range c.cycles {
+			if k > 0 {
+				report(lo+i, k)
+			}
+		}
+		return
+	}
+	c.cycles = c.cycles[:0]
+	for _, n := range c.g.Nodes {
+		if c.ok(n) && !n.IsCopy() {
+			c.cycles = append(c.cycles, c.cyc(n))
+		}
+	}
+	slices.Sort(c.cycles)
+	for i := 0; i < len(c.cycles); {
 		j := i + 1
-		for j < len(cycles) && cycles[j] == cycles[i] {
+		for j < len(c.cycles) && c.cycles[j] == c.cycles[i] {
 			j++
 		}
-		if k := j - i; k > c.s.Model.IssueWidth {
-			c.addAt("SC003", Error, ir.NoBlock, -1,
-				"cycle %d issues %d ops on a %d-wide machine", cycles[i], k, c.s.Model.IssueWidth)
-		}
+		report(c.cycles[i], j-i)
 		i = j
 	}
 }
@@ -188,15 +335,16 @@ func (c *schedChecker) edgeConformance() {
 // list of slots the previous walk touched.
 func (c *schedChecker) pathDependences() {
 	p := c.decodeOperands()
-	var path []ir.BlockID
-	var loads []*ddg.Node
-	for _, leaf := range c.r.Leaves() {
+	for _, leaf := range c.r.Blocks {
+		if !c.r.IsLeaf(leaf) {
+			continue
+		}
 		p.reset()
 		var lastStore *ddg.Node
-		loads = loads[:0]
-		path = c.r.AppendPathTo(path[:0], leaf)
-		for _, bid := range path {
-			for _, n := range c.byBlock[bid] {
+		loads := c.loads[:0]
+		c.path = c.r.AppendPathTo(c.path[:0], leaf)
+		for _, bid := range c.path {
+			for _, n := range c.byBlock(bid) {
 				if !c.ok(n) {
 					continue
 				}
@@ -206,7 +354,7 @@ func (c *schedChecker) pathDependences() {
 						if lat := machine.Latency(def.Op.Opcode); c.cyc(n) < c.cyc(def)+lat {
 							c.addOnce("SC002", def, n,
 								"%v (cycle %d) reads %v before %v (cycle %d, latency %d) produces it",
-								op, c.cyc(n), p.regs[s], def.Op, c.cyc(def), lat)
+								op, c.cyc(n), c.num.Reg(s), def.Op, c.cyc(def), lat)
 						}
 					}
 					p.touch(s)
@@ -239,7 +387,7 @@ func (c *schedChecker) pathDependences() {
 						if rd != n && c.cyc(n) < c.cyc(rd) {
 							c.addOnce("SC002", rd, n,
 								"%v (cycle %d) overwrites %v before reader %v (cycle %d)",
-								op, c.cyc(n), p.regs[d], rd.Op, c.cyc(rd))
+								op, c.cyc(n), c.num.Reg(d), rd.Op, c.cyc(rd))
 						}
 					}
 					for _, def := range p.defs[d] {
@@ -261,19 +409,23 @@ func (c *schedChecker) pathDependences() {
 				}
 			}
 		}
+		c.loads = loads
 	}
+	c.num.Reset()
 }
 
 // pathState is pathDependences' register state over the region's
-// first-sight register numbering.
+// first-sight register numbering (the slot's register is c.num.Reg(slot)).
 type pathState struct {
-	regs []ir.Reg // slot → register, for messages
 	// opSlots holds each node's valid source slots (the guard last, when
 	// guarded) then its valid destination slots, at span[n.Index].
 	opSlots []int32
 	span    []operandSpan
+	nreads  []int32       // per slot: reads in the whole region
+	ndefs   []int32       // per slot: definitions in the whole region
 	defs    [][]*ddg.Node // reaching definitions per slot
 	readers [][]*ddg.Node // reads since the last killing definition
+	slab    []*ddg.Node   // backs defs and readers
 	dirty   []bool
 	touched []int32
 }
@@ -288,50 +440,53 @@ type operandSpan struct{ lo, mid, hi int32 }
 // region-wide slab at those sizes and never grow.
 func (c *schedChecker) decodeOperands() *pathState {
 	nodes := c.g.Nodes
-	p := &pathState{
-		regs:    make([]ir.Reg, 0, len(nodes)),
-		opSlots: make([]int32, 0, 3*len(nodes)),
-		span:    make([]operandSpan, len(nodes)),
-	}
-	slot := make(map[ir.Reg]int32, len(nodes))
-	nreads, ndefs := make([]int32, 0, len(nodes)), make([]int32, 0, len(nodes)) // per slot
-	add := func(r ir.Reg, count *[]int32) {
+	p := &c.p
+	num := c.num
+	num.Begin(c.fn)
+	p.opSlots = p.opSlots[:0]
+	p.span = grow(p.span, len(nodes))
+	p.nreads, p.ndefs = p.nreads[:0], p.ndefs[:0]
+	add := func(r ir.Reg, def bool) {
 		if !r.IsValid() {
 			return
 		}
-		s, ok := slot[r]
-		if !ok {
-			s = int32(len(p.regs))
-			slot[r] = s
-			p.regs = append(p.regs, r)
-			nreads, ndefs = append(nreads, 0), append(ndefs, 0)
+		s := num.Slot(r)
+		if int(s) == len(p.nreads) {
+			p.nreads, p.ndefs = append(p.nreads, 0), append(p.ndefs, 0)
 		}
-		(*count)[s]++
+		if def {
+			p.ndefs[s]++
+		} else {
+			p.nreads[s]++
+		}
 		p.opSlots = append(p.opSlots, s)
 	}
 	for _, n := range nodes {
 		sp := &p.span[n.Index]
 		sp.lo = int32(len(p.opSlots))
 		for _, r := range n.Op.Srcs {
-			add(r, &nreads)
+			add(r, false)
 		}
 		if n.Op.Guarded() {
-			add(n.Op.Guard, &nreads)
+			add(n.Op.Guard, false)
 		}
 		sp.mid = int32(len(p.opSlots))
 		for _, r := range n.Op.Dests {
-			add(r, &ndefs)
+			add(r, true)
 		}
 		sp.hi = int32(len(p.opSlots))
 	}
-	p.defs = make([][]*ddg.Node, len(p.regs))
-	p.readers = make([][]*ddg.Node, len(p.regs))
-	p.dirty = make([]bool, len(p.regs))
-	slab := make([]*ddg.Node, len(p.opSlots))
-	for s := range p.regs {
-		p.readers[s], slab = slab[:0:nreads[s]], slab[nreads[s]:]
-		p.defs[s], slab = slab[:0:ndefs[s]], slab[ndefs[s]:]
+	nregs := num.Len()
+	p.defs = grow(p.defs, nregs)
+	p.readers = grow(p.readers, nregs)
+	p.dirty = growClear(p.dirty, nregs)
+	p.slab = grow(p.slab, len(p.opSlots))
+	slab := p.slab
+	for s := 0; s < nregs; s++ {
+		p.readers[s], slab = slab[:0:p.nreads[s]], slab[p.nreads[s]:]
+		p.defs[s], slab = slab[:0:p.ndefs[s]], slab[p.ndefs[s]:]
 	}
+	p.touched = p.touched[:0]
 	return p
 }
 
@@ -375,7 +530,7 @@ func (c *schedChecker) resolver(bid ir.BlockID) *ddg.Node {
 			return nil
 		}
 		var last *ddg.Node
-		for _, t := range c.terms[parent] {
+		for _, t := range c.termsOf(parent) {
 			if t.Op.IsBranch() && t.Op.Target == cur {
 				return t
 			}
@@ -392,7 +547,7 @@ func (c *schedChecker) resolver(bid ir.BlockID) *ddg.Node {
 // ops from below: the block's own, or — for terminator-less blocks — the
 // nearest descendant terminators along the single fallthrough chain.
 func (c *schedChecker) downTerms(bid ir.BlockID) []*ddg.Node {
-	if ts := c.terms[bid]; len(ts) > 0 {
+	if ts := c.termsOf(bid); len(ts) > 0 {
 		return ts
 	}
 	cur := bid
@@ -402,7 +557,7 @@ func (c *schedChecker) downTerms(bid ir.BlockID) []*ddg.Node {
 			return nil
 		}
 		cur = ch[0]
-		if ts := c.terms[cur]; len(ts) > 0 {
+		if ts := c.termsOf(cur); len(ts) > 0 {
 			return ts
 		}
 	}
@@ -417,7 +572,7 @@ func (c *schedChecker) downTerms(bid ir.BlockID) []*ddg.Node {
 // terminators.
 func (c *schedChecker) controlWindows() {
 	for _, bid := range c.r.Blocks {
-		terms := c.terms[bid]
+		terms := c.termsOf(bid)
 		for i := 0; i+1 < len(terms); i++ {
 			a, b := terms[i], terms[i+1]
 			if c.ok(a) && c.ok(b) && c.cyc(b) < c.cyc(a) {
@@ -437,7 +592,7 @@ func (c *schedChecker) controlWindows() {
 			}
 		}
 		down := c.downTerms(bid)
-		for _, n := range c.byBlock[bid] {
+		for _, n := range c.byBlock(bid) {
 			if n.Term || !c.ok(n) || n.Op.Opcode.Speculatable() {
 				continue
 			}
@@ -464,26 +619,38 @@ func (c *schedChecker) controlWindows() {
 // targets — renaming only removes in-region reads — so this cannot flag a
 // schedule the builder's edges allowed.)
 func (c *schedChecker) liveExits() {
-	type exitBr struct {
-		n      *ddg.Node
-		target ir.BlockID
-	}
-	exits := make(map[ir.BlockID][]exitBr)
-	for _, bid := range c.r.Blocks {
-		for _, t := range c.terms[bid] {
+	nb := len(c.r.Blocks)
+	c.exits = c.exits[:0]
+	c.exitOff = grow(c.exitOff, nb+1)
+	for i, bid := range c.r.Blocks {
+		c.exitOff[i] = int32(len(c.exits))
+		for _, t := range c.termsOf(bid) {
 			if t.Op.IsBranch() && !c.r.IsTreeEdge(bid, t.Op.Target) {
-				exits[bid] = append(exits[bid], exitBr{t, t.Op.Target})
+				c.exits = append(c.exits, exitBr{t, t.Op.Target})
 			}
 		}
 	}
+	c.exitOff[nb] = int32(len(c.exits))
+	if len(c.exits) == 0 {
+		return
+	}
+	exitsAt := func(bid ir.BlockID) []exitBr {
+		if p := c.r.Pos(bid); p >= 0 && p < nb {
+			return c.exits[c.exitOff[p]:c.exitOff[p+1]]
+		}
+		return nil
+	}
 	for _, bid := range c.r.Blocks {
-		sub := c.r.Subtree(bid)
-		for _, n := range c.byBlock[bid] {
+		var sub []ir.BlockID
+		for _, n := range c.byBlock(bid) {
 			if n.Term || !c.ok(n) || len(n.Op.Dests) == 0 {
 				continue
 			}
+			if sub == nil {
+				sub = c.subtree(bid)
+			}
 			for _, d := range sub {
-				for _, e := range exits[d] {
+				for _, e := range exitsAt(d) {
 					if !c.ok(e.n) || c.cyc(n) <= c.cyc(e.n) {
 						continue
 					}
@@ -529,7 +696,7 @@ func (c *schedChecker) offPathClobbers() {
 			// admitting branch, n sits in cur's own stream segment and can
 			// execute on no sibling path, here or higher — even one whose
 			// branch happens to be scheduled later.
-			terms := c.terms[parent]
+			terms := c.termsOf(parent)
 			admitted := true
 			for _, t := range terms {
 				if t.Op.IsBranch() && t.Op.Target == cur && c.r.IsTreeEdge(parent, cur) {
@@ -570,9 +737,7 @@ func (c *schedChecker) clobber(n *ddg.Node, a, s ir.BlockID) {
 			continue
 		}
 		if c.lv.LiveIn[s].Has(d) {
-			key := fmt.Sprintf("SC005/%d/%d", n.Op.ID, s)
-			if !c.seen[key] {
-				c.seen[key] = true
+			if c.firstSight(seenKey{"SC005", n.Op.ID, int(s)}) {
 				c.addNode("SC005", Error, n,
 					"speculated %v (cycle %d) clobbers %v, live into off-path bb%d (missing rename copy?)",
 					n.Op, c.cyc(n), d, s)
@@ -581,8 +746,8 @@ func (c *schedChecker) clobber(n *ddg.Node, a, s ir.BlockID) {
 		if !c.r.IsTreeEdge(a, s) {
 			continue
 		}
-		for _, sb := range c.r.Subtree(s) {
-			for _, m := range c.byBlock[sb] {
+		for _, sb := range c.subtree(s) {
+			for _, m := range c.byBlock(sb) {
 				if m.Term || !c.ok(m) || c.cyc(m) > c.cyc(n) {
 					continue
 				}

@@ -12,16 +12,15 @@ import (
 // refCheckSchedule is CheckSchedule with refPathDependences in place of the
 // slot-table walk; every other family is the production code.
 func refCheckSchedule(fn *ir.Function, r *region.Region, s *sched.Schedule, lv *cfg.Liveness) []Diagnostic {
-	c, ok := newSchedChecker(fn, r, s, lv)
-	if !ok {
-		return c.ds
+	c := &schedChecker{}
+	if c.begin(fn, r, s, lv) {
+		c.width()
+		c.edgeConformance()
+		refPathDependences(c)
+		c.controlWindows()
+		c.liveExits()
+		c.offPathClobbers()
 	}
-	c.width()
-	c.edgeConformance()
-	refPathDependences(c)
-	c.controlWindows()
-	c.liveExits()
-	c.offPathClobbers()
 	return c.ds
 }
 
@@ -29,13 +28,16 @@ func refCheckSchedule(fn *ir.Function, r *region.Region, s *sched.Schedule, lv *
 // tables replaced, kept as their test oracle: fresh register maps per leaf
 // and a fresh definition slice per killing definition.
 func refPathDependences(c *schedChecker) {
-	for _, leaf := range c.r.Leaves() {
+	for _, leaf := range c.r.Blocks {
+		if !c.r.IsLeaf(leaf) {
+			continue
+		}
 		defs := make(map[ir.Reg][]*ddg.Node)
 		readers := make(map[ir.Reg][]*ddg.Node)
 		var lastStore *ddg.Node
 		var loads []*ddg.Node
 		for _, bid := range c.r.PathTo(leaf) {
-			for _, n := range c.byBlock[bid] {
+			for _, n := range c.byBlock(bid) {
 				if !c.ok(n) {
 					continue
 				}

@@ -18,7 +18,9 @@ import (
 // tail-duplicated treegions, basic blocks and if-converted treegions
 // (guarded definitions join instead of killing), is checked as scheduled,
 // under seeded cycle perturbations, and with a seeded register collision,
-// and CheckSchedule must return the reference's exact diagnostics.
+// and CheckSchedule must return the reference's exact diagnostics — on a
+// fresh Scratch, and on one Scratch shared by every case, whose numbering
+// and tables must carry nothing from one region or function to the next.
 func TestCheckScheduleMatchesReference(t *testing.T) {
 	progs, err := progen.GenerateAll()
 	if err != nil {
@@ -37,6 +39,7 @@ func TestCheckScheduleMatchesReference(t *testing.T) {
 	}{{"tree", eval.DefaultConfig()}, {"tree-td", td}, {"bb", bb}, {"tree-ifconvert", ifc}}
 	rng := rand.New(rand.NewSource(15))
 	cases, reporting := 0, 0
+	var shared verify.Scratch
 	for _, p := range progs {
 		profs, err := eval.ProfileProgram(p)
 		if err != nil {
@@ -60,11 +63,16 @@ func TestCheckScheduleMatchesReference(t *testing.T) {
 							restore = collide(s, rng)
 						}
 						got := verify.CheckSchedule(fr.Fn, r, ps, lv)
+						onShared := shared.CheckSchedule(fr.Fn, r, ps, lv)
 						want := verify.RefCheckSchedule(fr.Fn, r, ps, lv)
 						restore()
 						if !reflect.DeepEqual(got, want) {
 							t.Fatalf("%s %s region bb%d variant %d:\n got %v\nwant %v",
 								config.name, fr.Fn.Name, r.Root, variant, got, want)
+						}
+						if !reflect.DeepEqual(onShared, want) {
+							t.Fatalf("%s %s region bb%d variant %d on a shared Scratch:\n got %v\nwant %v",
+								config.name, fr.Fn.Name, r.Root, variant, onShared, want)
 						}
 						cases++
 						if len(want) > 0 {

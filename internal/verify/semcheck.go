@@ -28,9 +28,17 @@ var defaultSeeds = []uint64{1, 7, 42, 1998}
 // certifies inlined compilations — the callee's blocks appear in both
 // traces under the callee's Orig namespace, whether executed in a call
 // frame (original) or spliced inline (compiled). With a nil prog, calls
-// stay opaque no-ops. One interp.Runner serves every seed, so each function
-// is decoded once per call.
+// stay opaque no-ops. It runs on a fresh Scratch.
 func CheckSemanticsProgram(prog *ir.Program, orig, compiled *ir.Function, seeds []uint64, maxSteps int) []Diagnostic {
+	return new(Scratch).checkSemantics(prog, orig, compiled, seeds, maxSteps)
+}
+
+// checkSemantics is CheckSemanticsProgram on the scratch's interpreter. One
+// Runner serves every seed, so each function is decoded once per call, and
+// its frames, counters, memory and the two traces are reused across seeds
+// and sides. The Runner forgets its decodes first: a function decoded for
+// an earlier call may have been freed and its address reused.
+func (sc *Scratch) checkSemantics(prog *ir.Program, orig, compiled *ir.Function, seeds []uint64, maxSteps int) []Diagnostic {
 	if len(seeds) == 0 {
 		seeds = defaultSeeds
 	}
@@ -42,16 +50,15 @@ func CheckSemanticsProgram(prog *ir.Program, orig, compiled *ir.Function, seeds 
 		})
 	}
 	cfg := interp.Config{MaxSteps: maxSteps}
-	run := interp.NewRunner(prog)
+	run, want, got := &sc.run, &sc.want, &sc.got
+	run.Reset(prog, &sc.regs)
 	for _, seed := range seeds {
-		want, err := run.Run(orig, interp.NewOracle(seed), cfg)
-		if err != nil {
+		if err := run.RunTrace(orig, interp.NewOracle(seed), cfg, want); err != nil {
 			// The original function does not execute cleanly under this
 			// seed; nothing to compare against.
 			continue
 		}
-		got, err := run.Run(compiled, interp.NewOracle(seed), cfg)
-		if err != nil {
+		if err := run.RunTrace(compiled, interp.NewOracle(seed), cfg, got); err != nil {
 			add("SEM002", "seed %d: compiled function fails to execute: %v", seed, err)
 			continue
 		}

@@ -186,8 +186,16 @@ type Options struct {
 // Compiled runs every verification pass over one compiled function: fn is
 // the post-compilation IR, regions/schedules are the pipeline's outputs
 // (parallel slices). It returns all diagnostics, most severe first, then by
-// rule ID.
+// rule ID. It runs on a fresh Scratch.
 func Compiled(fn *ir.Function, regions []*region.Region, schedules []*sched.Schedule, opts Options) []Diagnostic {
+	return CompiledScratch(fn, regions, schedules, opts, new(Scratch))
+}
+
+// CompiledScratch is Compiled on sc's reusable tables, the one
+// implementation of the verifier: a caller that verifies many functions
+// keeps one Scratch across them. The IR, liveness and region checks share
+// one CFG of fn.
+func CompiledScratch(fn *ir.Function, regions []*region.Region, schedules []*sched.Schedule, opts Options, sc *Scratch) []Diagnostic {
 	var ds []Diagnostic
 	if err := opts.Machine.Validate(); err != nil {
 		ds = append(ds, Diagnostic{
@@ -195,18 +203,22 @@ func Compiled(fn *ir.Function, regions []*region.Region, schedules []*sched.Sche
 			Message: err.Error(),
 		})
 	}
-	ds = append(ds, CheckFunction(fn, opts.IfConvert)...)
+	irds, g := sc.checkFunction(fn, opts.IfConvert)
+	ds = append(ds, irds...)
 	if HasErrors(ds) {
 		// A malformed CFG poisons every downstream analysis (liveness and
 		// region walks would index out of range); stop at the IR layer.
 		sortDiagnostics(ds)
 		return ds
 	}
-	lv := cfg.ComputeLiveness(cfg.New(fn))
-	ds = append(ds, CheckRegionsInline(fn, regions, opts.TD, opts.Inline)...)
+	if g == nil {
+		g = cfg.New(fn)
+	}
+	lv := cfg.ComputeLiveness(g)
+	ds = append(ds, sc.checkRegions(fn, g, regions, opts.TD, opts.Inline)...)
 	if len(schedules) == len(regions) {
 		for i, s := range schedules {
-			ds = append(ds, CheckSchedule(fn, regions[i], s, lv)...)
+			ds = append(ds, sc.checkSchedule(fn, regions[i], s, lv)...)
 		}
 	} else if len(schedules) != 0 {
 		ds = append(ds, Diagnostic{
@@ -218,7 +230,7 @@ func Compiled(fn *ir.Function, regions []*region.Region, schedules []*sched.Sche
 		ds = append(ds, CheckCalls(fn, opts)...)
 	}
 	if opts.Orig != nil && !opts.IfConvert {
-		ds = append(ds, CheckSemanticsProgram(opts.Prog, opts.Orig, fn, opts.Seeds, opts.MaxSteps)...)
+		ds = append(ds, sc.checkSemantics(opts.Prog, opts.Orig, fn, opts.Seeds, opts.MaxSteps)...)
 	}
 	sortDiagnostics(ds)
 	return ds

@@ -229,9 +229,10 @@ func DefaultInlineConfig() InlineConfig { return inline.DefaultConfig() }
 
 // VerifyFunction runs the static verifier over an already compiled
 // function. orig, when non-nil, is the pre-compilation function and enables
-// the differential interpretation check.
+// the differential interpretation check. It verifies on an arena of its
+// own.
 func VerifyFunction(orig *Function, fr *FunctionResult, c Config) []Diagnostic {
-	return eval.VerifyResult(orig, fr, c)
+	return eval.VerifyResult(orig, fr, c, eval.NewArena())
 }
 
 // NewTelemetry builds an empty metrics registry; render it with its

@@ -10,9 +10,11 @@ package treegion_test
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
+	"treegion"
 	"treegion/internal/ddg"
 	"treegion/internal/eval"
 	"treegion/internal/inline"
@@ -21,6 +23,7 @@ import (
 	"treegion/internal/irtext"
 	"treegion/internal/machine"
 	"treegion/internal/profile"
+	"treegion/internal/region"
 	"treegion/internal/sched"
 	"treegion/internal/verify"
 )
@@ -129,7 +132,26 @@ var fixtures = []fixture{
 	{name: "useundef", rule: "IR009"},
 }
 
+// TestAdversarialFixtures also verifies every fixture, clean and
+// corrupted, on one verify.Scratch shared by all of them, with a large
+// suite function verified on it between fixtures: the shared scratch must
+// report exactly what a fresh one does, so no table carries a fact from
+// one function to the next.
 func TestAdversarialFixtures(t *testing.T) {
+	var shared verify.Scratch
+	big := bigSuiteFunction(t)
+	onShared := func(t *testing.T, fn *ir.Function, regions []*region.Region, schedules []*sched.Schedule, opts verify.Options) []verify.Diagnostic {
+		t.Helper()
+		fresh := verify.Compiled(fn, regions, schedules, opts)
+		got := verify.CompiledScratch(fn, regions, schedules, opts, &shared)
+		if !reflect.DeepEqual(got, fresh) {
+			t.Fatalf("on a shared Scratch:\n got %v\nwant %v", got, fresh)
+		}
+		if ds := verify.CompiledScratch(big.fr.Fn, big.fr.Regions, big.fr.Schedules, big.opts, &shared); len(ds) != 0 {
+			t.Fatalf("%s on the shared Scratch: %v", big.fr.Fn.Name, ds)
+		}
+		return fresh
+	}
 	for _, fx := range fixtures {
 		t.Run(fx.name, func(t *testing.T) {
 			src, err := os.ReadFile(filepath.Join("testdata", "verify", fx.name+".tir"))
@@ -141,7 +163,7 @@ func TestAdversarialFixtures(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ds := verify.Compiled(fn, nil, nil, verify.Options{Machine: machine.FourU})
+				ds := onShared(t, fn, nil, nil, verify.Options{Machine: machine.FourU})
 				assertRules(t, ds, fx.rule)
 				return
 			}
@@ -195,16 +217,50 @@ func TestAdversarialFixtures(t *testing.T) {
 			}
 			// The uncorrupted compile must be provably legal first — a
 			// fixture that trips the verifier on its own proves nothing.
-			for _, d := range verify.Compiled(fr.Fn, fr.Regions, fr.Schedules, opts) {
+			for _, d := range onShared(t, fr.Fn, fr.Regions, fr.Schedules, opts) {
 				t.Errorf("clean compile: %s", d)
 			}
 			if t.Failed() {
 				t.FailNow()
 			}
 			fx.corrupt(t, fr)
-			assertRules(t, verify.Compiled(fr.Fn, fr.Regions, fr.Schedules, opts), fx.rule)
+			assertRules(t, onShared(t, fr.Fn, fr.Regions, fr.Schedules, opts), fx.rule)
 		})
 	}
+}
+
+// verifiedFunction is one compiled function and the options that verify
+// it.
+type verifiedFunction struct {
+	fr   *eval.FunctionResult
+	opts verify.Options
+}
+
+// bigSuiteFunction compiles gcc's largest function under the headline
+// configuration, with its original kept for the differential check.
+func bigSuiteFunction(t *testing.T) verifiedFunction {
+	t.Helper()
+	prog, err := treegion.GenerateBenchmark("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	profs, err := eval.ProfileProgram(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := 0
+	for i, fn := range prog.Funcs {
+		if fn.NumOps() > prog.Funcs[big].NumOps() {
+			big = i
+		}
+	}
+	c := eval.DefaultConfig()
+	orig := prog.Funcs[big]
+	fr, err := eval.CompileFunction(orig.Clone(), profs[big].Clone(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return verifiedFunction{fr, verify.Options{Machine: c.Machine, Orig: orig}}
 }
 
 // assertRules requires at least one diagnostic, every Error-severity rule
