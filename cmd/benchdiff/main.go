@@ -12,8 +12,9 @@
 //
 // With -perfbench it summarizes `make bench-ab` instead: OLD and NEW hold
 // one perfbench result line per run, run i of each side forming pair i,
-// and every end-to-end metric of BENCHMARK.json gets each side's median
-// and interquartile range and the new side's win count.
+// and every end-to-end metric of BENCHMARK.json (read from the working
+// directory, the repository root) gets each side's median and
+// interquartile range and the new side's win count.
 //
 //	benchdiff OLD.json NEW.json     # comparison table
 //	benchdiff -extract CAP.json     # plain benchmark lines, benchstat format
@@ -188,7 +189,6 @@ func spread(s summary) string {
 func main() {
 	extract := flag.String("extract", "", "print the capture's benchmark lines in benchstat's plain format and exit")
 	ab := flag.Bool("perfbench", false, "compare two files of perfbench result lines, one run per line")
-	benchmark := flag.String("benchmark", "BENCHMARK.json", "the benchmark declaration naming the end-to-end metrics (with -perfbench)")
 	flag.Parse()
 
 	if *ab {
@@ -196,7 +196,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "usage: benchdiff -perfbench OLD NEW")
 			os.Exit(2)
 		}
-		if err := perfbenchMain(*benchmark, flag.Arg(0), flag.Arg(1)); err != nil {
+		if err := perfbenchMain(flag.Arg(0), flag.Arg(1)); err != nil {
 			fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 			os.Exit(1)
 		}

@@ -103,9 +103,9 @@ func quartiles(s summary) string {
 	return fmt.Sprintf("%.4g [%.4g, %.4g]", s.med, s.q1, s.q3)
 }
 
-// perfbenchMain runs `benchdiff -perfbench OLD NEW`.
-func perfbenchMain(benchmark, oldPath, newPath string) error {
-	metrics, err := readEndToEnd(benchmark)
+// perfbenchMain runs `benchdiff -perfbench OLD NEW` from the repository root.
+func perfbenchMain(oldPath, newPath string) error {
+	metrics, err := readEndToEnd("BENCHMARK.json")
 	if err != nil {
 		return err
 	}

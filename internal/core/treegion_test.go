@@ -218,8 +218,11 @@ func TestFormTDPreservesSemantics(t *testing.T) {
 				t.Fatalf("%s: invalid after treeform-td: %v", fn.Name, err)
 			}
 			for seed := uint64(0); seed < 10; seed++ {
-				a, errA := interp.NewRunner(nil).Run(orig, interp.NewOracle(seed), interp.Config{MaxSteps: 2_000_000})
-				b, errB := interp.NewRunner(nil).Run(fn, interp.NewOracle(seed), interp.Config{MaxSteps: 2_000_000})
+				var run interp.Runner
+				run.Reset(nil, new(interp.Numbering))
+				a, b := new(interp.Trace), new(interp.Trace)
+				errA := run.RunTrace(orig, interp.NewOracle(seed), interp.Config{MaxSteps: 2_000_000}, a)
+				errB := run.RunTrace(fn, interp.NewOracle(seed), interp.Config{MaxSteps: 2_000_000}, b)
 				if errA != nil || errB != nil {
 					t.Fatalf("%s: run errors: %v / %v", fn.Name, errA, errB)
 				}

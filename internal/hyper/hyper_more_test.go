@@ -53,8 +53,10 @@ func TestIfConvertMirrorTriangle(t *testing.T) {
 		t.Fatalf("arm op guarded by %v, want the complement %v", guarded, cmpp.Dests[1])
 	}
 	// Data: p false → complement true → arm fires → store 9.
-	tr, err := interp.NewRunner(nil).Run(f, interp.NewOracle(0), interp.Config{})
-	if err != nil {
+	var run interp.Runner
+	run.Reset(nil, new(interp.Numbering))
+	tr := new(interp.Trace)
+	if err := run.RunTrace(f, interp.NewOracle(0), interp.Config{}, tr); err != nil {
 		t.Fatal(err)
 	}
 	if len(tr.Stores) != 1 || tr.Stores[0].Value != 9 {

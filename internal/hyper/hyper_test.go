@@ -112,8 +112,11 @@ func TestIfConvertPreservesSemantics(t *testing.T) {
 		orig, _ := diamond(t, taken)
 		conv, prof := diamond(t, taken)
 		IfConvert(conv, prof, DefaultConfig())
-		a, errA := interp.NewRunner(nil).Run(orig, interp.NewOracle(1), interp.Config{})
-		b, errB := interp.NewRunner(nil).Run(conv, interp.NewOracle(1), interp.Config{})
+		var run interp.Runner
+		run.Reset(nil, new(interp.Numbering))
+		a, b := new(interp.Trace), new(interp.Trace)
+		errA := run.RunTrace(orig, interp.NewOracle(1), interp.Config{}, a)
+		errB := run.RunTrace(conv, interp.NewOracle(1), interp.Config{}, b)
 		if errA != nil || errB != nil {
 			t.Fatalf("run: %v / %v", errA, errB)
 		}
@@ -154,8 +157,10 @@ func TestIfConvertTriangle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Not-taken path: v stays 7 under both the original and the guarded op.
-	tr, err := interp.NewRunner(nil).Run(f, interp.NewOracle(3), interp.Config{})
-	if err != nil {
+	var run interp.Runner
+	run.Reset(nil, new(interp.Numbering))
+	tr := new(interp.Trace)
+	if err := run.RunTrace(f, interp.NewOracle(3), interp.Config{}, tr); err != nil {
 		t.Fatal(err)
 	}
 	if len(tr.Stores) != 1 || tr.Stores[0].Value != 7 {
@@ -229,7 +234,9 @@ func TestIfConvertOnSuite(t *testing.T) {
 			}
 			// The transformed function must still terminate under the
 			// interpreter (guards squash correctly).
-			if _, err := interp.NewRunner(nil).Run(fn, interp.NewOracle(5), interp.Config{MaxSteps: 2_000_000}); err != nil {
+			var run interp.Runner
+			run.Reset(nil, new(interp.Numbering))
+			if err := run.RunTrace(fn, interp.NewOracle(5), interp.Config{MaxSteps: 2_000_000}, new(interp.Trace)); err != nil {
 				t.Fatalf("%s/%s: %v", prog.Name, fn.Name, err)
 			}
 			// Merge points must have decreased: joins of converted diamonds

@@ -295,8 +295,10 @@ bb0:
 		t.Fatalf("doubly spliced function invalid: %v", err)
 	}
 	// The program still computes (4+3)+3 = 10: run it and check the store.
-	tr, err := interp.NewRunner(nil).Run(fn, interp.NewOracle(1), interp.Config{})
-	if err != nil {
+	var run interp.Runner
+	run.Reset(nil, new(interp.Numbering))
+	tr := new(interp.Trace)
+	if err := run.RunTrace(fn, interp.NewOracle(1), interp.Config{}, tr); err != nil {
 		t.Fatal(err)
 	}
 	if len(tr.Stores) != 1 || tr.Stores[0].Value != 10 {

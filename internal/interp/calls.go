@@ -56,16 +56,9 @@ type Runner struct {
 	mem   map[int64]int64
 }
 
-// NewRunner returns a Runner resolving calls against prog (nil: every call
-// is opaque).
-func NewRunner(prog *ir.Program) *Runner {
-	r := &Runner{}
-	r.Reset(prog, new(Numbering))
-	return r
-}
-
-// Reset readies r to run functions against prog, numbering registers
-// through num. It forgets every decode and every branch-counter slot: a
+// Reset readies r to run functions against prog (nil: every call is
+// opaque), numbering registers through num. A Runner runs nothing before
+// its first Reset. It forgets every decode and every branch-counter slot: a
 // later function can reuse a freed function's address, so no decode may
 // outlive the call that made it. The storage behind decodes, frames,
 // counters and memory is kept for reuse.
@@ -85,11 +78,13 @@ func (r *Runner) Reset(prog *ir.Program, num *Numbering) {
 	r.slotSlab = r.slotSlab[:0]
 }
 
-// Run executes fn once under the oracle, resolving Call ops against the
-// Runner's program: a resolved call pushes a fresh register frame (params
-// bound from the call's sources), executes the callee's body over the shared
-// memory and oracle, and copies the callee's Rets into the call's
-// destinations. Opaque calls (empty Callee, or a nil program) are no-ops.
+// RunTrace executes fn once under the oracle, recording into tr: tr's
+// contents are replaced and its storage reused, so a caller comparing trips
+// keeps one Trace per side. Call ops resolve against the Runner's program:
+// a resolved call pushes a fresh register frame (params bound from the
+// call's sources), executes the callee's body over the shared memory and
+// oracle, and copies the callee's Rets into the call's destinations.
+// Opaque calls (empty Callee, or a nil program) are no-ops.
 //
 // Callee blocks are recorded in the trace under the callee's Orig namespace
 // (prog.OrigBase), and after a call returns the caller's block is recorded
@@ -102,14 +97,6 @@ func (r *Runner) Reset(prog *ir.Program, num *Numbering) {
 // It reports an error, with the trace up to that point, if the trip exceeds
 // the step bound (runaway loop), falls off a block with no successor, or
 // makes a call the callee's signature or the depth bound rejects.
-func (r *Runner) Run(fn *ir.Function, o Oracle, cfg Config) (*Trace, error) {
-	tr := &Trace{}
-	err := r.RunTrace(fn, o, cfg, tr)
-	return tr, err
-}
-
-// RunTrace is Run recording into tr: tr's contents are replaced and its
-// storage reused, so a caller comparing trips keeps one Trace per side.
 func (r *Runner) RunTrace(fn *ir.Function, o Oracle, cfg Config, tr *Trace) error {
 	maxSteps := cfg.MaxSteps
 	if maxSteps <= 0 {

@@ -41,7 +41,7 @@ func callProg(t *testing.T) *ir.Program {
 
 func TestRunInExecutesCalls(t *testing.T) {
 	p := callProg(t)
-	tr, err := NewRunner(p).Run(p.Funcs[0], NewOracle(1), Config{})
+	tr, err := runOnce(p, p.Funcs[0], NewOracle(1), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestRunInGuardedCallSquashed(t *testing.T) {
 	// Guard on an undefined predicate (reads as zero): the callee must not
 	// run, so its return value copy must not happen and the store writes 0.
 	call.Guard = main.NewReg(ir.ClassPred)
-	tr, err := NewRunner(p).Run(main, NewOracle(1), Config{})
+	tr, err := runOnce(p, main, NewOracle(1), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestRunInDepthCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewRunner(p).Run(f, NewOracle(1), Config{}); err == nil || !strings.Contains(err.Error(), "depth") {
+	if _, err := runOnce(p, f, NewOracle(1), Config{}); err == nil || !strings.Contains(err.Error(), "depth") {
 		t.Fatalf("recursion: err = %v, want depth cap", err)
 	}
 }
@@ -111,7 +111,7 @@ func TestRunInArityMismatch(t *testing.T) {
 			}
 		}
 	}
-	if _, err := NewRunner(p).Run(main, NewOracle(1), Config{}); err == nil || !strings.Contains(err.Error(), "args") {
+	if _, err := runOnce(p, main, NewOracle(1), Config{}); err == nil || !strings.Contains(err.Error(), "args") {
 		t.Fatalf("arity: err = %v, want convention error", err)
 	}
 }

@@ -21,7 +21,7 @@ func TestGuardedOpsSquash(t *testing.T) {
 	g.Guard = p
 	f.EmitSt(b, a1, 0, v)
 	f.EmitRet(b)
-	tr, err := NewRunner(nil).Run(f, NewOracle(0), Config{})
+	tr, err := runOnce(nil, f, NewOracle(0), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestGuardedOpsSquash(t *testing.T) {
 
 	// Flip the condition: the guarded op fires.
 	f.Block(0).Ops[3].Cond = ir.CondLT
-	tr, err = NewRunner(nil).Run(f, NewOracle(0), Config{})
+	tr, err = runOnce(nil, f, NewOracle(0), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestGuardedStoreSquash(t *testing.T) {
 	st := f.EmitSt(b, a, 0, a)
 	st.Guard = p
 	f.EmitRet(b)
-	tr, err := NewRunner(nil).Run(f, NewOracle(0), Config{})
+	tr, err := runOnce(nil, f, NewOracle(0), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestBruFollowed(t *testing.T) {
 	f.EmitRet(b1) // unreachable
 	f.EmitSt(b2, ir.GPR(0), 0, ir.GPR(0))
 	f.EmitRet(b2)
-	tr, err := NewRunner(nil).Run(f, NewOracle(0), Config{})
+	tr, err := runOnce(nil, f, NewOracle(0), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestCallIsOpaqueNoop(t *testing.T) {
 	b.Ops = append(b.Ops, call)
 	f.EmitSt(b, v, 0, v)
 	f.EmitRet(b)
-	tr, err := NewRunner(nil).Run(f, NewOracle(0), Config{})
+	tr, err := runOnce(nil, f, NewOracle(0), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,15 @@ import (
 	"treegion/internal/ir"
 )
 
+// runOnce runs f once on a fresh Runner resolving calls against prog.
+func runOnce(prog *ir.Program, f *ir.Function, o Oracle, cfg Config) (*Trace, error) {
+	var r Runner
+	r.Reset(prog, new(Numbering))
+	tr := new(Trace)
+	err := r.RunTrace(f, o, cfg, tr)
+	return tr, err
+}
+
 // branchy builds bb0 -> {bb1 (p=0.8), bb2}; both -> bb3 (ret), with a store
 // of a computed value in each arm.
 func branchy(t *testing.T) *ir.Function {
@@ -36,7 +45,7 @@ func branchy(t *testing.T) *ir.Function {
 
 func TestRunProducesTrace(t *testing.T) {
 	f := branchy(t)
-	tr, err := NewRunner(nil).Run(f, NewOracle(1), Config{})
+	tr, err := runOnce(nil, f, NewOracle(1), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +74,11 @@ func TestRunProducesTrace(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	f := branchy(t)
-	a, err := NewRunner(nil).Run(f, NewOracle(42), Config{})
+	a, err := runOnce(nil, f, NewOracle(42), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRunner(nil).Run(f, NewOracle(42), Config{})
+	b, err := runOnce(nil, f, NewOracle(42), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +149,7 @@ func TestRunawayLoopCaught(t *testing.T) {
 	b0 := f.NewBlock()
 	f.EmitALU(b0, ir.Add, ir.GPR(0), ir.GPR(0), ir.GPR(0))
 	f.EmitBru(b0, ir.NoReg, b0.ID)
-	if _, err := NewRunner(nil).Run(f, NewOracle(0), Config{MaxSteps: 100}); err == nil {
+	if _, err := runOnce(nil, f, NewOracle(0), Config{MaxSteps: 100}); err == nil {
 		t.Fatal("infinite loop not caught")
 	}
 	if _, err := Profile(f, 0, 1, Config{MaxSteps: 100}); err == nil {
@@ -153,7 +162,7 @@ func TestMissingSuccessorCaught(t *testing.T) {
 	b0 := f.NewBlock()
 	f.EmitALU(b0, ir.Add, ir.GPR(0), ir.GPR(0), ir.GPR(0))
 	// No Ret, no fallthrough.
-	if _, err := NewRunner(nil).Run(f, NewOracle(0), Config{}); err == nil {
+	if _, err := runOnce(nil, f, NewOracle(0), Config{}); err == nil {
 		t.Fatal("dangling block not caught")
 	}
 }
@@ -210,7 +219,7 @@ func TestCmppComplement(t *testing.T) {
 	f.EmitSt(b, r0, 0, p)
 	f.EmitSt(b, r0, 1, q)
 	f.EmitRet(b)
-	tr, err := NewRunner(nil).Run(f, NewOracle(0), Config{})
+	tr, err := runOnce(nil, f, NewOracle(0), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +245,7 @@ func TestSyntheticMemoryDeterministic(t *testing.T) {
 	f.EmitLd(b, v, base, 0)
 	f.EmitSt(b, base, 16, v)
 	f.EmitRet(b)
-	tr, err := NewRunner(nil).Run(f, NewOracle(0), Config{})
+	tr, err := runOnce(nil, f, NewOracle(0), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

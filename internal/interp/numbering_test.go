@@ -30,8 +30,8 @@ func TestNumberingOverflowMatchesReference(t *testing.T) {
 	var num Numbering
 	r := &Runner{}
 	r.Reset(nil, &num)
-	got, err := r.Run(f, NewOracle(1), Config{})
-	if err != nil {
+	got := new(Trace)
+	if err := r.RunTrace(f, NewOracle(1), Config{}, got); err != nil {
 		t.Fatal(err)
 	}
 	want, err := refRunIn(nil, f, NewOracle(1), Config{})

@@ -76,13 +76,15 @@ func TestRunnerMatchesReference(t *testing.T) {
 			if prog == nil && p.Preset.Call == nil {
 				continue // call-free: a nil program changes nothing
 			}
-			run := interp.NewRunner(prog)
+			var run interp.Runner
+			run.Reset(prog, new(interp.Numbering))
 			shared.Reset(prog, &sharedNum)
 			for _, fn := range fns {
 				for _, seed := range []uint64{1, 42} {
 					for _, maxSteps := range []int{0, 500} {
 						cfg := interp.Config{MaxSteps: maxSteps}
-						got, gotErr := run.Run(fn, interp.NewOracle(seed), cfg)
+						got := new(interp.Trace)
+						gotErr := run.RunTrace(fn, interp.NewOracle(seed), cfg, got)
 						want, wantErr := interp.RefRunIn(prog, fn, interp.NewOracle(seed), cfg)
 						where := fmt.Sprintf("%s/%s prog=%v seed=%d maxSteps=%d", p.Name, fn.Name, prog != nil, seed, maxSteps)
 						if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {

@@ -61,7 +61,9 @@ func TestParseSample(t *testing.T) {
 		t.Fatalf("register allocator clashes: got %v", r)
 	}
 	// The parsed function runs.
-	if _, err := interp.NewRunner(nil).Run(fn, interp.NewOracle(1), interp.Config{}); err != nil {
+	var run interp.Runner
+	run.Reset(nil, new(interp.Numbering))
+	if err := run.RunTrace(fn, interp.NewOracle(1), interp.Config{}, new(interp.Trace)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -124,8 +124,10 @@ func TestGenerateCallsTerminates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var run interp.Runner
+		run.Reset(resolved, new(interp.Numbering))
 		for _, fn := range prog.Funcs {
-			if _, err := interp.NewRunner(resolved).Run(fn, interp.NewOracle(99), interp.Config{MaxSteps: 2_000_000}); err != nil {
+			if err := run.RunTrace(fn, interp.NewOracle(99), interp.Config{MaxSteps: 2_000_000}, new(interp.Trace)); err != nil {
 				t.Errorf("%s/%s: %v", p.Name, fn.Name, err)
 			}
 		}

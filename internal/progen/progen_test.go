@@ -53,9 +53,12 @@ func TestGeneratedFunctionsTerminate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var run interp.Runner
+	var tr interp.Trace
 	for _, prog := range progs {
+		run.Reset(nil, new(interp.Numbering))
 		for _, fn := range prog.Funcs {
-			if _, err := interp.NewRunner(nil).Run(fn, interp.NewOracle(99), interp.Config{MaxSteps: 2_000_000}); err != nil {
+			if err := run.RunTrace(fn, interp.NewOracle(99), interp.Config{MaxSteps: 2_000_000}, &tr); err != nil {
 				t.Errorf("%s/%s: %v", prog.Name, fn.Name, err)
 			}
 		}

@@ -216,11 +216,18 @@ func (r *Region) Ancestors(b ir.BlockID) []ir.BlockID {
 
 // Subtree returns b and all in-region descendants of b, preorder.
 func (r *Region) Subtree(b ir.BlockID) []ir.BlockID {
-	out := []ir.BlockID{b}
-	for i := 0; i < len(out); i++ {
-		out = append(out, r.Children(out[i])...)
+	return r.AppendSubtree(nil, b)
+}
+
+// AppendSubtree appends b and all in-region descendants of b, in Subtree's
+// order, to dst and returns it, letting hot callers reuse one buffer.
+func (r *Region) AppendSubtree(dst []ir.BlockID, b ir.BlockID) []ir.BlockID {
+	start := len(dst)
+	dst = append(dst, b)
+	for i := start; i < len(dst); i++ {
+		dst = append(dst, r.Children(dst[i])...)
 	}
-	return out
+	return dst
 }
 
 // NumOps returns the region's total static op count.

@@ -155,7 +155,7 @@ type schedChecker struct {
 	exitOff []int32
 	// Block lists: one root-to-leaf path, one subtree.
 	path, sub []ir.BlockID
-	// width's buffers: issue counts by cycle, or the cycles themselves.
+	// width's buffer: the scheduled cycles, sorted.
 	cycles []int
 	loads  []*ddg.Node
 	p      pathState
@@ -186,16 +186,6 @@ func (c *schedChecker) group(slab []*ddg.Node, off []int32, bid ir.BlockID) []*d
 		return slab[off[p]:off[p+1]]
 	}
 	return nil
-}
-
-// subtree fills c.sub with bid and its in-region descendants, in the order
-// region.Region.Subtree lists them, and returns it.
-func (c *schedChecker) subtree(bid ir.BlockID) []ir.BlockID {
-	c.sub = append(c.sub[:0], bid)
-	for i := 0; i < len(c.sub); i++ {
-		c.sub = append(c.sub, c.r.Children(c.sub[i])...)
-	}
-	return c.sub
 }
 
 func (c *schedChecker) cyc(n *ddg.Node) int { return c.s.Cycle[n.Index] }
@@ -237,59 +227,27 @@ func (c *schedChecker) addOnce(rule string, from, to *ddg.Node, format string, a
 
 // width checks SC003: per-cycle issue counts against the model, reported
 // in cycle order. Renaming copies are slot-free by the paper's accounting
-// and do not count. A schedule's cycles span about as many values as it
-// has nodes, so they are counted in a table over that span; a span far
-// wider than the node count (a corrupted cycle) is sorted instead.
+// and do not count.
 func (c *schedChecker) width() {
-	lo, hi, k := 0, -1, 0
+	cycles := c.cycles[:0]
 	for _, n := range c.g.Nodes {
 		if c.ok(n) && !n.IsCopy() {
-			cy := c.cyc(n)
-			if k == 0 || cy < lo {
-				lo = cy
-			}
-			hi = max(hi, cy)
-			k++
+			cycles = append(cycles, c.cyc(n))
 		}
 	}
-	report := func(cycle, k int) {
-		if k > c.s.Model.IssueWidth {
-			c.addAt("SC003", Error, ir.NoBlock, -1,
-				"cycle %d issues %d ops on a %d-wide machine", cycle, k, c.s.Model.IssueWidth)
-		}
-	}
-	if k == 0 {
-		return
-	}
-	if span := hi - lo + 1; span <= 4*k+64 {
-		c.cycles = growClear(c.cycles, span)
-		for _, n := range c.g.Nodes {
-			if c.ok(n) && !n.IsCopy() {
-				c.cycles[c.cyc(n)-lo]++
-			}
-		}
-		for i, k := range c.cycles {
-			if k > 0 {
-				report(lo+i, k)
-			}
-		}
-		return
-	}
-	c.cycles = c.cycles[:0]
-	for _, n := range c.g.Nodes {
-		if c.ok(n) && !n.IsCopy() {
-			c.cycles = append(c.cycles, c.cyc(n))
-		}
-	}
-	slices.Sort(c.cycles)
-	for i := 0; i < len(c.cycles); {
+	slices.Sort(cycles)
+	for i := 0; i < len(cycles); {
 		j := i + 1
-		for j < len(c.cycles) && c.cycles[j] == c.cycles[i] {
+		for j < len(cycles) && cycles[j] == cycles[i] {
 			j++
 		}
-		report(c.cycles[i], j-i)
+		if k := j - i; k > c.s.Model.IssueWidth {
+			c.addAt("SC003", Error, ir.NoBlock, -1,
+				"cycle %d issues %d ops on a %d-wide machine", cycles[i], k, c.s.Model.IssueWidth)
+		}
 		i = j
 	}
+	c.cycles = cycles
 }
 
 // edgeConformance checks the cycle assignment against every edge of the DDG
@@ -647,7 +605,8 @@ func (c *schedChecker) liveExits() {
 				continue
 			}
 			if sub == nil {
-				sub = c.subtree(bid)
+				c.sub = c.r.AppendSubtree(c.sub[:0], bid)
+				sub = c.sub
 			}
 			for _, d := range sub {
 				for _, e := range exitsAt(d) {
@@ -746,7 +705,8 @@ func (c *schedChecker) clobber(n *ddg.Node, a, s ir.BlockID) {
 		if !c.r.IsTreeEdge(a, s) {
 			continue
 		}
-		for _, sb := range c.subtree(s) {
+		c.sub = c.r.AppendSubtree(c.sub[:0], s)
+		for _, sb := range c.sub {
 			for _, m := range c.byBlock(sb) {
 				if m.Term || !c.ok(m) || c.cyc(m) > c.cyc(n) {
 					continue

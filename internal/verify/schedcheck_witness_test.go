@@ -1,6 +1,7 @@
 package verify_test
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -17,8 +18,9 @@ import (
 // slot-table path walk: every region of the suite, compiled as treegions,
 // tail-duplicated treegions, basic blocks and if-converted treegions
 // (guarded definitions join instead of killing), is checked as scheduled,
-// under seeded cycle perturbations, and with a seeded register collision,
-// and CheckSchedule must return the reference's exact diagnostics — on a
+// under seeded cycle perturbations, with a seeded register collision, and
+// with one node moved far past the rest of its schedule, and
+// CheckSchedule must return the reference's exact diagnostics — on a
 // fresh Scratch, and on one Scratch shared by every case, whose numbering
 // and tables must carry nothing from one region or function to the next.
 func TestCheckScheduleMatchesReference(t *testing.T) {
@@ -54,13 +56,15 @@ func TestCheckScheduleMatchesReference(t *testing.T) {
 				lv := cfg.ComputeLiveness(cfg.New(fr.Fn))
 				for i, s := range fr.Schedules {
 					r := fr.Regions[i]
-					for variant := 0; variant < 4; variant++ {
+					for variant := 0; variant < 5; variant++ {
 						ps, restore := s, func() {}
 						switch variant {
 						case 1, 2:
 							ps = perturb(s, rng)
 						case 3:
 							restore = collide(s, rng)
+						case 4:
+							ps = farCycle(s, rng)
 						}
 						got := verify.CheckSchedule(fr.Fn, r, ps, lv)
 						onShared := shared.CheckSchedule(fr.Fn, r, ps, lv)
@@ -107,6 +111,17 @@ func perturb(s *sched.Schedule, rng *rand.Rand) *sched.Schedule {
 			c = -1
 		}
 		out.Cycle[i] = c
+	}
+	return &out
+}
+
+// farCycle returns a copy of s with one node moved to cycle 2^40 or to
+// math.MaxInt, so the schedule spans far more cycles than it has nodes.
+func farCycle(s *sched.Schedule, rng *rand.Rand) *sched.Schedule {
+	out := *s
+	out.Cycle = append([]int(nil), s.Cycle...)
+	if len(out.Cycle) > 0 {
+		out.Cycle[rng.Intn(len(out.Cycle))] = []int{1 << 40, math.MaxInt}[rng.Intn(2)]
 	}
 	return &out
 }

@@ -71,9 +71,11 @@ func TestRenamedSpeculationIsHarmless(t *testing.T) {
 		t.Fatalf("renamed = %d, want both arm defs", renamed)
 	}
 	// Differential check across both oracle outcomes.
+	var run interp.Runner
+	run.Reset(nil, new(interp.Numbering))
 	for seed := uint64(0); seed < 8; seed++ {
-		want, err := interp.NewRunner(nil).Run(orig, interp.NewOracle(seed), interp.Config{})
-		if err != nil {
+		want := new(interp.Trace)
+		if err := run.RunTrace(orig, interp.NewOracle(seed), interp.Config{}, want); err != nil {
 			t.Fatal(err)
 		}
 		got, err := Run(fr, interp.NewOracle(seed), 1000)
@@ -110,7 +112,10 @@ func TestLoadLatencyObserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := interp.NewRunner(nil).Run(orig, interp.NewOracle(0), interp.Config{})
+	var run interp.Runner
+	run.Reset(nil, new(interp.Numbering))
+	want := new(interp.Trace)
+	_ = run.RunTrace(orig, interp.NewOracle(0), interp.Config{}, want)
 	got, err := Run(fr, interp.NewOracle(0), 100)
 	if err != nil {
 		t.Fatal(err)

@@ -22,9 +22,11 @@ func differential(t *testing.T, name string, fn *ir.Function, prof *profile.Data
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
+	var run interp.Runner
+	run.Reset(nil, new(interp.Numbering))
 	for seed := uint64(0); seed < uint64(seeds); seed++ {
-		want, err := interp.NewRunner(nil).Run(orig, interp.NewOracle(seed), interp.Config{MaxSteps: 2_000_000})
-		if err != nil {
+		want := new(interp.Trace)
+		if err := run.RunTrace(orig, interp.NewOracle(seed), interp.Config{MaxSteps: 2_000_000}, want); err != nil {
 			t.Fatalf("%s: interp: %v", name, err)
 		}
 		got, err := Run(fr, interp.NewOracle(seed), 2_000_000)

@@ -71,4 +71,4 @@ for ((i = 0; i < pairs; i++)); do
 	fi
 	echo "bench_ab: pair $((i + 1))/$pairs done" >&2
 done
-go run ./cmd/benchdiff -perfbench -benchmark BENCHMARK.json "$ab/old.jsonl" "$ab/new.jsonl"
+go run ./cmd/benchdiff -perfbench "$ab/old.jsonl" "$ab/new.jsonl"
