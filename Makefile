@@ -34,12 +34,18 @@ test:
 	$(GO) test ./...
 
 # fuzz searches for inputs that break an untrusted-input boundary, outside
-# the tier-1 tests: FuzzParseProgram requires every .tir text ParseProgram
-# accepts to print, re-parse and print back to the same bytes, without a
-# panic. Plain `go test` replays the committed corpus
-# (internal/irtext/testdata/fuzz/); a crasher found here lands there too.
+# the tier-1 tests, 60 s per target: FuzzParseProgram requires every .tir
+# text ParseProgram accepts to print, re-parse and print back to the same
+# bytes; FuzzDecodeArtifact requires every tgart2 payload to decode as
+# schema skew, as corruption, or to a result whose re-encoding is
+# byte-stable. Neither may panic. Plain `go test` replays the committed
+# corpora (internal/irtext/testdata/fuzz/, internal/store/testdata/fuzz/);
+# a crasher found here lands there too. The artifact seeds run to 50 KB, and
+# minimizing each new input from one would take the default 60 s, so the
+# decoder's minimization is capped at 10 s.
 fuzz:
 	$(GO) test -run XXX -fuzz FuzzParseProgram -fuzztime 60s ./internal/irtext/
+	$(GO) test -run XXX -fuzz FuzzDecodeArtifact -fuzztime 60s -fuzzminimizetime 10s ./internal/store/
 
 # The compilation service is concurrent (worker pool, sharded cache,
 # daemon); every PR must pass the race detector, not just the plain tests.
@@ -52,26 +58,29 @@ race:
 # micro-benchmarks of the compiler core (treeform and treeform-td
 # formation, liveness, DDG build, list scheduling and region measurement
 # per tier — suite, stress, stress2 — with us/region for the formation, DDG
-# and measure phases and us/block for liveness; the verifier's ir, rg, sc
-# and sem rule families one-shot, and compiled, the whole verifier on one
-# reused verify.Scratch, with ms/pass), with allocation counts.
-# Every benchmark runs five times (-count 5), so a capture shows its own
-# spread: cmd/benchdiff prints each side's median and interquartile range.
-# The raw `go test -json` stream is captured in BENCH_15.json for machine
-# comparison against earlier runs (BENCH_14.json holds the capture from
-# before the verifier moved onto the worker's arena).
+# and measure phases and us/block for liveness; the DDG build also under
+# Figure 13's tree-td(2.0) with dominator parallelism (<tier>/fig13), and
+# measurement also on one reused eval.Arena (<tier>/arena); the verifier's
+# ir, rg, sc and sem rule families one-shot, and compiled, the whole
+# verifier on one reused verify.Scratch, with ms/pass), with allocation
+# counts. Every benchmark runs five times (-count 5), so a capture shows its
+# own spread: cmd/benchdiff prints each side's median and interquartile
+# range. The raw `go test -json` stream is captured in BENCH_16.json for
+# machine comparison against earlier runs (BENCH_15.json holds the capture
+# from before dominator parallelism and measurement moved onto the worker's
+# arena).
 # The parallel and stress benchmarks report speedup-vs-serial; on a
 # single-core box that metric caps at ~1x by physics.
 bench:
-	$(GO) test -run XXX -bench 'BenchmarkCompileSuite|BenchmarkCompileStress|BenchmarkColdCompile' -benchmem -benchtime 3x -count 5 -json . | tee BENCH_15.json
+	$(GO) test -run XXX -bench 'BenchmarkCompileSuite|BenchmarkCompileStress|BenchmarkColdCompile' -benchmem -benchtime 3x -count 5 -json . | tee BENCH_16.json
 
 # bench-compare diffs two bench captures. benchstat is used when installed
 # (fed plain text extracted from the JSON captures); otherwise the bundled
 # dependency-free cmd/benchdiff prints each side's median and interquartile
 # range and the delta, marking with "~" a delta inside the noise. Override
 # the endpoints with BENCH_OLD= / BENCH_NEW=.
-BENCH_OLD ?= BENCH_14.json
-BENCH_NEW ?= BENCH_15.json
+BENCH_OLD ?= BENCH_15.json
+BENCH_NEW ?= BENCH_16.json
 bench-compare:
 	@if command -v benchstat >/dev/null 2>&1; then \
 		$(GO) run ./cmd/benchdiff -extract $(BENCH_OLD) > /tmp/benchdiff_old.txt; \

@@ -52,6 +52,7 @@ type hotFunc struct {
 	fn      *ir.Function
 	regions []*region.Region
 	lv      *cfg.Liveness
+	prof    *ProfileData // set by prepareHotTD only
 }
 
 // BenchmarkColdCompileLiveness measures liveness exactly as the compile
@@ -100,36 +101,67 @@ func prepareHot(progs []*Program) []hotFunc {
 	return prep
 }
 
-// BenchmarkColdCompileDDG measures slab DDG construction — dominator
-// parallelism off, renaming on, the headline configuration — over every
-// region of each tier, through BuildScratch on one Scratch as the compile
-// path does. Renaming mutates the function, so each iteration rebuilds its
-// inputs outside the timed region. us/region is the build cost per region:
-// with every per-region table region-sized it stays within a small factor
-// from tier to tier, although the functions around the regions grow ~10×.
+// prepareHotTD is prepareHot under Figure 13's formation: tail-duplicated
+// treegions at expansion limit 2.0, over clones of the functions and their
+// profiles, which the DDG's node weights then read.
+func prepareHotTD(progs []*Program, profs []Profiles) []hotFunc {
+	var prep []hotFunc
+	for pi, p := range progs {
+		for fi, fn := range p.Funcs {
+			f, prof := fn.Clone(), profs[pi][fi].Clone()
+			rs := core.FormTDInlineTraced(f, prof, core.DefaultTDConfig(), nil, nil)
+			lv := cfg.ComputeLiveness(cfg.New(f))
+			prep = append(prep, hotFunc{fn: f, regions: rs, lv: lv, prof: prof})
+		}
+	}
+	return prep
+}
+
+// BenchmarkColdCompileDDG measures slab DDG construction over every region
+// of each tier, through BuildScratch on one Scratch as the compile path
+// does, under two configurations: the headline one (treegions, renaming on,
+// dominator parallelism off), and as <tier>/fig13 Figure 13's, tree-td(2.0)
+// with dominator parallelism, the only one that merges duplicates.
+// Renaming mutates the function, so each iteration rebuilds its inputs
+// outside the timed region. us/region is the build cost per region: with
+// every per-region table region-sized it stays within a small factor from
+// tier to tier, although the functions around the regions grow ~10×.
 func BenchmarkColdCompileDDG(b *testing.B) {
 	for _, tier := range coldTiers {
-		b.Run(tier.name, func(b *testing.B) {
-			progs, _ := tier.inputs(b)
-			var sc ddg.Scratch
-			regions := 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				prep := prepareHot(progs)
-				b.StartTimer()
-				for _, h := range prep {
-					for _, r := range h.regions {
-						if _, err := ddg.BuildScratch(h.fn, r, ddg.Options{Rename: true, Liveness: h.lv}, &sc); err != nil {
-							b.Fatal(err)
-						}
-					}
-					regions += len(h.regions)
-				}
+		for _, fig13 := range []bool{false, true} {
+			name := tier.name
+			if fig13 {
+				name += "/fig13"
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(regions), "us/region")
-		})
+			b.Run(name, func(b *testing.B) {
+				progs, profs := tier.inputs(b)
+				var sc ddg.Scratch
+				regions := 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					var prep []hotFunc
+					if fig13 {
+						prep = prepareHotTD(progs, profs)
+					} else {
+						prep = prepareHot(progs)
+					}
+					runtime.GC() // collect the last iteration's graphs untimed
+					b.StartTimer()
+					for _, h := range prep {
+						opts := ddg.Options{Rename: true, DominatorParallelism: fig13, Liveness: h.lv, Profile: h.prof}
+						for _, r := range h.regions {
+							if _, err := ddg.BuildScratch(h.fn, r, opts, &sc); err != nil {
+								b.Fatal(err)
+							}
+						}
+						regions += len(h.regions)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(regions), "us/region")
+			})
+		}
 	}
 }
 
@@ -186,38 +218,50 @@ type measuredRegion struct {
 // the calls under test.
 var measureSink eval.RegionTime
 
-// BenchmarkColdCompileMeasure measures eval.MeasureRegion — the paper's
-// profile-weighted path-height estimate — over every region of each tier,
-// compiled under the headline configuration. Measurement never mutates a
-// schedule, so the schedules are built once; us/region is the cost per
-// region measured.
+// BenchmarkColdCompileMeasure measures the paper's profile-weighted
+// path-height estimate over every region of each tier, compiled under the
+// headline configuration: as <tier>, eval.MeasureRegion, which measures on
+// fresh scratch per call, and as <tier>/arena, Arena.MeasureRegion on one
+// arena reused across every region, as the compile path measures.
+// Measurement never mutates a schedule, so the schedules are built once;
+// us/region is the cost per region measured.
 func BenchmarkColdCompileMeasure(b *testing.B) {
 	for _, tier := range coldTiers {
-		b.Run(tier.name, func(b *testing.B) {
-			progs, profs := tier.inputs(b)
-			var ms []measuredRegion
-			ar := eval.NewArena()
-			for pi, p := range progs {
-				for fi, fn := range p.Funcs {
-					fr, err := eval.CompileFunctionArena(fn.Clone(), profs[pi][fi].Clone(), DefaultConfig(), ar)
-					if err != nil {
-						b.Fatal(err)
-					}
-					lv := cfg.ComputeLiveness(cfg.New(fr.Fn))
-					for _, s := range fr.Schedules {
-						ms = append(ms, measuredRegion{s, fr.Prof, lv})
+		for _, onArena := range []bool{false, true} {
+			name := tier.name
+			if onArena {
+				name += "/arena"
+			}
+			b.Run(name, func(b *testing.B) {
+				progs, profs := tier.inputs(b)
+				var ms []measuredRegion
+				ar := eval.NewArena()
+				for pi, p := range progs {
+					for fi, fn := range p.Funcs {
+						fr, err := eval.CompileFunctionArena(fn.Clone(), profs[pi][fi].Clone(), DefaultConfig(), ar)
+						if err != nil {
+							b.Fatal(err)
+						}
+						lv := cfg.ComputeLiveness(cfg.New(fr.Fn))
+						for _, s := range fr.Schedules {
+							ms = append(ms, measuredRegion{s, fr.Prof, lv})
+						}
 					}
 				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, m := range ms {
-					measureSink = eval.MeasureRegion(m.s, m.prof, m.lv)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, m := range ms {
+						if onArena {
+							measureSink = ar.MeasureRegion(m.s, m.prof, m.lv)
+						} else {
+							measureSink = eval.MeasureRegion(m.s, m.prof, m.lv)
+						}
+					}
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*len(ms)), "us/region")
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*len(ms)), "us/region")
+			})
+		}
 	}
 }
 

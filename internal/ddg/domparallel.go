@@ -1,6 +1,8 @@
 package ddg
 
 import (
+	"slices"
+
 	"treegion/internal/ir"
 )
 
@@ -11,6 +13,51 @@ type opAt struct {
 	pos   int // index within its block's op list
 }
 
+// movedOp is a merged representative homed at the block with preorder
+// position pos, away from the block it sits in.
+type movedOp struct {
+	pos int32
+	op  *ir.Op
+}
+
+// merger is dominator parallelism's working set. It lives in the builder,
+// so every table keeps its capacity from build to build:
+//
+//   - origGrp maps an op's Orig to 1 + its candidate group. It is indexed
+//     by Orig, grown by extend like marks, and every entry a build sets is
+//     zeroed again as soon as the candidates are grouped. An Orig outside
+//     [0, fn.NumOpIDs()) — only a hand-built op can have one — goes through
+//     origOver instead.
+//   - The groups are counting-sorted into grpSlab: group g is
+//     grpSlab[grpOff[g]:grpOff[g+1]]. Groups are numbered in order of first
+//     sight and members keep preorder and op position, so the merge loop
+//     meets exactly the sets a map of appended lists would hold.
+//   - depth and memGen are indexed by preorder position: depth from the
+//     root, and the generation of the candidate set a member block belongs
+//     to (preMemberBlocks).
+type merger struct {
+	origGrp  []int32
+	origOver map[int]int32
+	cands    []opAt
+	candGrp  []int32
+	grpOff   []int32
+	grpSlab  []opAt
+	depth    []int32
+	memGen   []uint32
+	gen      uint32
+	pre      []ir.BlockID
+	stack    []ir.BlockID
+}
+
+// mergeCandidate reports whether op may join a duplicate set: a
+// speculatable, value-producing non-terminator that is not a renaming copy.
+func mergeCandidate(op *ir.Op) bool {
+	if op.IsBranch() || op.Opcode == ir.Ret || op.Opcode == ir.Copy {
+		return false
+	}
+	return op.Opcode.Speculatable() && len(op.Dests) > 0
+}
+
 // mergeDominatorParallel finds complete sets of tail-duplicated identical
 // ops whose sources reach their common dominator unchanged and replaces each
 // set with one representative homed at the dominator (the paper's dominator
@@ -18,31 +65,19 @@ type opAt struct {
 // blocks below it, the tree LCA of the duplicates is that dominator.
 func (b *builder) mergeDominatorParallel() {
 	r := b.g.Region
-	fn := b.g.Fn
-	if b.moved == nil {
-		b.moved = make(map[ir.BlockID][]*ir.Op)
+	dp := &b.dp
+	ngroups := b.groupCandidates()
+	n := len(r.Blocks)
+	dp.depth = grow(dp.depth, n)
+	dp.depth[0] = 0
+	for i := 1; i < n; i++ {
+		dp.depth[i] = dp.depth[r.Pos(r.Parent(r.Blocks[i]))] + 1
 	}
+	dp.memGen = growClear(dp.memGen, n)
+	dp.gen = 0
 
-	// Group candidate ops by original identity.
-	groups := make(map[int][]opAt)
-	var order []int
-	for _, bid := range r.Blocks {
-		for pos, op := range fn.Block(bid).Ops {
-			if op.IsBranch() || op.Opcode == ir.Ret || op.Opcode == ir.Copy {
-				continue
-			}
-			if !op.Opcode.Speculatable() || len(op.Dests) == 0 {
-				continue
-			}
-			if len(groups[op.Orig]) == 0 {
-				order = append(order, op.Orig)
-			}
-			groups[op.Orig] = append(groups[op.Orig], opAt{op, bid, pos})
-		}
-	}
-
-	for _, orig := range order {
-		set := groups[orig]
+	for g := 0; g < ngroups; g++ {
+		set := dp.grpSlab[dp.grpOff[g]:dp.grpOff[g+1]]
 		if len(set) < 2 || !identicalOps(set) {
 			continue
 		}
@@ -74,7 +109,7 @@ func (b *builder) mergeDominatorParallel() {
 		}
 		b.setHome(rep.op, lca)
 		if rep.block != lca {
-			b.moved[lca] = append(b.moved[lca], rep.op)
+			b.moved = append(b.moved, movedOp{pos: int32(r.Pos(lca)), op: rep.op})
 		}
 		// The merged op is unconditional at the dominator, but hoisting it
 		// further is speculation: pin it if its destination is live on some
@@ -88,56 +123,116 @@ func (b *builder) mergeDominatorParallel() {
 	}
 }
 
+// groupCandidates groups the region's merge candidates by Orig into
+// dp.grpSlab and returns the number of groups (see merger).
+func (b *builder) groupCandidates() int {
+	fn := b.g.Fn
+	dp := &b.dp
+	bound := fn.NumOpIDs()
+	dp.cands, dp.candGrp = dp.cands[:0], dp.candGrp[:0]
+	ngroups := int32(0)
+	for _, bid := range b.g.Region.Blocks {
+		for pos, op := range fn.Block(bid).Ops {
+			if !mergeCandidate(op) {
+				continue
+			}
+			var g int32
+			if o := op.Orig; o >= 0 && o < bound {
+				dp.origGrp = extend(dp.origGrp, o+1)
+				if g = dp.origGrp[o] - 1; g < 0 {
+					g = ngroups
+					ngroups++
+					dp.origGrp[o] = g + 1
+				}
+			} else {
+				var seen bool
+				if g, seen = dp.origOver[o]; !seen {
+					if dp.origOver == nil {
+						dp.origOver = make(map[int]int32)
+					}
+					g = ngroups
+					ngroups++
+					dp.origOver[o] = g
+				}
+			}
+			dp.cands = append(dp.cands, opAt{op, bid, pos})
+			dp.candGrp = append(dp.candGrp, g)
+		}
+	}
+	// The groups are fixed from here on: return origGrp to all-zero.
+	for _, c := range dp.cands {
+		if o := c.op.Orig; o >= 0 && o < bound {
+			dp.origGrp[o] = 0
+		}
+	}
+	clear(dp.origOver)
+
+	// Counting sort: counts land two slots right, so after the prefix sum
+	// grpOff[g+1] is group g's fill cursor, and after the fill it is g's end.
+	dp.grpOff = growClear(dp.grpOff, int(ngroups)+2)
+	for _, g := range dp.candGrp {
+		dp.grpOff[g+2]++
+	}
+	for i := 2; i < len(dp.grpOff); i++ {
+		dp.grpOff[i] += dp.grpOff[i-1]
+	}
+	dp.grpSlab = grow(dp.grpSlab, len(dp.cands))
+	for i, c := range dp.cands {
+		g := dp.candGrp[i]
+		dp.grpSlab[dp.grpOff[g+1]] = c
+		dp.grpOff[g+1]++
+	}
+	return int(ngroups)
+}
+
 // identicalOps reports whether all members compute the same operation over
-// the same registers.
+// the same registers, each in a block of its own.
 func identicalOps(set []opAt) bool {
 	a := set[0].op
 	for _, m := range set[1:] {
 		o := m.op
 		if o.Opcode != a.Opcode || o.Imm != a.Imm || o.Cond != a.Cond ||
-			o.Guard != a.Guard ||
-			len(o.Dests) != len(a.Dests) || len(o.Srcs) != len(a.Srcs) {
+			o.Guard != a.Guard || !slices.Equal(o.Dests, a.Dests) || !slices.Equal(o.Srcs, a.Srcs) {
 			return false
-		}
-		for i := range o.Dests {
-			if o.Dests[i] != a.Dests[i] {
-				return false
-			}
-		}
-		for i := range o.Srcs {
-			if o.Srcs[i] != a.Srcs[i] {
-				return false
-			}
 		}
 	}
-	// Members must sit in pairwise distinct blocks (one per path).
-	seen := map[ir.BlockID]bool{}
-	for _, m := range set {
-		if seen[m.block] {
+	// Members must sit in pairwise distinct blocks (one per path). They are
+	// in preorder, so two in one block are adjacent.
+	for i := 1; i < len(set); i++ {
+		if set[i].block == set[i-1].block {
 			return false
 		}
-		seen[m.block] = true
 	}
 	return true
 }
 
 // treeLCA returns the lowest common ancestor of the members' blocks within
-// the region tree.
+// the region tree, climbing by depth.
 func (b *builder) treeLCA(set []opAt) ir.BlockID {
 	r := b.g.Region
+	depth := b.dp.depth
 	lca := set[0].block
+	dl := depth[r.Pos(lca)]
 	for _, m := range set[1:] {
-		anc := map[ir.BlockID]bool{}
-		for cur := lca; cur != ir.NoBlock; cur = r.Parent(cur) {
-			anc[cur] = true
+		x := m.block
+		dx := depth[r.Pos(x)]
+		for ; dx > dl; dx-- {
+			x = r.Parent(x)
 		}
-		cur := m.block
-		for !anc[cur] {
-			cur = r.Parent(cur)
+		for ; dl > dx; dl-- {
+			lca = r.Parent(lca)
 		}
-		lca = cur
+		for x != lca {
+			x, lca = r.Parent(x), r.Parent(lca)
+			dl--
+		}
 	}
 	return lca
+}
+
+// hasReg reports whether the valid register x is among regs.
+func hasReg(regs []ir.Reg, x ir.Reg) bool {
+	return x.IsValid() && slices.Contains(regs, x)
 }
 
 // sourcesReach reports whether, for every member, no op strictly between the
@@ -146,15 +241,7 @@ func (b *builder) treeLCA(set []opAt) ir.BlockID {
 func (b *builder) sourcesReach(lca ir.BlockID, set []opAt) bool {
 	fn := b.g.Fn
 	r := b.g.Region
-	srcs := map[ir.Reg]bool{}
-	for _, s := range set[0].op.Srcs {
-		if s.IsValid() {
-			srcs[s] = true
-		}
-	}
-	if len(srcs) == 0 {
-		return true
-	}
+	srcs := set[0].op.Srcs
 	for _, m := range set {
 		for cur := m.block; cur != lca; cur = r.Parent(cur) {
 			ops := fn.Block(cur).Ops
@@ -167,7 +254,7 @@ func (b *builder) sourcesReach(lca ir.BlockID, set []opAt) bool {
 					continue
 				}
 				for _, d := range op.Dests {
-					if srcs[d] {
+					if hasReg(srcs, d) {
 						return false
 					}
 				}
@@ -178,34 +265,44 @@ func (b *builder) sourcesReach(lca ir.BlockID, set []opAt) bool {
 }
 
 // preMemberBlocks walks the LCA's subtree stopping at member blocks. It
-// returns the blocks strictly between the LCA and the members, and whether
-// every path from the LCA reaches a member (a *complete* duplicate set).
+// returns the blocks strictly between the LCA and the members, in preorder,
+// and whether every path from the LCA reaches a member (a *complete*
+// duplicate set). The result aliases the builder's buffer.
 func (b *builder) preMemberBlocks(lca ir.BlockID, set []opAt) ([]ir.BlockID, bool) {
 	r := b.g.Region
-	isMember := map[ir.BlockID]bool{}
+	dp := &b.dp
+	dp.gen++
 	for _, m := range set {
-		isMember[m.block] = true
+		dp.memGen[r.Pos(m.block)] = dp.gen
 	}
-	if isMember[lca] {
+	isMember := func(x ir.BlockID) bool { return dp.memGen[r.Pos(x)] == dp.gen }
+	if isMember(lca) {
 		return nil, true
 	}
-	var pre []ir.BlockID
+	pre := dp.pre[:0]
 	covered := true
-	var walk func(ir.BlockID)
-	walk = func(x ir.BlockID) {
-		for _, c := range r.Children(x) {
-			if isMember[c] {
+	// Children are pushed last-first, so they pop in successor order and
+	// the walk visits blocks in preorder.
+	stack := append(dp.stack[:0], lca)
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if x != lca {
+			if isMember(x) {
 				continue
 			}
-			if r.IsLeaf(c) {
+			if r.IsLeaf(x) {
 				covered = false
 				continue
 			}
-			pre = append(pre, c)
-			walk(c)
+			pre = append(pre, x)
+		}
+		ch := r.Children(x)
+		for i := len(ch) - 1; i >= 0; i-- {
+			stack = append(stack, ch[i])
 		}
 	}
-	walk(lca)
+	dp.pre, dp.stack = pre, stack
 	return pre, covered
 }
 
@@ -215,42 +312,48 @@ func (b *builder) preMemberBlocks(lca ir.BlockID, set []opAt) ([]ir.BlockID, boo
 // into any region exit leaving from the LCA or a pre-member block.
 func (b *builder) destConflicts(lca ir.BlockID, pre []ir.BlockID, op *ir.Op) bool {
 	fn := b.g.Fn
-	r := b.g.Region
-	lv := b.opts.Liveness
-	dests := map[ir.Reg]bool{}
-	for _, d := range op.Dests {
-		if d.IsValid() {
-			dests[d] = true
-		}
-	}
+	dests := op.Dests
 	for _, x := range pre {
 		for _, o := range fn.Block(x).Ops {
 			if b.isGone(o) || o == op {
 				continue
 			}
 			for _, s := range o.Srcs {
-				if dests[s] {
+				if hasReg(dests, s) {
 					return true
 				}
 			}
 			for _, d := range o.Dests {
-				if dests[d] {
+				if hasReg(dests, d) {
 					return true
 				}
 			}
 		}
 	}
 	// Region exits leaving before a member is reached.
-	check := append([]ir.BlockID{lca}, pre...)
-	for _, x := range check {
-		for _, s := range fn.Block(x).Succs() {
-			if r.IsTreeEdge(x, s) {
-				continue // tree edge
-			}
-			for d := range dests {
-				if lv.LiveIn[s].Has(d) {
-					return true
-				}
+	if b.exitNeeds(lca, dests) {
+		return true
+	}
+	for _, x := range pre {
+		if b.exitNeeds(x, dests) {
+			return true
+		}
+	}
+	return false
+}
+
+// exitNeeds reports whether one of regs is live into a region exit of x.
+func (b *builder) exitNeeds(x ir.BlockID, regs []ir.Reg) bool {
+	r := b.g.Region
+	lv := b.opts.Liveness
+	b.succBuf = b.g.Fn.Block(x).AppendSuccs(b.succBuf[:0])
+	for _, s := range b.succBuf {
+		if r.IsTreeEdge(x, s) {
+			continue // tree edge
+		}
+		for _, d := range regs {
+			if d.IsValid() && lv.LiveIn[s].Has(d) {
+				return true
 			}
 		}
 	}

@@ -24,17 +24,20 @@
 // to hoist them to the top of the region, which is exactly the paper's
 // speculation mechanism.
 //
-// The graph is slab-allocated: all Nodes live in one array, all edges in two
-// (successor and predecessor sides), and the builder's per-op lookups go
-// through dense op-ID tables instead of pointer-keyed maps. Edges are
-// accumulated as flat (from, to) records during the build and installed in
-// one counting-sort pass that preserves insertion order, which downstream
-// consumers (verifier, store serialization) iterate and therefore must be
+// The graph is slab-allocated: all Nodes live in one array, all edges in
+// another (successor lists only: a consumer that needs in-degrees counts
+// them from Succs), and the builder's per-op lookups go through dense op-ID
+// tables instead of pointer-keyed maps. Edges are accumulated as flat
+// (from, to) records during the build and installed in one counting-sort
+// pass that preserves insertion order, which downstream consumers
+// (verifier, store serialization) iterate and therefore must be
 // deterministic.
 package ddg
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"treegion/internal/cfg"
 	"treegion/internal/ir"
@@ -83,13 +86,6 @@ type Edge struct {
 	Kind    EdgeKind
 }
 
-// InEdge mirrors Edge from the consumer side.
-type InEdge struct {
-	From    *Node
-	Latency int
-	Kind    EdgeKind
-}
-
 // Node is one schedulable op.
 type Node struct {
 	Index int
@@ -104,7 +100,6 @@ type Node struct {
 	Spec bool
 
 	Succs []Edge
-	Preds []InEdge
 
 	// Static priority inputs (Section 3 heuristics).
 	Height    int
@@ -149,33 +144,26 @@ type edgeRec struct {
 	kind     EdgeKind
 }
 
-// installEdges materializes recs into per-node Succs/Preds slices carved
-// from two backing slabs. A counting pass sizes each node's lists, then a
-// stable fill preserves record order within every list — the same order the
-// old per-edge appends produced. The counting buffers are the builder's;
-// the edge slabs are always fresh (they escape into the nodes).
+// installEdges materializes recs into per-node Succs slices carved from one
+// backing slab. A counting pass sizes each node's list, then a stable fill
+// preserves record order within every list — the same order the old
+// per-edge appends produced. The counting buffer is the builder's; the edge
+// slab is always fresh (it escapes into the nodes).
 func (b *builder) installEdges(nodes []*Node, recs []edgeRec) {
-	n := len(nodes)
-	b.outCnt = growClear(b.outCnt, n)
-	b.inCnt = growClear(b.inCnt, n)
-	outCnt, inCnt := b.outCnt, b.inCnt
+	b.outCnt = growClear(b.outCnt, len(nodes))
+	outCnt := b.outCnt
 	for _, e := range recs {
 		outCnt[e.from]++
-		inCnt[e.to]++
 	}
-	succSlab := make([]Edge, len(recs))
-	predSlab := make([]InEdge, len(recs))
-	so, po := 0, 0
+	slab := make([]Edge, len(recs))
+	off := 0
 	for i, nd := range nodes {
-		nd.Succs = succSlab[so : so : so+int(outCnt[i])]
-		nd.Preds = predSlab[po : po : po+int(inCnt[i])]
-		so += int(outCnt[i])
-		po += int(inCnt[i])
+		nd.Succs = slab[off : off : off+int(outCnt[i])]
+		off += int(outCnt[i])
 	}
 	for _, e := range recs {
-		f, t := nodes[e.from], nodes[e.to]
-		f.Succs = append(f.Succs, Edge{To: t, Latency: int(e.lat), Kind: e.kind})
-		t.Preds = append(t.Preds, InEdge{From: f, Latency: int(e.lat), Kind: e.kind})
+		f := nodes[e.from]
+		f.Succs = append(f.Succs, Edge{To: nodes[e.to], Latency: int(e.lat), Kind: e.kind})
 	}
 }
 
@@ -214,8 +202,16 @@ func BuildScratch(fn *ir.Function, r *region.Region, opts Options, sc *Scratch) 
 	if opts.DominatorParallelism {
 		b.mergeDominatorParallel()
 	}
+	b.complete()
+	return g, nil
+}
+
+// complete runs every step of a build after dominator merging: renaming or
+// pinning, the nodes, the edges and their attributes, then finish.
+func (b *builder) complete() {
+	g := b.g
 	b.buildDefBits()
-	if opts.Rename {
+	if b.opts.Rename {
 		b.rename()
 	} else {
 		// Restricted speculation (IMPACT-style superblock scheduling): with
@@ -237,7 +233,6 @@ func BuildScratch(fn *ir.Function, r *region.Region, opts Options, sc *Scratch) 
 	b.installEdges(g.Nodes, b.recs)
 	b.attributes()
 	b.finish()
-	return g, nil
 }
 
 // blkRange locates one block's nodes inside Graph.Nodes: body ops occupy
@@ -260,8 +255,11 @@ type builder struct {
 	regNum [5][]int32 // by register class, then Num: region-local index + 1
 	regOf  []ir.Reg   // region-local index → register, in numbering order
 
-	// moved lists merged representatives homed at each dominator block.
-	moved map[ir.BlockID][]*ir.Op
+	// moved lists the merged representatives homed away from their own
+	// block, in merge order; buildEffective sorts it by position.
+	moved []movedOp
+	// dp is dominator parallelism's working set (domparallel.go).
+	dp merger
 
 	// Post-transform caches, built by buildEffective/makeNodes and indexed
 	// by preorder position.
@@ -269,10 +267,9 @@ type builder struct {
 	effOf   []blkRange // effective-op range per block (into effSlab)
 	nodeOf  []blkRange // node range per block (into g.Nodes)
 
-	// recs accumulates edges for installEdges, which counts into
-	// outCnt/inCnt.
-	recs          []edgeRec
-	outCnt, inCnt []int32
+	// recs accumulates edges for installEdges, which counts into outCnt.
+	recs   []edgeRec
+	outCnt []int32
 
 	// Per-block def bitsets over the first defRegs region-local registers
 	// (defNW words per block, blocks by preorder position), used by
@@ -287,17 +284,18 @@ type builder struct {
 	// Reusable scratch.
 	succBuf    []ir.BlockID
 	subtreeBuf []ir.BlockID
+	exitsBelow []int
 
 	// w is the dataEdges walker; its stacks are reused across builds.
 	w walker
 }
 
 // appendEffective writes block bid's effective op sequence — the scheduler's
-// view: surviving non-branch ops physically here, then merged
+// view: surviving non-branch ops physically here, then moved, the merged
 // representatives homed here, then the block's branch/Ret ops — onto dst,
 // returning the extended slice and the body length (ops before the first
 // terminator).
-func (b *builder) appendEffective(dst []*ir.Op, bid ir.BlockID) ([]*ir.Op, int) {
+func (b *builder) appendEffective(dst []*ir.Op, bid ir.BlockID, moved []movedOp) ([]*ir.Op, int) {
 	blk := b.g.Fn.Block(bid)
 	base := len(dst)
 	for _, op := range blk.Ops {
@@ -312,7 +310,9 @@ func (b *builder) appendEffective(dst []*ir.Op, bid ir.BlockID) ([]*ir.Op, int) 
 		}
 		dst = append(dst, op)
 	}
-	dst = append(dst, b.moved[bid]...)
+	for _, m := range moved {
+		dst = append(dst, m.op)
+	}
 	body := len(dst) - base
 	for _, op := range blk.Ops {
 		if b.isGone(op) {
@@ -333,16 +333,24 @@ func (b *builder) appendEffective(dst []*ir.Op, bid ir.BlockID) ([]*ir.Op, int) 
 // sequences are final.
 func (b *builder) buildEffective() {
 	r := b.g.Region
-	total := 0
+	total := len(b.moved)
 	for _, bid := range r.Blocks {
-		total += len(b.g.Fn.Block(bid).Ops) + len(b.moved[bid])
+		total += len(b.g.Fn.Block(bid).Ops)
 	}
+	// A stable sort keeps each dominator's representatives in merge order.
+	slices.SortStableFunc(b.moved, func(x, y movedOp) int { return cmp.Compare(x.pos, y.pos) })
+	moved := b.moved
 	b.effOf = grow(b.effOf, len(r.Blocks))
 	b.effSlab = grow(b.effSlab, total)[:0]
 	for i, bid := range r.Blocks {
+		k := 0
+		for k < len(moved) && moved[k].pos == int32(i) {
+			k++
+		}
 		start := len(b.effSlab)
 		var body int
-		b.effSlab, body = b.appendEffective(b.effSlab, bid)
+		b.effSlab, body = b.appendEffective(b.effSlab, bid, moved[:k])
+		moved = moved[k:]
 		b.effOf[i] = blkRange{
 			start: int32(start),
 			term:  int32(start + body),
@@ -427,9 +435,9 @@ func (b *builder) attributes() {
 		}
 		n.Height = h
 	}
-	exits := g.Region.ExitsBelow()
+	b.exitsBelow = g.Region.AppendExitsBelow(b.exitsBelow[:0])
 	for _, n := range g.Nodes {
-		n.ExitCount = exits[g.Region.Pos(n.Home)]
+		n.ExitCount = b.exitsBelow[g.Region.Pos(n.Home)]
 		if b.opts.Profile != nil {
 			n.Weight = b.opts.Profile.BlockWeight(n.Home)
 		}

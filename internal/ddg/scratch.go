@@ -6,18 +6,17 @@ import "treegion/internal/ir"
 // that does NOT escape into the returned Graph. A compile passes one Scratch
 // to every BuildScratch call of a function, and a pipeline worker keeps it
 // across every function it compiles. The Graph-owned allocations (the Node
-// slab, the Succs/Preds edge slabs) are always fresh: results outlive the
-// scratch.
+// slab, the Succs edge slab) are always fresh: results outlive the scratch.
 //
 // Each build costs O(region), whatever the size of the function around it
 // (DESIGN.md §17). The tables come in two kinds:
 //
 //   - Function-indexed tables (per-op marks by op ID, region-local register
-//     numbers by register class and number) are grown geometrically on first
-//     touch and never cleared wholesale. A build logs every entry it sets and
-//     zeroes exactly those on the way out, so between builds the tables are
-//     all-zero and carry no facts from one region, function or compile to
-//     the next.
+//     numbers by register class and number, dominator parallelism's groups
+//     by Orig) are grown geometrically on first touch and never cleared
+//     wholesale. A build logs every entry it sets and zeroes exactly those
+//     before it ends, so between builds the tables are all-zero and carry
+//     no facts from one region, function or compile to the next.
 //   - Everything else is region-sized: per-block tables are indexed by
 //     preorder position (region.Region.Pos), and per-register tables by a
 //     region-local register numbering assigned on first sight. Registers
@@ -69,7 +68,7 @@ func growClear[T any](buf []T, n int) []T {
 // begin readies the builder for one build of g.
 func (b *builder) begin(g *Graph, opts Options) {
 	b.g, b.opts = g, opts
-	clear(b.moved)
+	b.moved = b.moved[:0]
 	b.recs = b.recs[:0]
 	b.defRegs = 0
 }

@@ -1,14 +1,16 @@
 package eval
 
 import (
+	"treegion/internal/cfg"
 	"treegion/internal/ddg"
+	"treegion/internal/profile"
 	"treegion/internal/sched"
 	"treegion/internal/verify"
 )
 
 // Arena is the compile scratch: the DDG builder's tables, the list
-// scheduler's working set and the verifier's tables, reused across every
-// region of a compile. Every
+// scheduler's working set, measurement's views and the verifier's tables,
+// reused across every region of a compile. Every
 // compile owns one — CompileFunction makes a fresh arena per call, and each
 // pipeline worker keeps one across every function it compiles. The
 // buffers grow to the largest function and region seen and stay there;
@@ -19,10 +21,16 @@ import (
 //
 // An Arena must not be shared between concurrent compiles.
 type Arena struct {
-	ddg    ddg.Scratch
-	sched  sched.Scratch
-	verify verify.Scratch
+	ddg     ddg.Scratch
+	sched   sched.Scratch
+	measure measurer
+	verify  verify.Scratch
 }
 
 // NewArena returns an empty arena; buffers are grown on first use.
 func NewArena() *Arena { return &Arena{} }
+
+// MeasureRegion is MeasureRegion on the arena's measurement scratch.
+func (a *Arena) MeasureRegion(s *sched.Schedule, prof *profile.Data, lv *cfg.Liveness) RegionTime {
+	return a.measure.measure(s, prof, lv)
+}

@@ -254,7 +254,7 @@ func CompileFunctionArena(fn *ir.Function, prof *profile.Data, c Config, ar *Are
 			return nil, fmt.Errorf("eval: %s: %w", fn.Name, err)
 		}
 		t0 = time.Now()
-		rt := MeasureRegion(s, prof, lv)
+		rt := ar.MeasureRegion(s, prof, lv)
 		tr.Observe(telemetry.PhaseMeasure, time.Since(t0), len(dg.Nodes))
 		res.Time += rt.Time
 		res.Copies += rt.TimeWithCopies

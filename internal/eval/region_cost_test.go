@@ -85,9 +85,19 @@ func entryProfile() *profile.Data {
 }
 
 // regionBytes builds, schedules and measures paddedFunction(pad)'s entry
-// region on a warm arena and returns the bytes that allocated: the minimum
-// over a few fresh clones, so a stray runtime allocation cannot inflate it.
+// region on a warm arena and returns the bytes that allocated (see
+// regionAllocs).
 func regionBytes(t *testing.T, pad int) uint64 {
+	bytes, _ := regionAllocs(t, pad)
+	return bytes
+}
+
+// regionAllocs builds, schedules, measures and takes the statistics of
+// paddedFunction(pad)'s entry region on a warm arena, as the compile path
+// does, and returns the bytes and objects that allocated: the minimum of
+// each over a few fresh clones, so a stray runtime allocation cannot
+// inflate them.
+func regionAllocs(t *testing.T, pad int) (bytes, objects uint64) {
 	t.Helper()
 	orig := paddedFunction(pad)
 	if err := orig.Validate(); err != nil {
@@ -95,33 +105,35 @@ func regionBytes(t *testing.T, pad int) uint64 {
 	}
 	ar := NewArena()
 	var ms runtime.MemStats
-	run := func() uint64 {
+	run := func() (uint64, uint64) {
 		fn := orig.Clone()
 		r := entryRegion(t, fn)
 		lv := cfg.ComputeLiveness(cfg.New(fn))
 		prof := entryProfile()
 		opts := ddg.Options{Rename: true, DominatorParallelism: true, Liveness: lv, Profile: prof}
 		runtime.ReadMemStats(&ms)
-		before := ms.TotalAlloc
+		bytes, objects := ms.TotalAlloc, ms.Mallocs
 		g, err := ddg.BuildScratch(fn, r, opts, &ar.ddg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s := sched.ListScheduleScratch(g, machine.FourU, core.GlobalWeight.Keys, nil, &ar.sched)
-		rt := MeasureRegion(s, prof, lv)
+		rt := ar.MeasureRegion(s, prof, lv)
 		st := s.Stats()
 		runtime.ReadMemStats(&ms)
-		if g.NumRenamed == 0 || rt.Time == 0 || st.Ops != len(g.Nodes) {
-			t.Fatalf("pad %d: the fixed region must rename and measure (renamed %d, time %v)", pad, g.NumRenamed, rt.Time)
+		if g.NumRenamed == 0 || g.NumMerged == 0 || rt.Time == 0 || st.Ops != len(g.Nodes) {
+			t.Fatalf("pad %d: the fixed region must merge, rename and measure (merged %d, renamed %d, time %v)",
+				pad, g.NumMerged, g.NumRenamed, rt.Time)
 		}
-		return ms.TotalAlloc - before
+		return ms.TotalAlloc - bytes, ms.Mallocs - objects
 	}
 	run() // warm the arena
-	best := run()
+	bytes, objects = run()
 	for i := 0; i < 4; i++ {
-		best = min(best, run())
+		b, o := run()
+		bytes, objects = min(bytes, b), min(objects, o)
 	}
-	return best
+	return bytes, objects
 }
 
 // TestRegionCostIndependentOfFunctionSize pins the O(region) cost of a
@@ -137,6 +149,23 @@ func TestRegionCostIndependentOfFunctionSize(t *testing.T) {
 		t.Fatalf("one fixed region allocates %d bytes in a %d-block function but %d bytes in a %d-block one",
 			small, n+4, big, 16*n+4)
 	}
+}
+
+// TestRegionAllocatesWhatItKeeps pins that building, scheduling, measuring
+// and taking the statistics of paddedFunction's entry region (one merge,
+// two renames) on a warm arena allocates little beyond what the result
+// keeps: the graph and its node and edge slabs, the schedule and its
+// cycles, the copies and registers renaming mints, and the region's child
+// lists. Dominator parallelism's groups, the exit counts and measurement's
+// views and exit list come from the arena; a map or table per region or
+// per candidate set shows up as a count above the limit.
+func TestRegionAllocatesWhatItKeeps(t *testing.T) {
+	const limit = 24
+	_, objects := regionAllocs(t, 64)
+	if objects > limit {
+		t.Fatalf("one region allocates %d objects on a warm arena, want at most %d", objects, limit)
+	}
+	t.Logf("%d objects per region", objects)
 }
 
 // replayCompile compiles fn the way the benchmark's traced replay does:

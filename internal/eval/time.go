@@ -16,6 +16,7 @@ import (
 	"treegion/internal/cfg"
 	"treegion/internal/ir"
 	"treegion/internal/profile"
+	"treegion/internal/region"
 	"treegion/internal/sched"
 )
 
@@ -41,6 +42,8 @@ type blockView struct {
 	// branches are the block's branch nodes with their cycles, for the
 	// arm-entry and exit-branch lookups.
 	branches []branchAt
+	// nspecDefs and nbranches size the two lists before they are filled.
+	nspecDefs, nbranches int
 }
 
 type specDef struct {
@@ -63,100 +66,84 @@ func (v *blockView) branchCycle(op *ir.Op) (int, bool) {
 	return 0, false
 }
 
+// measurer is measurement's working set: the views, the two slabs their
+// spec-def and branch lists are carved from, the path buffer and the exit
+// list. Every compile measures on its Arena's; MeasureRegion uses a fresh
+// one. It keeps nothing from one region to the next but capacity.
+type measurer struct {
+	views    []blockView
+	specSlab []specDef
+	brSlab   []branchAt
+	path     []ir.BlockID
+	exits    []region.Exit
+}
+
 // MeasureRegion computes the region's weighted time under the profile. The
 // liveness must cover the scheduled function (post-renaming liveness is not
 // required: renamed registers are region-local and their live-out values
 // travel through non-speculatable copies, which are accounted separately).
+// It measures on a fresh scratch; a compile measures on its Arena's
+// (Arena.MeasureRegion).
 func MeasureRegion(s *sched.Schedule, prof *profile.Data, lv *cfg.Liveness) RegionTime {
+	return new(measurer).measure(s, prof, lv)
+}
+
+func (m *measurer) measure(s *sched.Schedule, prof *profile.Data, lv *cfg.Liveness) RegionTime {
 	r := s.Graph.Region
-	views := make([]blockView, len(r.Blocks))
+	if cap(m.views) < len(r.Blocks) {
+		m.views = make([]blockView, len(r.Blocks))
+	}
+	views := m.views[:len(r.Blocks)]
+	m.views = views
 	for i := range views {
 		views[i] = blockView{nonspec: -1, nonspecCopies: -1, terms: -1}
 	}
+	// One counting pass takes the maxima and sizes every view's lists, so
+	// the lists are carved from two slabs and filled without growth.
+	nspec, nbr := 0, 0
 	for _, n := range s.Graph.Nodes {
 		v := &views[r.Pos(n.Home)]
 		c := s.Cycle[n.Index]
 		switch {
 		case n.Term:
-			if c > v.terms {
-				v.terms = c
-			}
+			v.terms = max(v.terms, c)
 			if n.Op.IsBranch() {
-				v.branches = append(v.branches, branchAt{op: n.Op, cycle: c})
+				v.nbranches++
+				nbr++
 			}
 		case !n.Spec:
-			if c > v.nonspecCopies {
-				v.nonspecCopies = c
+			v.nonspecCopies = max(v.nonspecCopies, c)
+			if !n.IsCopy() {
+				v.nonspec = max(v.nonspec, c)
 			}
-			if !n.IsCopy() && c > v.nonspec {
-				v.nonspec = c
-			}
-		default:
-			if len(n.Op.Dests) > 0 {
-				v.specDefs = append(v.specDefs, specDef{cycle: c, dests: n.Op.Dests})
-			}
+		case len(n.Op.Dests) > 0:
+			v.nspecDefs++
+			nspec++
 		}
 	}
-
-	// pathMax walks root..B accumulating the cycles the path waits for.
-	var pathBuf []ir.BlockID
-	pathMax := func(b ir.BlockID, exitBr *ir.Op, target ir.BlockID, withCopies bool) int {
-		max := -1
-		bump := func(c int) {
-			if c > max {
-				max = c
-			}
+	if cap(m.specSlab) < nspec {
+		m.specSlab = make([]specDef, nspec)
+	}
+	if cap(m.brSlab) < nbr {
+		m.brSlab = make([]branchAt, nbr)
+	}
+	so, bo := 0, 0
+	for i := range views {
+		v := &views[i]
+		v.specDefs = m.specSlab[so : so : so+v.nspecDefs]
+		v.branches = m.brSlab[bo : bo : bo+v.nbranches]
+		so += v.nspecDefs
+		bo += v.nbranches
+	}
+	for _, n := range s.Graph.Nodes {
+		v := &views[r.Pos(n.Home)]
+		c := s.Cycle[n.Index]
+		switch {
+		case n.Term && n.Op.IsBranch():
+			v.branches = append(v.branches, branchAt{op: n.Op, cycle: c})
+		case !n.Term && n.Spec && len(n.Op.Dests) > 0:
+			v.specDefs = append(v.specDefs, specDef{cycle: c, dests: n.Op.Dests})
 		}
-		pathBuf = r.AppendPathTo(pathBuf[:0], b)
-		path := pathBuf
-		for i, x := range path {
-			v := &views[r.Pos(x)]
-			if withCopies {
-				bump(v.nonspecCopies)
-			} else {
-				bump(v.nonspec)
-			}
-			// Speculatable defs the exit target still needs.
-			if target != ir.NoBlock && lv != nil {
-				for _, sd := range v.specDefs {
-					if sd.cycle <= max {
-						continue
-					}
-					for _, d := range sd.dests {
-						if d.IsValid() && lv.LiveIn[target].Has(d) {
-							bump(sd.cycle)
-							break
-						}
-					}
-				}
-			}
-			switch {
-			case i < len(path)-1:
-				// Ancestor: the path continues to path[i+1]. If it leaves
-				// via an arm branch, arms after it never execute; if via
-				// fallthrough, every arm was checked first.
-				next := path[i+1]
-				via := -1
-				for _, br := range v.branches {
-					if br.op.Target == next {
-						via = br.cycle
-					}
-				}
-				if via < 0 {
-					via = v.terms // fallthrough: all branches resolved
-				}
-				bump(via)
-			case exitBr != nil:
-				// The path ends at this exit branch.
-				if c, ok := v.branchCycle(exitBr); ok {
-					bump(c)
-				}
-			default:
-				// Fallthrough exit or Ret leaf: all terminators resolved.
-				bump(v.terms)
-			}
-		}
-		return max + 1
 	}
 
 	var rt RegionTime
@@ -164,11 +151,11 @@ func MeasureRegion(s *sched.Schedule, prof *profile.Data, lv *cfg.Liveness) Regi
 		if w == 0 {
 			return
 		}
-		rt.Time += w * float64(pathMax(b, br, target, false))
-		rt.TimeWithCopies += w * float64(pathMax(b, br, target, true))
+		rt.Time += w * float64(m.pathMax(r, lv, b, br, target, false))
+		rt.TimeWithCopies += w * float64(m.pathMax(r, lv, b, br, target, true))
 	}
-
-	for _, e := range r.Exits() {
+	m.exits = r.AppendExits(m.exits[:0])
+	for _, e := range m.exits {
 		addPath(prof.EdgeWeight(e.From, e.To), e.From, e.Br, e.To)
 	}
 	// Ret leaves: executions that end the function inside the region.
@@ -181,4 +168,65 @@ func MeasureRegion(s *sched.Schedule, prof *profile.Data, lv *cfg.Liveness) Regi
 		}
 	}
 	return rt
+}
+
+// pathMax walks root..b accumulating the cycles the path waits for, and
+// returns the path's height.
+func (m *measurer) pathMax(r *region.Region, lv *cfg.Liveness, b ir.BlockID, exitBr *ir.Op, target ir.BlockID, withCopies bool) int {
+	max := -1
+	bump := func(c int) {
+		if c > max {
+			max = c
+		}
+	}
+	m.path = r.AppendPathTo(m.path[:0], b)
+	path := m.path
+	for i, x := range path {
+		v := &m.views[r.Pos(x)]
+		if withCopies {
+			bump(v.nonspecCopies)
+		} else {
+			bump(v.nonspec)
+		}
+		// Speculatable defs the exit target still needs.
+		if target != ir.NoBlock && lv != nil {
+			for _, sd := range v.specDefs {
+				if sd.cycle <= max {
+					continue
+				}
+				for _, d := range sd.dests {
+					if d.IsValid() && lv.LiveIn[target].Has(d) {
+						bump(sd.cycle)
+						break
+					}
+				}
+			}
+		}
+		switch {
+		case i < len(path)-1:
+			// Ancestor: the path continues to path[i+1]. If it leaves
+			// via an arm branch, arms after it never execute; if via
+			// fallthrough, every arm was checked first.
+			next := path[i+1]
+			via := -1
+			for _, br := range v.branches {
+				if br.op.Target == next {
+					via = br.cycle
+				}
+			}
+			if via < 0 {
+				via = v.terms // fallthrough: all branches resolved
+			}
+			bump(via)
+		case exitBr != nil:
+			// The path ends at this exit branch.
+			if c, ok := v.branchCycle(exitBr); ok {
+				bump(c)
+			}
+		default:
+			// Fallthrough exit or Ret leaf: all terminators resolved.
+			bump(v.terms)
+		}
+	}
+	return max + 1
 }

@@ -251,19 +251,24 @@ type Exit struct {
 // An exit is any edge whose target is outside the region or is not the
 // source's tree child (e.g. a back edge to the root).
 func (r *Region) Exits() []Exit {
-	var out []Exit
+	return r.AppendExits(nil)
+}
+
+// AppendExits appends the region's exits, in Exits' order, to dst and
+// returns it, letting hot callers reuse one buffer across regions.
+func (r *Region) AppendExits(dst []Exit) []Exit {
 	for _, bid := range r.Blocks {
 		b := r.Fn.Block(bid)
 		for _, op := range b.Ops {
 			if op.IsBranch() && !r.IsTreeEdge(bid, op.Target) {
-				out = append(out, Exit{From: bid, To: op.Target, Br: op})
+				dst = append(dst, Exit{From: bid, To: op.Target, Br: op})
 			}
 		}
 		if ft := b.FallThrough; ft != ir.NoBlock && !r.IsTreeEdge(bid, ft) {
-			out = append(out, Exit{From: bid, To: ft})
+			dst = append(dst, Exit{From: bid, To: ft})
 		}
 	}
-	return out
+	return dst
 }
 
 // IsTreeEdge reports whether from→to is an edge of the region's tree: to
@@ -277,22 +282,33 @@ func (r *Region) IsTreeEdge(from, to ir.BlockID) bool {
 // from its subtree — the paper's "exit count" of ops homed there. The
 // result is indexed by preorder position (see Pos).
 func (r *Region) ExitsBelow() []int {
-	out := make([]int, len(r.Blocks))
-	var succs []ir.BlockID
-	for i, bid := range r.Blocks {
-		succs = r.Fn.Block(bid).AppendSuccs(succs[:0])
-		for _, s := range succs {
-			if !r.IsTreeEdge(bid, s) {
-				out[i]++
+	return r.AppendExitsBelow(nil)
+}
+
+// AppendExitsBelow appends ExitsBelow's counts to dst and returns it,
+// letting hot callers reuse one buffer across regions.
+func (r *Region) AppendExitsBelow(dst []int) []int {
+	base := len(dst)
+	for _, bid := range r.Blocks {
+		b := r.Fn.Block(bid)
+		n := 0
+		for _, op := range b.Ops {
+			if op.IsBranch() && !r.IsTreeEdge(bid, op.Target) {
+				n++
 			}
 		}
+		if ft := b.FallThrough; ft != ir.NoBlock && !r.IsTreeEdge(bid, ft) {
+			n++
+		}
+		dst = append(dst, n)
 	}
 	// Preorder reversed visits every block after its whole subtree, so each
 	// count is final when it is added into the parent's.
-	for i := len(r.Blocks) - 1; i > 0; i-- {
+	out := dst[base:]
+	for i := len(out) - 1; i > 0; i-- {
 		out[r.Pos(r.parents[i])] += out[i]
 	}
-	return out
+	return dst
 }
 
 // Validate checks the tree invariants against the current CFG:

@@ -180,10 +180,9 @@ func synthPrio(n int) PriorityFn {
 	}
 }
 
-// synthEdge wires from→to with the given latency on both edge lists.
+// synthEdge wires from→to with the given latency.
 func synthEdge(from, to *ddg.Node, lat int) {
 	from.Succs = append(from.Succs, ddg.Edge{To: to, Latency: lat, Kind: ddg.EdgeData})
-	to.Preds = append(to.Preds, ddg.InEdge{From: from, Latency: lat, Kind: ddg.EdgeData})
 }
 
 // assertSameSchedule schedules g with the bitmap production path and the

@@ -72,9 +72,8 @@ func (sc *Scratch) reset(n int) {
 	sc.rankOf = sc.rankOf[:n]
 	sc.preds = sc.preds[:n]
 	sc.earliest = sc.earliest[:n]
-	for i := 0; i < n; i++ {
-		sc.earliest[i] = 0
-	}
+	clear(sc.preds)
+	clear(sc.earliest)
 }
 
 // resetQueues carves the cur/next bitmaps and the calendar for a rank space
@@ -200,10 +199,12 @@ func ListScheduleScratch(g *ddg.Graph, m machine.Model, prio PriorityFn, tr *tel
 	t0 = time.Now()
 	order := sc.order
 	rankOf, preds, earliest := sc.rankOf, sc.preds, sc.earliest
+	// In-degrees are counted off the successor lists; the graph keeps no
+	// predecessor lists.
 	maxLat := 0
 	for _, nd := range g.Nodes {
-		preds[nd.Index] = int32(len(nd.Preds))
 		for _, e := range nd.Succs {
+			preds[e.To.Index]++
 			if e.Latency > maxLat {
 				maxLat = e.Latency
 			}
@@ -301,8 +302,10 @@ func (s *Schedule) Verify() error {
 		if !nd.IsCopy() && c < len(perCycle) { // copies are slot-free (see ListSchedule)
 			perCycle[c]++
 		}
+		// The difference, not c+e.Latency, so a cycle near math.MaxInt
+		// cannot wrap the comparison.
 		for _, e := range nd.Succs {
-			if s.Cycle[e.To.Index] < c+e.Latency {
+			if s.Cycle[e.To.Index]-c < e.Latency {
 				return fmt.Errorf("sched: edge %v -> %v violated: %d -> %d (lat %d)",
 					nd.Op, e.To.Op, c, s.Cycle[e.To.Index], e.Latency)
 			}

@@ -43,7 +43,9 @@ func refListSchedule(g *ddg.Graph, m machine.Model, prio PriorityFn) *Schedule {
 	unscheduledPreds := make([]int, n)
 	earliest := make([]int, n)
 	for _, nd := range g.Nodes {
-		unscheduledPreds[nd.Index] = len(nd.Preds)
+		for _, e := range nd.Succs {
+			unscheduledPreds[e.To.Index]++
+		}
 	}
 	scheduled := make([]bool, n)
 	remaining := n

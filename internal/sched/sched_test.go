@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"treegion/internal/cfg"
@@ -45,6 +47,26 @@ func TestScheduleRespectsLatency(t *testing.T) {
 	}
 	if s.Cycle[g.NodeOf(add).Index]-s.Cycle[g.NodeOf(ld).Index] < 2 {
 		t.Fatal("load latency not respected")
+	}
+}
+
+// TestVerifyReportsFarProducer moves a load to math.MaxInt, past its
+// consumer: Verify must report the violated edge. Comparing the consumer's
+// cycle with cycle+latency wrapped there and reported nothing.
+func TestVerifyReportsFarProducer(t *testing.T) {
+	f := ir.NewFunction("far")
+	b0 := f.NewBlock()
+	r0 := f.NewReg(ir.ClassGPR)
+	a := f.NewReg(ir.ClassGPR)
+	ld := f.EmitLd(b0, a, r0, 0)
+	f.EmitALU(b0, ir.Add, f.NewReg(ir.ClassGPR), a, a)
+	f.EmitRet(b0)
+	r := region.New(f, region.KindBasicBlock, b0.ID)
+	g := buildGraph(t, f, r)
+	s := ListSchedule(g, machine.FourU, depHeight)
+	s.Cycle[g.NodeOf(ld).Index] = math.MaxInt
+	if err := s.Verify(); err == nil || !strings.Contains(err.Error(), "violated") {
+		t.Fatalf("Verify with the load at math.MaxInt: %v, want a violated edge", err)
 	}
 }
 

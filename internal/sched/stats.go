@@ -29,7 +29,7 @@ type Stats struct {
 // so they are deterministic in the compile inputs.
 func (s *Schedule) Stats() Stats {
 	st := Stats{Ops: len(s.Graph.Nodes), Length: s.Length, Speculated: s.SpeculatedAbove()}
-	branchesAt := make(map[int]int)
+	branchesAt := make([]int32, s.Length)
 	for _, nd := range s.Graph.Nodes {
 		if nd.IsCopy() {
 			st.Copies++
@@ -39,8 +39,11 @@ func (s *Schedule) Stats() Stats {
 			branchesAt[s.Cycle[nd.Index]]++
 		}
 	}
-	//det:ordered commutative fold: counts and a max over map values, no key reaches the output
-	for _, k := range branchesAt {
+	for _, n := range branchesAt {
+		if n == 0 {
+			continue
+		}
+		k := int(n)
 		st.BranchCycles++
 		if k > 1 {
 			st.PredicatedCycles++

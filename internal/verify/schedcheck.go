@@ -190,6 +190,13 @@ func (c *schedChecker) group(slab []*ddg.Node, off []int32, bid ir.BlockID) []*d
 
 func (c *schedChecker) cyc(n *ddg.Node) int { return c.s.Cycle[n.Index] }
 
+// early reports whether to issues fewer than lat cycles after from. It
+// compares the difference of the cycles, which are both scheduled and so
+// non-negative: cyc(from)+lat would wrap for a cycle near math.MaxInt.
+func (c *schedChecker) early(from, to *ddg.Node, lat int) bool {
+	return c.cyc(to)-c.cyc(from) < lat
+}
+
 // ok reports that a node is scheduled; unscheduled nodes already carry an
 // SC001 and are excluded from every other rule.
 func (c *schedChecker) ok(n *ddg.Node) bool { return c.cyc(n) >= 0 }
@@ -259,7 +266,7 @@ func (c *schedChecker) edgeConformance() {
 			continue
 		}
 		for _, e := range n.Succs {
-			if !c.ok(e.To) || c.cyc(e.To) >= c.cyc(n)+e.Latency {
+			if !c.ok(e.To) || !c.early(n, e.To, e.Latency) {
 				continue
 			}
 			rule := "SC002"
@@ -309,7 +316,7 @@ func (c *schedChecker) pathDependences() {
 				op := n.Op
 				for _, s := range p.srcs(n) {
 					for _, def := range p.defs[s] {
-						if lat := machine.Latency(def.Op.Opcode); c.cyc(n) < c.cyc(def)+lat {
+						if lat := machine.Latency(def.Op.Opcode); c.early(def, n, lat) {
 							c.addOnce("SC002", def, n,
 								"%v (cycle %d) reads %v before %v (cycle %d, latency %d) produces it",
 								op, c.cyc(n), c.num.Reg(s), def.Op, c.cyc(def), lat)
@@ -349,7 +356,7 @@ func (c *schedChecker) pathDependences() {
 						}
 					}
 					for _, def := range p.defs[d] {
-						if c.cyc(n) < c.cyc(def)+1 {
+						if c.early(def, n, 1) {
 							c.addOnce("SC002", def, n,
 								"%v (cycle %d) does not issue after prior definition %v (cycle %d)",
 								op, c.cyc(n), def.Op, c.cyc(def))
@@ -554,7 +561,7 @@ func (c *schedChecker) controlWindows() {
 			if n.Term || !c.ok(n) || n.Op.Opcode.Speculatable() {
 				continue
 			}
-			if res != nil && c.ok(res) && c.cyc(n) < c.cyc(res)+1 {
+			if res != nil && c.ok(res) && c.early(res, n, 1) {
 				c.addOnce("SC007", res, n,
 					"non-speculatable %v (cycle %d) issues before control resolves at %v (cycle %d)",
 					n.Op, c.cyc(n), res.Op, c.cyc(res))

@@ -51,7 +51,7 @@ func refPathDependences(c *schedChecker) {
 						continue
 					}
 					for _, def := range defs[src] {
-						if lat := machine.Latency(def.Op.Opcode); c.cyc(n) < c.cyc(def)+lat {
+						if lat := machine.Latency(def.Op.Opcode); c.cyc(n)-c.cyc(def) < lat {
 							c.addOnce("SC002", def, n,
 								"%v (cycle %d) reads %v before %v (cycle %d, latency %d) produces it",
 								op, c.cyc(n), src, def.Op, c.cyc(def), lat)
@@ -92,7 +92,7 @@ func refPathDependences(c *schedChecker) {
 						}
 					}
 					for _, def := range defs[d] {
-						if c.cyc(n) < c.cyc(def)+1 {
+						if c.cyc(n)-c.cyc(def) < 1 {
 							c.addOnce("SC002", def, n,
 								"%v (cycle %d) does not issue after prior definition %v (cycle %d)",
 								op, c.cyc(n), def.Op, c.cyc(def))

@@ -1,6 +1,7 @@
 package verify_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 
 	"treegion/internal/cfg"
 	"treegion/internal/eval"
+	"treegion/internal/interp"
 	"treegion/internal/ir"
 	"treegion/internal/progen"
 	"treegion/internal/sched"
@@ -91,6 +93,54 @@ func TestCheckScheduleMatchesReference(t *testing.T) {
 		t.Fatalf("only %d of %d cases report; the corruptions are too weak", reporting, cases)
 	}
 	t.Logf("%d cases, %d with findings", cases, reporting)
+}
+
+// TestFarProducerReportsAsNear pins SC's latency checks against overflow:
+// r0 = MOVI 1, which heads a chain of diamonds whose ops all read r0, moved
+// to cycle math.MaxInt must report the same SC002 findings it reports at
+// 2^40. Comparing a consumer's cycle with the producer's cycle plus its
+// latency wrapped at math.MaxInt, and there it reported nothing.
+func TestFarProducerReportsAsNear(t *testing.T) {
+	orig := diamonds(4)
+	prof, err := interp.Profile(orig, 1, 20, interp.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr, err := eval.CompileFunction(orig.Clone(), prof, eval.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lv := cfg.ComputeLiveness(cfg.New(fr.Fn))
+	s, r := fr.Schedules[0], fr.Regions[0]
+	movi := -1
+	for _, n := range s.Graph.Nodes {
+		if n.Op.Opcode == ir.MovI && n.Op.Imm == 1 {
+			movi = n.Index
+		}
+	}
+	if movi < 0 {
+		t.Fatal("the entry region has no r0 = MOVI 1")
+	}
+	at := func(c int) []string {
+		ps := *s
+		ps.Cycle = append([]int(nil), s.Cycle...)
+		ps.Cycle[movi] = c
+		var out []string
+		for _, d := range verify.CheckSchedule(fr.Fn, r, &ps, lv) {
+			if d.Rule == "SC002" {
+				out = append(out, fmt.Sprintf("%s bb%d op%d", d.Rule, d.Block, d.Op))
+			}
+		}
+		return out
+	}
+	near, far := at(1<<40), at(math.MaxInt)
+	if len(near) == 0 {
+		t.Fatal("MOVI 1 at cycle 2^40 reports no SC002")
+	}
+	if !reflect.DeepEqual(far, near) {
+		t.Fatalf("MOVI 1 at math.MaxInt reports %v, at 2^40 %v", far, near)
+	}
+	t.Logf("%d SC002 findings at 2^40 and at math.MaxInt", len(near))
 }
 
 // perturb returns a copy of s with a few nodes moved up to three cycles
