@@ -147,7 +147,6 @@ func BenchmarkColdCompileDDG(b *testing.B) {
 					} else {
 						prep = prepareHot(progs)
 					}
-					runtime.GC() // collect the last iteration's graphs untimed
 					b.StartTimer()
 					for _, h := range prep {
 						opts := ddg.Options{Rename: true, DominatorParallelism: fig13, Liveness: h.lv, Profile: h.prof}

@@ -161,7 +161,7 @@ func TestExitsBelowMatchesHeuristicIntuition(t *testing.T) {
 			top = r
 		}
 	}
-	eb := top.ExitsBelow()
+	eb := top.AppendExitsBelow(nil)
 	root, l2, l3 := eb[top.Pos(0)], eb[top.Pos(2)], eb[top.Pos(3)]
 	if root <= l2 || root <= l3 {
 		t.Fatalf("root exit count %d must exceed leaf counts %d/%d", root, l2, l3)

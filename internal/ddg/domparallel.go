@@ -1,6 +1,7 @@
 package ddg
 
 import (
+	"math/bits"
 	"slices"
 
 	"treegion/internal/ir"
@@ -23,11 +24,15 @@ type movedOp struct {
 // merger is dominator parallelism's working set. It lives in the builder,
 // so every table keeps its capacity from build to build:
 //
-//   - origGrp maps an op's Orig to 1 + its candidate group. It is indexed
-//     by Orig, grown by extend like marks, and every entry a build sets is
-//     zeroed again as soon as the candidates are grouped. An Orig outside
-//     [0, fn.NumOpIDs()) — only a hand-built op can have one — goes through
-//     origOver instead.
+//   - slotOrig and slotGrp are an open-addressed table from Orig to
+//     1 + candidate group, with more than twice as many slots as the
+//     region has candidates and cleared per build. Orig is not bounded by
+//     the function's op IDs (the inliner offsets every spliced op's Orig by
+//     its callee's ir.OrigStride namespace), so no table indexed by Orig
+//     could hold every candidate; this one is region-sized whatever the
+//     Orig values are. They are op IDs the compiler assigned or the
+//     inliner offset, never input, so the unseeded hash meets no chosen
+//     collisions.
 //   - The groups are counting-sorted into grpSlab: group g is
 //     grpSlab[grpOff[g]:grpOff[g+1]]. Groups are numbered in order of first
 //     sight and members keep preorder and op position, so the merge loop
@@ -36,8 +41,8 @@ type movedOp struct {
 //     root, and the generation of the candidate set a member block belongs
 //     to (preMemberBlocks).
 type merger struct {
-	origGrp  []int32
-	origOver map[int]int32
+	slotOrig []int
+	slotGrp  []int32
 	cands    []opAt
 	candGrp  []int32
 	grpOff   []int32
@@ -128,44 +133,34 @@ func (b *builder) mergeDominatorParallel() {
 func (b *builder) groupCandidates() int {
 	fn := b.g.Fn
 	dp := &b.dp
-	bound := fn.NumOpIDs()
-	dp.cands, dp.candGrp = dp.cands[:0], dp.candGrp[:0]
-	ngroups := int32(0)
+	dp.cands = dp.cands[:0]
 	for _, bid := range b.g.Region.Blocks {
 		for pos, op := range fn.Block(bid).Ops {
-			if !mergeCandidate(op) {
-				continue
+			if mergeCandidate(op) {
+				dp.cands = append(dp.cands, opAt{op, bid, pos})
 			}
-			var g int32
-			if o := op.Orig; o >= 0 && o < bound {
-				dp.origGrp = extend(dp.origGrp, o+1)
-				if g = dp.origGrp[o] - 1; g < 0 {
-					g = ngroups
-					ngroups++
-					dp.origGrp[o] = g + 1
-				}
-			} else {
-				var seen bool
-				if g, seen = dp.origOver[o]; !seen {
-					if dp.origOver == nil {
-						dp.origOver = make(map[int]int32)
-					}
-					g = ngroups
-					ngroups++
-					dp.origOver[o] = g
-				}
-			}
-			dp.cands = append(dp.cands, opAt{op, bid, pos})
-			dp.candGrp = append(dp.candGrp, g)
 		}
 	}
-	// The groups are fixed from here on: return origGrp to all-zero.
-	for _, c := range dp.cands {
-		if o := c.op.Orig; o >= 0 && o < bound {
-			dp.origGrp[o] = 0
+	// Number the groups in order of first sight: hash each Orig into the
+	// table's top bits (Fibonacci hashing) and probe linearly.
+	shift := 64 - bits.Len(uint(2*len(dp.cands)))
+	mask := 1<<(64-shift) - 1
+	dp.slotOrig = grow(dp.slotOrig, mask+1)
+	dp.slotGrp = growClear(dp.slotGrp, mask+1)
+	dp.candGrp = grow(dp.candGrp, len(dp.cands))
+	ngroups := int32(0)
+	for i, c := range dp.cands {
+		o := c.op.Orig
+		h := int(uint64(o) * 0x9e3779b97f4a7c15 >> shift)
+		for dp.slotGrp[h] != 0 && dp.slotOrig[h] != o {
+			h = (h + 1) & mask
 		}
+		if dp.slotGrp[h] == 0 {
+			ngroups++
+			dp.slotOrig[h], dp.slotGrp[h] = o, ngroups
+		}
+		dp.candGrp[i] = dp.slotGrp[h] - 1
 	}
-	clear(dp.origOver)
 
 	// Counting sort: counts land two slots right, so after the prefix sum
 	// grpOff[g+1] is group g's fill cursor, and after the fill it is g's end.

@@ -213,9 +213,8 @@ func deepTree(t *testing.T) (*ir.Function, *region.Region, *cfg.Liveness) {
 // TestMergeMatchesReference) over hand-built regions: twins that merge, a
 // redefined source, an incomplete set, a set two levels below its
 // dominator, a set with two members in one block, and twins whose Orig lies
-// above the function's op-ID bound or below zero, which only the overflow
-// map can group. One witness serves every case, so the Orig table must be
-// all-zero again after each.
+// above the function's op-ID bound, as an inlined op's does, or below zero.
+// One witness, and so one Scratch, serves every case.
 func TestMergeHandBuiltMatchesReference(t *testing.T) {
 	setOrig := func(orig int) func(*ir.Function) {
 		return func(f *ir.Function) {
@@ -268,14 +267,6 @@ func TestMergeHandBuiltMatchesReference(t *testing.T) {
 		}
 		if got := w.Merged - merged; got != c.merged {
 			t.Errorf("%s: merged %d duplicates, want %d", c.name, got, c.merged)
-		}
-		for o, g := range w.prod.dp.origGrp {
-			if g != 0 {
-				t.Fatalf("%s: Orig table entry %d left at %d after the build", c.name, o, g)
-			}
-		}
-		if len(w.prod.dp.origOver) != 0 {
-			t.Fatalf("%s: overflow map left with %d entries", c.name, len(w.prod.dp.origOver))
 		}
 	}
 }

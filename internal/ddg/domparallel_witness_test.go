@@ -21,8 +21,7 @@ import (
 // inlining is built once with the production merge and once, on a twin
 // clone, with the map-based reference. Merge decisions (NumMerged, homes,
 // eliminated and pinned ops, moved representatives) and the graphs must be
-// identical. Each side keeps one Scratch across every region, so the
-// production merge's Orig table must also come back all-zero every time.
+// identical. Each side keeps one Scratch across every region.
 func TestMergeMatchesReference(t *testing.T) {
 	var w ddg.MergeWitness
 	td := func(limit float64) core.TDConfig {

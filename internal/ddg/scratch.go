@@ -12,11 +12,11 @@ import "treegion/internal/ir"
 // (DESIGN.md §17). The tables come in two kinds:
 //
 //   - Function-indexed tables (per-op marks by op ID, region-local register
-//     numbers by register class and number, dominator parallelism's groups
-//     by Orig) are grown geometrically on first touch and never cleared
-//     wholesale. A build logs every entry it sets and zeroes exactly those
-//     before it ends, so between builds the tables are all-zero and carry
-//     no facts from one region, function or compile to the next.
+//     numbers by register class and number) are grown geometrically on
+//     first touch and never cleared wholesale. A build logs every entry it
+//     sets and zeroes exactly those before it ends, so between builds the
+//     tables are all-zero and carry no facts from one region, function or
+//     compile to the next.
 //   - Everything else is region-sized: per-block tables are indexed by
 //     preorder position (region.Region.Pos), and per-register tables by a
 //     region-local register numbering assigned on first sight. Registers

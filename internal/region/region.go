@@ -278,15 +278,10 @@ func (r *Region) IsTreeEdge(from, to ir.BlockID) bool {
 	return p >= 0 && r.parents[p] == from
 }
 
-// ExitsBelow returns, for every member block, the number of region exits
-// from its subtree — the paper's "exit count" of ops homed there. The
-// result is indexed by preorder position (see Pos).
-func (r *Region) ExitsBelow() []int {
-	return r.AppendExitsBelow(nil)
-}
-
-// AppendExitsBelow appends ExitsBelow's counts to dst and returns it,
-// letting hot callers reuse one buffer across regions.
+// AppendExitsBelow appends, for every member block, the number of region
+// exits from its subtree — the paper's "exit count" of ops homed there —
+// to dst and returns it. The appended counts are indexed by preorder
+// position (see Pos); hot callers reuse one buffer across regions.
 func (r *Region) AppendExitsBelow(dst []int) []int {
 	base := len(dst)
 	for _, bid := range r.Blocks {

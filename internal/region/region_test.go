@@ -1,6 +1,7 @@
 package region
 
 import (
+	"slices"
 	"testing"
 
 	"treegion/internal/ir"
@@ -95,9 +96,14 @@ func TestRegionExits(t *testing.T) {
 
 func TestExitsBelow(t *testing.T) {
 	_, r := tree(t)
-	eb := r.ExitsBelow()
+	eb := r.AppendExitsBelow(nil)
 	if len(eb) != len(r.Blocks) {
 		t.Fatalf("ExitsBelow has %d entries for %d blocks", len(eb), len(r.Blocks))
+	}
+	// Appending after existing entries leaves them alone and appends the
+	// same counts.
+	if got := r.AppendExitsBelow([]int{7}); got[0] != 7 || !slices.Equal(got[1:], eb) {
+		t.Errorf("AppendExitsBelow([7]) = %v, want 7 then %v", got, eb)
 	}
 	if got := eb[r.Pos(0)]; got != 3 {
 		t.Errorf("ExitsBelow(root) = %d, want 3", got)
