@@ -62,25 +62,26 @@ race:
 # Figure 13's tree-td(2.0) with dominator parallelism (<tier>/fig13), and
 # measurement also on one reused eval.Arena (<tier>/arena); the verifier's
 # ir, rg, sc and sem rule families one-shot, and compiled, the whole
-# verifier on one reused verify.Scratch, with ms/pass), with allocation
-# counts. Every benchmark runs five times (-count 5), so a capture shows its
-# own spread: cmd/benchdiff prints each side's median and interquartile
-# range. The raw `go test -json` stream is captured in BENCH_16.json for
-# machine comparison against earlier runs (BENCH_15.json holds the capture
-# from before dominator parallelism and measurement moved onto the worker's
-# arena).
+# verifier on one reused verify.Scratch, with ms/pass), and the profiler
+# per tier (BenchmarkColdProfile: the suite at the daemon's 100 trips,
+# stress at its preset's trips, with ms/pass), with allocation counts.
+# Every benchmark runs five times (-count 5), so a capture shows its own
+# spread: cmd/benchdiff prints each side's median and interquartile range.
+# The raw `go test -json` stream is captured in BENCH_17.json for machine
+# comparison against earlier runs (BENCH_16.json holds the capture from
+# before the profiler walked a decoded control skeleton).
 # The parallel and stress benchmarks report speedup-vs-serial; on a
 # single-core box that metric caps at ~1x by physics.
 bench:
-	$(GO) test -run XXX -bench 'BenchmarkCompileSuite|BenchmarkCompileStress|BenchmarkColdCompile' -benchmem -benchtime 3x -count 5 -json . | tee BENCH_16.json
+	$(GO) test -run XXX -bench 'BenchmarkCompileSuite|BenchmarkCompileStress|BenchmarkColdCompile|BenchmarkColdProfile' -benchmem -benchtime 3x -count 5 -json . | tee BENCH_17.json
 
 # bench-compare diffs two bench captures. benchstat is used when installed
 # (fed plain text extracted from the JSON captures); otherwise the bundled
 # dependency-free cmd/benchdiff prints each side's median and interquartile
 # range and the delta, marking with "~" a delta inside the noise. Override
 # the endpoints with BENCH_OLD= / BENCH_NEW=.
-BENCH_OLD ?= BENCH_15.json
-BENCH_NEW ?= BENCH_16.json
+BENCH_OLD ?= BENCH_16.json
+BENCH_NEW ?= BENCH_17.json
 bench-compare:
 	@if command -v benchstat >/dev/null 2>&1; then \
 		$(GO) run ./cmd/benchdiff -extract $(BENCH_OLD) > /tmp/benchdiff_old.txt; \

@@ -10,10 +10,11 @@ package treegion
 // the suite, stress and stress2 — so a cost that grows with the function
 // rather than the region shows up as a per-region figure that climbs from
 // tier to tier. The verifier's rule families get one benchmark each over
-// the suite. `make bench` captures them; `make check` runs them once under
-// the race detector.
+// the suite, and the profiler one per tier. `make bench` captures them;
+// `make check` runs the compile-core ones once under the race detector.
 
 import (
+	"cmp"
 	"runtime"
 	"sync"
 	"testing"
@@ -379,6 +380,42 @@ func BenchmarkColdCompileVerify(b *testing.B) {
 				for _, f := range fns {
 					if verifySink = fam.run(f); verify.HasErrors(verifySink) {
 						b.Fatalf("%s: %v", f.fr.Fn.Name, verifySink)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/pass")
+		})
+	}
+}
+
+// BenchmarkColdProfile measures the profiler, ProfileFunction, over every
+// function of a tier. suite profiles the shared suite's functions at the
+// daemon's default 100 trips: the work every treegiond request does before
+// its cache lookup, and the functions perfbench's service workload sends.
+// stress profiles the stress preset's functions at the preset's own trip
+// count, as perfbench's bigfn set-up profiles its stress-shaped functions.
+// ms/pass is the cost of one pass over the tier.
+func BenchmarkColdProfile(b *testing.B) {
+	tiers := []struct {
+		name  string
+		progs func(b *testing.B) []*Program
+		trips int // 0: the preset's own
+	}{
+		{"suite", func(b *testing.B) []*Program { return sharedSuite(b).Programs }, 100},
+		{"stress", func(b *testing.B) []*Program { progs, _ := benchProgram(b, "stress"); return progs }, 0},
+	}
+	for _, tier := range tiers {
+		b.Run(tier.name, func(b *testing.B) {
+			progs := tier.progs(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, p := range progs {
+					trips := cmp.Or(tier.trips, p.Preset.ProfileTrips)
+					for fi, fn := range p.Funcs {
+						if _, err := ProfileFunction(fn, p.Preset.Seed*1000+uint64(fi), trips); err != nil {
+							b.Fatal(err)
+						}
 					}
 				}
 			}

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -129,13 +130,18 @@ func TestCompileEndpointErrors(t *testing.T) {
 		name, body string
 		want       int
 		code       string
+		msg        string // when set, the whole message
 	}{
-		{"empty body", ``, http.StatusBadRequest, "bad_json"},
-		{"missing ir", `{}`, http.StatusBadRequest, "missing_field"},
-		{"bad ir", `{"ir": "not a function"}`, http.StatusBadRequest, "bad_ir"},
-		{"empty memory operand", `{"ir": "func f\nbb0:\n  r1 = ld []\n  ret\n"}`, http.StatusBadRequest, "bad_ir"},
-		{"bad region", `{"ir": "func f\nbb0:\n  ret\n", "region": "nope"}`, http.StatusBadRequest, "bad_config"},
-		{"bad machine", `{"ir": "func f\nbb0:\n  ret\n", "machine": "2U"}`, http.StatusBadRequest, "bad_config"},
+		{"empty body", ``, http.StatusBadRequest, "bad_json", ""},
+		{"missing ir", `{}`, http.StatusBadRequest, "missing_field", ""},
+		{"bad ir", `{"ir": "not a function"}`, http.StatusBadRequest, "bad_ir", ""},
+		{"empty memory operand", `{"ir": "func f\nbb0:\n  r1 = ld []\n  ret\n"}`, http.StatusBadRequest, "bad_ir", ""},
+		{"bad region", `{"ir": "func f\nbb0:\n  ret\n", "region": "nope"}`, http.StatusBadRequest, "bad_config", ""},
+		{"bad machine", `{"ir": "func f\nbb0:\n  ret\n", "machine": "2U"}`, http.StatusBadRequest, "bad_config", ""},
+		// A body that parses as one function but fails to profile is not
+		// parsed again as a program and profiled a second time, which
+		// would answer "profile spin: ...".
+		{"profile fails", spinBody, http.StatusUnprocessableEntity, "profile_failed", "profile: interp: profiling spin exceeded 2000000 steps"},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/compile", "application/json", strings.NewReader(tc.body))
@@ -149,8 +155,8 @@ func TestCompileEndpointErrors(t *testing.T) {
 		if er.Error.Code != tc.code {
 			t.Errorf("%s: error code = %q, want %q", tc.name, er.Error.Code, tc.code)
 		}
-		if er.Error.Message == "" {
-			t.Errorf("%s: error message empty", tc.name)
+		if er.Error.Message == "" || tc.msg != "" && er.Error.Message != tc.msg {
+			t.Errorf("%s: error message %q, want %q", tc.name, er.Error.Message, tc.msg)
 		}
 	}
 	resp, err := http.Get(ts.URL + "/v1/compile")
@@ -192,6 +198,47 @@ func TestHugeRegisterNumberIsBadIR(t *testing.T) {
 	if hresp.StatusCode != http.StatusOK {
 		t.Errorf("healthz status = %d, want 200", hresp.StatusCode)
 	}
+}
+
+// spinBody compiles one function whose every profiling trip loops until
+// the daemon's step bound stops it.
+const spinBody = `{"ir": "func spin\nbb0:\n  r0 = movi 1\n  bru @bb0\n"}`
+
+// TestRequestPhaseMetrics: every parse of a request's IR and every profile
+// of one of its functions is one observation of
+// treegiond_request_phase_seconds (TestMetricsAndHealthz counts a cold
+// compile and a memory hit). The spin body parses and profiles once; a
+// two-function body is parsed twice (as one function, then as a program)
+// and profiles each function once.
+func TestRequestPhaseMetrics(t *testing.T) {
+	_, ts := testServer(t)
+	counts := func(parse, profile int) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for phase, n := range map[string]int{"parse": parse, "profile": profile} {
+			want := fmt.Sprintf("treegiond_request_phase_seconds_count{phase=%q} %d\n", phase, n)
+			if !strings.Contains(string(raw), want) {
+				t.Errorf("metrics missing %q", want)
+			}
+		}
+	}
+	if resp, _ := postCompile(t, ts, spinBody); resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("spin status = %d, want 422", resp.StatusCode)
+	}
+	counts(1, 1)
+	prog, _ := json.Marshal(map[string]any{"ir": callpair(t)})
+	if resp, cr := postCompile(t, ts, string(prog)); resp.StatusCode != http.StatusOK || cr.Functions != 2 {
+		t.Fatalf("two-function body: status %d, %d functions; want 200, 2", resp.StatusCode, cr.Functions)
+	}
+	counts(3, 3)
 }
 
 // TestCompileUnknownField verifies the strict decoder: an unknown config
@@ -347,6 +394,9 @@ func TestMetricsAndHealthz(t *testing.T) {
 		"treegion_compile_functions_total 1",
 		// Region-shape histograms.
 		"# TYPE treegion_region_blocks histogram",
+		// Every parse and profile, the memory hit's included.
+		`treegiond_request_phase_seconds_count{phase="parse"} 2`,
+		`treegiond_request_phase_seconds_count{phase="profile"} 2`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, body)

@@ -15,6 +15,7 @@ import (
 	"treegion"
 	"treegion/internal/api"
 	"treegion/internal/jobs"
+	"treegion/internal/telemetry"
 )
 
 // serverConfig collects the daemon's tunables (one field per flag).
@@ -45,6 +46,11 @@ type server struct {
 	metrics *treegion.CompileMetrics
 	reg     *treegion.Telemetry
 
+	// parseSeconds and profileSeconds time every parse of a request's IR
+	// and every profile of one of its functions: the request's work before
+	// the compile trace begins.
+	parseSeconds, profileSeconds *telemetry.Histogram
+
 	start time.Time
 }
 
@@ -56,6 +62,11 @@ func newServer(cfg serverConfig) (*server, error) {
 		reg:     treegion.NewTelemetry(),
 		start:   time.Now(),
 	}
+	phase := func(p string) *telemetry.Histogram {
+		return s.reg.Histogram("treegiond_request_phase_seconds", telemetry.Labels{"phase": p},
+			"Wall time per request phase before the compile: each parse of the IR, each function's profile.", telemetry.DefBuckets)
+	}
+	s.parseSeconds, s.profileSeconds = phase("parse"), phase("profile")
 	s.cache.Register(s.reg, "treegiond")
 	s.metrics.Register(s.reg, "treegiond")
 	treegion.ExportSchedulerTelemetry(s.reg)
@@ -342,10 +353,22 @@ func decodeCompileRequest(data []byte) (*compileRequest, *apiError) {
 // parseAndProfile turns one request's IR into a parsed function and its
 // stochastic profile (the compile pipeline's two inputs).
 func (s *server) parseAndProfile(req *compileRequest) (*treegion.Function, *treegion.ProfileData, *apiError) {
+	start := time.Now()
 	fn, err := treegion.ParseFunction(req.IR)
+	s.parseSeconds.ObserveDuration(time.Since(start))
 	if err != nil {
 		return nil, nil, apiErr(http.StatusBadRequest, "bad_ir", fmt.Errorf("parse ir: %w", err))
 	}
+	prof, err := s.profile(req, fn, 0)
+	if err != nil {
+		return nil, nil, apiErr(http.StatusUnprocessableEntity, "profile_failed", fmt.Errorf("profile: %w", err))
+	}
+	return fn, prof, nil
+}
+
+// profile profiles fn as function i of req: at the request's seed (default
+// 1) plus i, for its trips (default 100).
+func (s *server) profile(req *compileRequest, fn *treegion.Function, i int) (*treegion.ProfileData, error) {
 	seed, trips := req.Seed, req.Trips
 	if seed == 0 {
 		seed = 1
@@ -353,11 +376,22 @@ func (s *server) parseAndProfile(req *compileRequest) (*treegion.Function, *tree
 	if trips <= 0 {
 		trips = 100
 	}
-	prof, err := treegion.ProfileFunction(fn, seed, trips)
+	start := time.Now()
+	prof, err := treegion.ProfileFunction(fn, seed+uint64(i), trips)
+	s.profileSeconds.ObserveDuration(time.Since(start))
+	return prof, err
+}
+
+// parseProgram parses the request's IR as a program of one or more
+// functions.
+func (s *server) parseProgram(req *compileRequest) (*treegion.IRProgram, *apiError) {
+	start := time.Now()
+	irprog, err := treegion.ParseIRProgram(req.IR)
+	s.parseSeconds.ObserveDuration(time.Since(start))
 	if err != nil {
-		return nil, nil, apiErr(http.StatusUnprocessableEntity, "profile_failed", fmt.Errorf("profile: %w", err))
+		return nil, apiErr(http.StatusBadRequest, "bad_ir", fmt.Errorf("parse ir: %w", err))
 	}
-	return fn, prof, nil
+	return irprog, nil
 }
 
 // compileOptions assembles the pipeline options every compile on this
@@ -406,14 +440,18 @@ func (s *server) compile(ctx context.Context, req *compileRequest) (*compileResp
 		return nil, apiErr(http.StatusBadRequest, "bad_config", err)
 	}
 	// Inline requests and multi-function sources (the single-function parser
-	// rejects a second `func` declaration) go through the program path.
+	// rejects a second `func` declaration) go through the program path. Only
+	// a body the single-function parser rejected falls back to it: a body
+	// that parsed but failed to profile is not profiled a second time.
 	if req.Inline {
-		return s.compileProgram(ctx, req, cfg)
+		return s.compileProgram(ctx, req, cfg, nil)
 	}
 	fn, prof, aerr := s.parseAndProfile(req)
 	if aerr != nil {
-		if _, perr := treegion.ParseIRProgram(req.IR); perr == nil {
-			return s.compileProgram(ctx, req, cfg)
+		if aerr.code == "bad_ir" {
+			if irprog, perr := s.parseProgram(req); perr == nil {
+				return s.compileProgram(ctx, req, cfg, irprog)
+			}
 		}
 		return nil, aerr
 	}
@@ -426,23 +464,19 @@ func (s *server) compile(ctx context.Context, req *compileRequest) (*compileResp
 
 // compileProgram serves the interprocedural request shape: the "ir" field
 // holds a whole program, whose call graph must resolve; with "inline" set,
-// eligible callees splice into the growing treegions.
-func (s *server) compileProgram(ctx context.Context, req *compileRequest, cfg treegion.Config) (*compileResponse, *apiError) {
-	irprog, err := treegion.ParseIRProgram(req.IR)
-	if err != nil {
-		return nil, apiErr(http.StatusBadRequest, "bad_ir", fmt.Errorf("parse ir: %w", err))
-	}
-	seed, trips := req.Seed, req.Trips
-	if seed == 0 {
-		seed = 1
-	}
-	if trips <= 0 {
-		trips = 100
+// eligible callees splice into the growing treegions. irprog is the body
+// already parsed as a program, or nil to parse it here.
+func (s *server) compileProgram(ctx context.Context, req *compileRequest, cfg treegion.Config, irprog *treegion.IRProgram) (*compileResponse, *apiError) {
+	if irprog == nil {
+		var aerr *apiError
+		if irprog, aerr = s.parseProgram(req); aerr != nil {
+			return nil, aerr
+		}
 	}
 	prog := &treegion.Program{Name: irprog.Funcs[0].Name, Funcs: irprog.Funcs}
 	var profs treegion.Profiles
 	for i, fn := range irprog.Funcs {
-		prof, err := treegion.ProfileFunction(fn, seed+uint64(i), trips)
+		prof, err := s.profile(req, fn, i)
 		if err != nil {
 			return nil, apiErr(http.StatusUnprocessableEntity, "profile_failed", fmt.Errorf("profile %s: %w", fn.Name, err))
 		}

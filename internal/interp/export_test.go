@@ -1,6 +1,10 @@
 package interp
 
-// RefRunIn exposes the map-backed reference interpreter to the external
-// differential witness, which compiles programs and so cannot live in this
-// package (eval imports interp).
-var RefRunIn = refRunIn
+// RefRunIn exposes the map-backed reference interpreter, and RefProfile the
+// map-based reference profiler, to the external differential witnesses,
+// which compile programs and so cannot live in this package (eval imports
+// interp).
+var (
+	RefRunIn   = refRunIn
+	RefProfile = refProfile
+)

@@ -32,13 +32,15 @@ type Oracle interface {
 	Take(origID, occurrence int, prob float64) bool
 }
 
-// hashOracle draws deterministic pseudo-random decisions from a seed.
+// hashOracle draws deterministic pseudo-random decisions from a seed. It is
+// a value, so Profile calls it directly, without an interface or an
+// allocation per trip.
 type hashOracle struct{ seed uint64 }
 
 // NewOracle returns a deterministic Oracle for the given seed.
-func NewOracle(seed uint64) Oracle { return &hashOracle{seed: seed} }
+func NewOracle(seed uint64) Oracle { return hashOracle{seed: seed} }
 
-func (h *hashOracle) Take(origID, occurrence int, prob float64) bool {
+func (h hashOracle) Take(origID, occurrence int, prob float64) bool {
 	x := h.seed
 	x ^= uint64(origID) * 0x9e3779b97f4a7c15
 	x ^= uint64(occurrence) * 0xbf58476d1ce4e5b9
@@ -79,60 +81,138 @@ const defaultMaxSteps = 200000
 // block and edge counts. Each trip's visited path contributes to the
 // profile keyed by the *current* block IDs (not originals), since region
 // formation operates on the current CFG.
+//
+// fn's control flow is decoded once into a skeleton, and the trips count
+// into integer slices indexed by block, edge slot and branch occurrence
+// slot; the profile's maps are written once, after the last trip. A count
+// below 2^53 converts to exactly the float64 that adding 1 per visit
+// would build.
 func Profile(fn *ir.Function, seed uint64, trips int, cfg Config) (*profile.Data, error) {
-	d := profile.New()
+	maxSteps := cfg.MaxSteps
+	if maxSteps <= 0 {
+		maxSteps = defaultMaxSteps
+	}
+	sk := newSkeleton(fn)
+	blockN := make([]int, len(sk.blocks))
+	edgeN := make([]int, len(sk.edges))
+	occ := make([]int, sk.nocc)
 	for t := 0; t < trips; t++ {
-		if err := profileTrip(fn, NewOracle(seed+uint64(t)), cfg, d); err != nil {
-			return nil, err
+		o := hashOracle{seed + uint64(t)}
+		clear(occ)
+		cur, steps := fn.Entry, 0
+		for {
+			b := &sk.blocks[cur]
+			blockN[cur]++
+			n, next, edge, done := b.nops, b.next, b.fall, false
+		walk:
+			for i := range b.ctls {
+				c := &b.ctls[i]
+				switch c.opc {
+				case ir.Brct, ir.Brcf:
+					k := occ[c.occ]
+					occ[c.occ] = k + 1
+					if !o.Take(c.key, k, c.prob) {
+						continue
+					}
+				case ir.Ret:
+					done = true
+				}
+				n, next, edge = int(c.at)+1, c.target, c.edge
+				break walk
+			}
+			if steps += n; steps > maxSteps {
+				return nil, fmt.Errorf("interp: profiling %s exceeded %d steps", fn.Name, maxSteps)
+			}
+			if done {
+				break
+			}
+			if next == ir.NoBlock {
+				return nil, fmt.Errorf("interp: %s: bb%d has no successor and no RET", fn.Name, cur)
+			}
+			edgeN[edge]++
+			cur = next
+		}
+	}
+	d := profile.New()
+	for b, n := range blockN {
+		if n > 0 {
+			d.AddBlock(ir.BlockID(b), float64(n))
+		}
+	}
+	for e, n := range edgeN {
+		if n > 0 {
+			d.AddEdge(sk.edges[e].From, sk.edges[e].To, float64(n))
 		}
 	}
 	return d, nil
 }
 
-func profileTrip(fn *ir.Function, o Oracle, cfg Config, d *profile.Data) error {
-	maxSteps := cfg.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = defaultMaxSteps
-	}
-	occ := make(map[int]int)
-	cur := fn.Entry
-	steps := 0
-	for {
-		b := fn.Block(cur)
-		d.AddBlock(cur, 1)
-		next := b.FallThrough
-		jumped := false
-		done := false
+// skeleton is the control flow of one function as Profile walks it.
+type skeleton struct {
+	blocks []skelBlock    // indexed by BlockID
+	edges  []profile.Edge // edge slot → endpoints
+	nocc   int            // occurrence slots: one per distinct branch Orig
+}
+
+type skelBlock struct {
+	nops int
+	next ir.BlockID // fallthrough successor, or ir.NoBlock
+	fall int32      // the fallthrough's edge slot
+	ctls []skelOp   // the Brct, Brcf, Bru and Ret ops, in op order
+}
+
+// skelOp is one control op. Guards are ignored, as profiling always has.
+type skelOp struct {
+	opc    ir.Opcode
+	at     int32 // op index in its block
+	edge   int32 // taken-edge slot; never counted for Ret
+	occ    int32 // occurrence slot of a conditional branch
+	target ir.BlockID
+	key    int // oracle key of a conditional branch: its Orig
+	prob   float64
+}
+
+func isCtl(op *ir.Op) bool { return op.IsBranch() || op.Opcode == ir.Ret }
+
+// newSkeleton decodes fn, every block's control ops carved from one slab.
+// Conditional branches share an occurrence slot when they share an Orig,
+// as tail-duplicated copies of one branch do, so the oracle sees one
+// occurrence stream per original branch.
+func newSkeleton(fn *ir.Function) *skeleton {
+	nctl := 0
+	for _, b := range fn.Blocks {
 		for _, op := range b.Ops {
-			steps++
-			if steps > maxSteps {
-				return fmt.Errorf("interp: profiling %s exceeded %d steps", fn.Name, maxSteps)
-			}
-			switch op.Opcode {
-			case ir.Brct, ir.Brcf:
-				n := occ[op.Orig]
-				occ[op.Orig] = n + 1
-				if o.Take(op.Orig, n, op.Prob) {
-					next = op.Target
-					jumped = true
-				}
-			case ir.Bru:
-				next = op.Target
-				jumped = true
-			case ir.Ret:
-				done = true
-			}
-			if jumped || done {
-				break
+			if isCtl(op) {
+				nctl++
 			}
 		}
-		if done {
-			return nil
-		}
-		if next == ir.NoBlock {
-			return fmt.Errorf("interp: %s: bb%d has no successor and no RET", fn.Name, cur)
-		}
-		d.AddEdge(cur, next, 1)
-		cur = next
 	}
+	sk := &skeleton{blocks: make([]skelBlock, len(fn.Blocks)), edges: make([]profile.Edge, 0, len(fn.Blocks)+nctl)}
+	ctls := make([]skelOp, 0, nctl)
+	occ := make(map[int]int32)
+	edge := func(from, to ir.BlockID) int32 {
+		sk.edges = append(sk.edges, profile.Edge{From: from, To: to})
+		return int32(len(sk.edges) - 1)
+	}
+	for bi, b := range fn.Blocks {
+		id, first := ir.BlockID(bi), len(ctls)
+		for i, op := range b.Ops {
+			if !isCtl(op) {
+				continue
+			}
+			c := skelOp{opc: op.Opcode, at: int32(i), edge: edge(id, op.Target), target: op.Target, key: op.Orig, prob: op.Prob}
+			if op.Opcode.IsConditionalBranch() {
+				s, ok := occ[op.Orig]
+				if !ok {
+					s = int32(len(occ))
+					occ[op.Orig] = s
+				}
+				c.occ = s
+			}
+			ctls = append(ctls, c)
+		}
+		sk.blocks[bi] = skelBlock{nops: len(b.Ops), next: b.FallThrough, fall: edge(id, b.FallThrough), ctls: ctls[first:]}
+	}
+	sk.nocc = len(occ)
+	return sk
 }

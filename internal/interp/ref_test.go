@@ -4,7 +4,70 @@ import (
 	"fmt"
 
 	"treegion/internal/ir"
+	"treegion/internal/profile"
 )
+
+// refProfile is the map-based profiler the skeleton-walking Profile
+// replaced, kept as its test oracle: every trip writes the profile's maps
+// once per visited block and taken edge, keeps its branch occurrences in
+// a map of its own, and checks the step bound at every op.
+func refProfile(fn *ir.Function, seed uint64, trips int, cfg Config) (*profile.Data, error) {
+	d := profile.New()
+	for t := 0; t < trips; t++ {
+		if err := refProfileTrip(fn, NewOracle(seed+uint64(t)), cfg, d); err != nil {
+			return nil, err
+		}
+	}
+	return d, nil
+}
+
+func refProfileTrip(fn *ir.Function, o Oracle, cfg Config, d *profile.Data) error {
+	maxSteps := cfg.MaxSteps
+	if maxSteps <= 0 {
+		maxSteps = defaultMaxSteps
+	}
+	occ := make(map[int]int)
+	cur := fn.Entry
+	steps := 0
+	for {
+		b := fn.Block(cur)
+		d.AddBlock(cur, 1)
+		next := b.FallThrough
+		jumped := false
+		done := false
+		for _, op := range b.Ops {
+			steps++
+			if steps > maxSteps {
+				return fmt.Errorf("interp: profiling %s exceeded %d steps", fn.Name, maxSteps)
+			}
+			switch op.Opcode {
+			case ir.Brct, ir.Brcf:
+				n := occ[op.Orig]
+				occ[op.Orig] = n + 1
+				if o.Take(op.Orig, n, op.Prob) {
+					next = op.Target
+					jumped = true
+				}
+			case ir.Bru:
+				next = op.Target
+				jumped = true
+			case ir.Ret:
+				done = true
+			}
+			if jumped || done {
+				break
+			}
+		}
+		if done {
+			return nil
+		}
+		if next == ir.NoBlock {
+			return fmt.Errorf("interp: %s: bb%d has no successor and no RET", fn.Name, cur)
+		}
+		d.AddEdge(cur, next, 1)
+		cur = next
+	}
+}
 
 // refRunIn is the map-backed interpreter the slot-decoded one replaced,
 // kept as its test oracle: registers live in a map per frame and every op

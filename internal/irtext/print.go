@@ -39,11 +39,8 @@ import (
 	"treegion/internal/ir"
 )
 
-// Print serializes fn in the package's text format.
-//
-// Print sits on the hot path of every cache lookup (the content-addressed
-// key is the SHA-256 of this text) and of every store write, so it builds
-// the output with manual byte appends rather than fmt.
+// Print serializes fn in the package's text format. Cache keys hash
+// AppendFuncKey's binary form, not this text.
 func Print(fn *ir.Function) string {
 	return string(AppendFunc(nil, fn))
 }

@@ -126,18 +126,16 @@ func (d *Data) Total() float64 {
 }
 
 // Canonical returns a deterministic full serialization of the profile —
-// block and edge weights, sorted — suitable as the profile component of a
-// content-addressed cache key. Two profiles with equal Canonical strings
-// drive every profile-guided decision identically.
-// Canonical sits on the hot path of every cache lookup (it feeds the
-// content-addressed key), so it builds the string with manual byte appends
-// rather than fmt.
+// block and edge weights, sorted. Two profiles with equal Canonical strings
+// drive every profile-guided decision identically. It is the readable form
+// tests compare; cache keys hash AppendKey's binary form, which carries the
+// same information.
 func (d *Data) Canonical() string {
 	return string(d.AppendCanonical(nil))
 }
 
 // AppendCanonical appends the Canonical serialization to buf and returns
-// it, so the cache-key path can hash out of one reused buffer.
+// it.
 func (d *Data) AppendCanonical(buf []byte) []byte {
 	blocks := make([]int, 0, len(d.Block))
 	for b := range d.Block {

@@ -236,6 +236,9 @@ func (c *schedChecker) addOnce(rule string, from, to *ddg.Node, format string, a
 // in cycle order. Renaming copies are slot-free by the paper's accounting
 // and do not count.
 func (c *schedChecker) width() {
+	if cap(c.cycles) < len(c.g.Nodes) {
+		c.cycles = make([]int, 0, len(c.g.Nodes)) // one allocation on a fresh Scratch
+	}
 	cycles := c.cycles[:0]
 	for _, n := range c.g.Nodes {
 		if c.ok(n) && !n.IsCopy() {
