@@ -62,26 +62,29 @@ race:
 # Figure 13's tree-td(2.0) with dominator parallelism (<tier>/fig13), and
 # measurement also on one reused eval.Arena (<tier>/arena); the verifier's
 # ir, rg, sc and sem rule families one-shot, and compiled, the whole
-# verifier on one reused verify.Scratch, with ms/pass), and the profiler
-# per tier (BenchmarkColdProfile: the suite at the daemon's 100 trips,
-# stress at its preset's trips, with ms/pass), with allocation counts.
+# verifier on one reused verify.Scratch, with ms/pass), the profiler per
+# tier (BenchmarkColdProfile: the suite at the daemon's 100 trips, stress
+# at its preset's trips, with ms/pass), and the tgart2 store codec
+# (BenchmarkColdStore in internal/store: encode and decode of the suite's
+# headline results, with ms/pass), with allocation counts.
 # Every benchmark runs five times (-count 5), so a capture shows its own
 # spread: cmd/benchdiff prints each side's median and interquartile range.
-# The raw `go test -json` stream is captured in BENCH_17.json for machine
-# comparison against earlier runs (BENCH_16.json holds the capture from
-# before the profiler walked a decoded control skeleton).
+# The raw `go test -json` stream is captured in BENCH_18.json for machine
+# comparison against earlier runs (BENCH_17.json holds the capture from
+# before treegiond keyed single-function compiles by their request and the
+# codec encoded an entry into one buffer).
 # The parallel and stress benchmarks report speedup-vs-serial; on a
 # single-core box that metric caps at ~1x by physics.
 bench:
-	$(GO) test -run XXX -bench 'BenchmarkCompileSuite|BenchmarkCompileStress|BenchmarkColdCompile|BenchmarkColdProfile' -benchmem -benchtime 3x -count 5 -json . | tee BENCH_17.json
+	$(GO) test -run XXX -bench 'BenchmarkCompileSuite|BenchmarkCompileStress|BenchmarkColdCompile|BenchmarkColdProfile|BenchmarkColdStore' -benchmem -benchtime 3x -count 5 -json . ./internal/store | tee BENCH_18.json
 
 # bench-compare diffs two bench captures. benchstat is used when installed
 # (fed plain text extracted from the JSON captures); otherwise the bundled
 # dependency-free cmd/benchdiff prints each side's median and interquartile
 # range and the delta, marking with "~" a delta inside the noise. Override
 # the endpoints with BENCH_OLD= / BENCH_NEW=.
-BENCH_OLD ?= BENCH_16.json
-BENCH_NEW ?= BENCH_17.json
+BENCH_OLD ?= BENCH_17.json
+BENCH_NEW ?= BENCH_18.json
 bench-compare:
 	@if command -v benchstat >/dev/null 2>&1; then \
 		$(GO) run ./cmd/benchdiff -extract $(BENCH_OLD) > /tmp/benchdiff_old.txt; \
@@ -115,6 +118,8 @@ bench-ab:
 # The pipeline's done-channel relay (workers close done[i], the caller emits
 # in index order) races twenty times over, panics and cancellation included,
 # and so do verifier panics and verified results served from the cache.
+# Eight identical cold /v1/compile requests, which coalesce on their request
+# key before parsing, race ten times over.
 # The inliner and the call-executing interpreter race here because pipeline
 # workers run splices concurrently across functions of one program; the
 # verifier races beside them because every pipeline worker runs it
@@ -133,6 +138,7 @@ check: lint build test
 	$(GO) test -race -short ./internal/store/ ./internal/eval/
 	$(GO) test -race ./internal/jobs/ ./internal/compcache/ ./internal/pipeline/ ./internal/router/ ./cmd/treegiond/
 	$(GO) test -race -count 20 -run 'CompileEach|PanicDropsWorkerArena|ContextCancellation|FirstErrorByIndex|VerifierPanic|VerifiedResults' ./internal/pipeline/
+	$(GO) test -race -count 10 -run TestConcurrentIdenticalColdRequests ./cmd/treegiond/
 	$(GO) test -race ./internal/telemetry/ ./internal/ddg/ ./internal/sched/
 	$(GO) test -race ./internal/inline/ ./internal/interp/ ./internal/verify/
 	$(GO) test -race -run NONE -bench 'BenchmarkColdCompile' -benchtime 1x .

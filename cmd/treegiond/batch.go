@@ -5,9 +5,13 @@ package main
 // one line per function, written and flushed as soon as that function's
 // compile lands (the pipeline delivers results in index order, so the
 // stream is deterministic and byte-comparable across daemons), then one
-// trailing summary line carrying the only wall-clock field. Cache, store,
-// verify and telemetry semantics are exactly /v1/compile's: every function
-// goes through the same tiered GetOrCompute path.
+// trailing summary line carrying the only wall-clock field. Store, verify
+// and telemetry semantics are /v1/compile's, and every function goes
+// through the same tiered GetOrCompute path, but under its content key:
+// every line is parsed and profiled before the stream opens, where
+// /v1/compile keys a single function by its request and parses only on a
+// miss. So a batch line and a /v1/compile of the same function never share
+// an artifact, in either direction (DESIGN.md §27).
 //
 // Two streaming-specific behaviours, both load-bearing:
 //

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -142,9 +144,13 @@ func TestCompileEndpointErrors(t *testing.T) {
 		// parsed again as a program and profiled a second time, which
 		// would answer "profile spin: ...".
 		{"profile fails", spinBody, http.StatusUnprocessableEntity, "profile_failed", "profile: interp: profiling spin exceeded 2000000 steps"},
+		// A cycle of op-less blocks runs no op, so the step bound never
+		// stops it; the client's timeout fails the test if it hangs.
+		{"op-less cycle", `{"ir": "func f\nbb0:\n  fallthrough @bb0\n"}`, http.StatusUnprocessableEntity, "profile_failed", "profile: interp: f: bb0 falls into a cycle of blocks without ops"},
 	}
+	hc := &http.Client{Timeout: 10 * time.Second}
 	for _, tc := range cases {
-		resp, err := http.Post(ts.URL+"/v1/compile", "application/json", strings.NewReader(tc.body))
+		resp, err := hc.Post(ts.URL+"/v1/compile", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,6 +174,38 @@ func TestCompileEndpointErrors(t *testing.T) {
 	}
 	if er := decodeError(t, resp); er.Error.Code != "method_not_allowed" {
 		t.Errorf("GET /v1/compile error code = %q, want method_not_allowed", er.Error.Code)
+	}
+}
+
+// TestBodyTooLarge: a body declared over the 8 MiB bound answers 413
+// body_too_large before a byte of it is sent, and a chunked body of
+// unknown length answers 413 once it passes the bound.
+func TestBodyTooLarge(t *testing.T) {
+	_, ts := testServer(t)
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	fmt.Fprintf(conn, "POST /v1/compile HTTP/1.1\r\nHost: daemon\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", maxBodyBytes+1)
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if er := decodeError(t, resp); resp.StatusCode != http.StatusRequestEntityTooLarge || er.Error.Code != "body_too_large" {
+		t.Errorf("declared oversized body: status %d, code %q; want 413 body_too_large", resp.StatusCode, er.Error.Code)
+	}
+
+	// Hiding the reader's length makes the client send it chunked.
+	chunked := struct{ io.Reader }{strings.NewReader(strings.Repeat(" ", maxBodyBytes+1))}
+	hc := &http.Client{Timeout: 10 * time.Second}
+	resp, err = hc.Post(ts.URL+"/v1/compile", "application/json", chunked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if er := decodeError(t, resp); resp.StatusCode != http.StatusRequestEntityTooLarge || er.Error.Code != "body_too_large" {
+		t.Errorf("chunked oversized body: status %d, code %q; want 413 body_too_large", resp.StatusCode, er.Error.Code)
 	}
 }
 
@@ -207,7 +245,8 @@ const spinBody = `{"ir": "func spin\nbb0:\n  r0 = movi 1\n  bru @bb0\n"}`
 // TestRequestPhaseMetrics: every parse of a request's IR and every profile
 // of one of its functions is one observation of
 // treegiond_request_phase_seconds (TestMetricsAndHealthz counts a cold
-// compile and a memory hit). The spin body parses and profiles once; a
+// compile and a memory hit, which runs neither). The spin body parses and
+// profiles once; a
 // two-function body is parsed twice (as one function, then as a program)
 // and profiles each function once.
 func TestRequestPhaseMetrics(t *testing.T) {
@@ -394,9 +433,10 @@ func TestMetricsAndHealthz(t *testing.T) {
 		"treegion_compile_functions_total 1",
 		// Region-shape histograms.
 		"# TYPE treegion_region_blocks histogram",
-		// Every parse and profile, the memory hit's included.
-		`treegiond_request_phase_seconds_count{phase="parse"} 2`,
-		`treegiond_request_phase_seconds_count{phase="profile"} 2`,
+		// The cold compile's parse and profile: the memory hit, keyed by
+		// its request, runs neither.
+		`treegiond_request_phase_seconds_count{phase="parse"} 1`,
+		`treegiond_request_phase_seconds_count{phase="profile"} 1`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, body)

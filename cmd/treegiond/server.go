@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 
 	"treegion"
 	"treegion/internal/api"
+	"treegion/internal/compcache"
 	"treegion/internal/jobs"
 	"treegion/internal/telemetry"
 )
@@ -48,7 +50,8 @@ type server struct {
 
 	// parseSeconds and profileSeconds time every parse of a request's IR
 	// and every profile of one of its functions: the request's work before
-	// the compile trace begins.
+	// the compile trace begins. A single-function compile runs them only
+	// when neither cache tier holds its request key.
 	parseSeconds, profileSeconds *telemetry.Histogram
 
 	start time.Time
@@ -366,16 +369,23 @@ func (s *server) parseAndProfile(req *compileRequest) (*treegion.Function, *tree
 	return fn, prof, nil
 }
 
-// profile profiles fn as function i of req: at the request's seed (default
-// 1) plus i, for its trips (default 100).
-func (s *server) profile(req *compileRequest, fn *treegion.Function, i int) (*treegion.ProfileData, error) {
-	seed, trips := req.Seed, req.Trips
+// profileParams are the request's profiling seed and trips with their
+// defaults applied: seed 0 is 1, and trips of 0 or fewer are 100.
+func profileParams(req *compileRequest) (seed uint64, trips int) {
+	seed, trips = req.Seed, req.Trips
 	if seed == 0 {
 		seed = 1
 	}
 	if trips <= 0 {
 		trips = 100
 	}
+	return seed, trips
+}
+
+// profile profiles fn as function i of req: at the request's seed plus i,
+// for its trips.
+func (s *server) profile(req *compileRequest, fn *treegion.Function, i int) (*treegion.ProfileData, error) {
+	seed, trips := profileParams(req)
 	start := time.Now()
 	prof, err := treegion.ProfileFunction(fn, seed+uint64(i), trips)
 	s.profileSeconds.ObserveDuration(time.Since(start))
@@ -428,11 +438,28 @@ func compileError(err error) *apiError {
 	return apiErr(http.StatusUnprocessableEntity, "compile_failed", fmt.Errorf("compile: %w", err))
 }
 
+// requestKey addresses a single-function compile by its request: the IR
+// text byte for byte, the profiling seed and trips, the config's
+// fingerprint and the verify flag, but not schedules or trace, which only
+// shape the response. The "/request" tag keeps it apart from every
+// content key (DESIGN.md §27).
+func requestKey(req *compileRequest, cfg treegion.Config) treegion.CacheKey {
+	seed, trips := profileParams(req)
+	var params [16]byte
+	binary.LittleEndian.PutUint64(params[:8], seed)
+	binary.LittleEndian.PutUint64(params[8:], uint64(trips))
+	fp := cfg.Fingerprint()
+	if req.Verify {
+		fp += "/verify"
+	}
+	return compcache.KeyOfBytes([]byte(req.IR), params[:], fp+"/request")
+}
+
 // compile is the request core shared by the synchronous handler and the
-// async job runner: parse, profile, compile through the tiered cache,
-// shape the response. ElapsedMS is left for the caller. A single-function
-// request without inlining takes exactly the historical path (same cache
-// keys, same response bytes); a multi-function "ir" or "inline": true
+// async job runner: compile through the tiered cache, shape the response.
+// ElapsedMS is left for the caller. A single-function request without
+// inlining is looked up by its request key and parsed and profiled only
+// when neither tier holds it; a multi-function "ir" or "inline": true
 // compiles the resolved program as one unit.
 func (s *server) compile(ctx context.Context, req *compileRequest) (*compileResponse, *apiError) {
 	cfg, err := s.configFrom(req)
@@ -446,8 +473,14 @@ func (s *server) compile(ctx context.Context, req *compileRequest) (*compileResp
 	if req.Inline {
 		return s.compileProgram(ctx, req, cfg, nil)
 	}
-	fn, prof, aerr := s.parseAndProfile(req)
-	if aerr != nil {
+	fr, cached, err := treegion.CompileKeyed(ctx, requestKey(req, cfg), func() (*treegion.Function, *treegion.ProfileData, error) {
+		fn, prof, aerr := s.parseAndProfile(req)
+		if aerr != nil {
+			return nil, nil, aerr
+		}
+		return fn, prof, nil
+	}, cfg, s.compileOptions(req.Verify, false)...)
+	if aerr, ok := err.(*apiError); ok {
 		if aerr.code == "bad_ir" {
 			if irprog, perr := s.parseProgram(req); perr == nil {
 				return s.compileProgram(ctx, req, cfg, irprog)
@@ -455,7 +488,6 @@ func (s *server) compile(ctx context.Context, req *compileRequest) (*compileResp
 		}
 		return nil, aerr
 	}
-	fr, cached, err := treegion.CompileOne(ctx, fn, prof, cfg, s.compileOptions(req.Verify, false)...)
 	if err != nil {
 		return nil, compileError(err)
 	}
@@ -583,9 +615,25 @@ func (s *server) shapeResponse(req *compileRequest, fr *treegion.FunctionResult,
 	return resp
 }
 
-// readBody drains one bounded request body.
+// maxBodyBytes bounds one request body.
+const maxBodyBytes = 8 << 20
+
+// readBody drains one bounded request body. A body of declared length is
+// read into one buffer of that length, and one declared over the bound is
+// refused unread; a body of unknown length is read up to the bound.
 func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, *apiError) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
+	if r.ContentLength > maxBodyBytes {
+		return nil, apiErr(http.StatusRequestEntityTooLarge, "body_too_large",
+			fmt.Errorf("request body of %d bytes is over the %d-byte limit", r.ContentLength, maxBodyBytes))
+	}
+	var data []byte
+	var err error
+	if r.ContentLength >= 0 {
+		data = make([]byte, r.ContentLength)
+		_, err = io.ReadFull(r.Body, data)
+	} else {
+		data, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	}
 	if err != nil {
 		var maxErr *http.MaxBytesError
 		if errors.As(err, &maxErr) {

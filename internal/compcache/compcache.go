@@ -33,6 +33,8 @@ type Key [sha256.Size]byte
 // configuration fingerprint (eval.Config.Fingerprint). Zero separators keep
 // the boundaries between them unambiguous. Byte slices let the hot compile
 // path feed it one pooled buffer instead of materializing strings.
+// treegiond's request keys hash the request's IR text, profiling
+// parameters and a fingerprint tagged "/request" instead (DESIGN.md §27).
 func KeyOfBytes(irText, profCanonical []byte, cfgFingerprint string) Key {
 	h := sha256.New()
 	h.Write(irText)

@@ -95,8 +95,9 @@ func (r *Runner) Reset(prog *ir.Program, num *Numbering) {
 // element.
 //
 // It reports an error, with the trace up to that point, if the trip exceeds
-// the step bound (runaway loop), falls off a block with no successor, or
-// makes a call the callee's signature or the depth bound rejects.
+// the step bound (runaway loop), falls off a block with no successor or
+// into a cycle of blocks without ops (oplessCycles), or makes a call the
+// callee's signature or the depth bound rejects.
 func (r *Runner) RunTrace(fn *ir.Function, o Oracle, cfg Config, tr *Trace) error {
 	maxSteps := cfg.MaxSteps
 	if maxSteps <= 0 {
@@ -212,7 +213,7 @@ func (t *trip) frame(c *code, depth int, regs []int64) error {
 			}
 		}
 		if next == ir.NoBlock {
-			return fmt.Errorf("interp: %s: bb%d has no successor and no RET", c.fn.Name, cur)
+			return noSuccessor(c.fn, cur)
 		}
 		cur = next
 	}

@@ -163,6 +163,9 @@ func (r *Runner) decode(fn *ir.Function, base int) *code {
 			}
 		}
 	}
+	for _, b := range oplessCycles(fn) {
+		c.blocks[b].next = ir.NoBlock
+	}
 	c.params = slotsOf(fn.Params, sinkSlot)
 	c.rets = slotsOf(fn.Rets, zeroSlot)
 	c.nregs = int(firstRegSlot) + num.Len()

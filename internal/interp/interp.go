@@ -80,7 +80,9 @@ const defaultMaxSteps = 200000
 // Profile runs fn `trips` times with seeds seed, seed+1, ... and accumulates
 // block and edge counts. Each trip's visited path contributes to the
 // profile keyed by the *current* block IDs (not originals), since region
-// formation operates on the current CFG.
+// formation operates on the current CFG. A trip fails when it exceeds the
+// step bound, falls off a block with no successor, or falls into a cycle
+// of blocks without ops (oplessCycles).
 //
 // fn's control flow is decoded once into a skeleton, and the trips count
 // into integer slices indexed by block, edge slot and branch occurrence
@@ -127,7 +129,7 @@ func Profile(fn *ir.Function, seed uint64, trips int, cfg Config) (*profile.Data
 				break
 			}
 			if next == ir.NoBlock {
-				return nil, fmt.Errorf("interp: %s: bb%d has no successor and no RET", fn.Name, cur)
+				return nil, noSuccessor(fn, cur)
 			}
 			edgeN[edge]++
 			cur = next
@@ -145,6 +147,63 @@ func Profile(fn *ir.Function, seed uint64, trips int, cfg Config) (*profile.Data
 		}
 	}
 	return d, nil
+}
+
+// oplessCycles lists the blocks of fn that a trip never leaves without
+// running an op: each has no ops, and its fallthrough chain runs through
+// blocks without ops into a cycle. The step bound counts ops, so it would
+// never stop such a trip. An op-less block has no branch, so the chain is
+// fixed, and a trip that enters a listed block is exactly a trip that
+// would enter more op-less blocks in a row than fn has blocks. Profile and
+// the Runner decode a listed block with no successor, which keeps the
+// check off their per-block walks; noSuccessor then reports the cycle.
+// Generated code has op-less blocks, so counting each visit as a step
+// instead would move where real trips meet the bound.
+func oplessCycles(fn *ir.Function) []ir.BlockID {
+	const (
+		unseen = iota
+		onChain
+		ends
+		cycles
+	)
+	var state []uint8 // made at the first op-less block
+	for i, blk := range fn.Blocks {
+		if len(blk.Ops) != 0 || state != nil && state[i] != unseen {
+			continue
+		}
+		if state == nil {
+			state = make([]uint8, len(fn.Blocks))
+		}
+		b := ir.BlockID(i)
+		for b != ir.NoBlock && state[b] == unseen && len(fn.Blocks[b].Ops) == 0 {
+			state[b] = onChain
+			b = fn.Blocks[b].FallThrough
+		}
+		verdict := uint8(ends)
+		if b != ir.NoBlock && (state[b] == onChain || state[b] == cycles) {
+			verdict = cycles
+		}
+		for b := ir.BlockID(i); b != ir.NoBlock && state[b] == onChain; b = fn.Blocks[b].FallThrough {
+			state[b] = verdict
+		}
+	}
+	var out []ir.BlockID
+	for i, st := range state {
+		if st == cycles {
+			out = append(out, ir.BlockID(i))
+		}
+	}
+	return out
+}
+
+// noSuccessor is the error of a trip that leaves bb b with nowhere to go.
+// An op-less block that has a fallthrough was decoded without one because
+// it falls into a cycle of blocks without ops (oplessCycles).
+func noSuccessor(fn *ir.Function, b ir.BlockID) error {
+	if blk := fn.Blocks[b]; len(blk.Ops) == 0 && blk.FallThrough != ir.NoBlock {
+		return fmt.Errorf("interp: %s: bb%d falls into a cycle of blocks without ops", fn.Name, b)
+	}
+	return fmt.Errorf("interp: %s: bb%d has no successor and no RET", fn.Name, b)
 }
 
 // skeleton is the control flow of one function as Profile walks it.
@@ -212,6 +271,9 @@ func newSkeleton(fn *ir.Function) *skeleton {
 			ctls = append(ctls, c)
 		}
 		sk.blocks[bi] = skelBlock{nops: len(b.Ops), next: b.FallThrough, fall: edge(id, b.FallThrough), ctls: ctls[first:]}
+	}
+	for _, b := range oplessCycles(fn) {
+		sk.blocks[b].next = ir.NoBlock
 	}
 	sk.nocc = len(occ)
 	return sk

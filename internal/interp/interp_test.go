@@ -1,9 +1,11 @@
 package interp
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"treegion/internal/ir"
 )
@@ -154,6 +156,46 @@ func TestRunawayLoopCaught(t *testing.T) {
 	}
 	if _, err := Profile(f, 0, 1, Config{MaxSteps: 100}); err == nil {
 		t.Fatal("infinite loop not caught during profiling")
+	}
+}
+
+// TestOplessCycleCaught: a trip that cycles through blocks without ops
+// never reaches the step bound, which counts ops, so the Runner and the
+// profiler each fail it at the first block of the op-less run.
+func TestOplessCycleCaught(t *testing.T) {
+	self := ir.NewFunction("self")
+	self.NewBlock().FallThrough = 0
+	pair := ir.NewFunction("pair")
+	b0, b1, b2 := pair.NewBlock(), pair.NewBlock(), pair.NewBlock()
+	pair.EmitMovI(b0, pair.NewReg(ir.ClassGPR), 1)
+	b0.FallThrough, b1.FallThrough, b2.FallThrough = b1.ID, b2.ID, b1.ID
+	for _, tc := range []struct {
+		f             *ir.Function
+		blocks, steps int // the Runner's trace when it fails
+		want          string
+	}{
+		{self, 1, 0, "interp: self: bb0 falls into a cycle of blocks without ops"},
+		{pair, 2, 1, "interp: pair: bb1 falls into a cycle of blocks without ops"},
+	} {
+		var tr *Trace
+		var runErr, profErr error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			tr, runErr = runOnce(nil, tc.f, NewOracle(0), Config{})
+			_, profErr = Profile(tc.f, 0, 3, Config{})
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: an op-less cycle still runs after 10 s", tc.f.Name)
+		}
+		if fmt.Sprint(runErr) != tc.want || fmt.Sprint(profErr) != tc.want {
+			t.Errorf("%s: Runner error %v, Profile error %v; want %q from both", tc.f.Name, runErr, profErr, tc.want)
+		}
+		if len(tr.Blocks) != tc.blocks || tr.Steps != tc.steps {
+			t.Errorf("%s: failing trace %v (%d steps)", tc.f.Name, tr.Blocks, tr.Steps)
+		}
 	}
 }
 

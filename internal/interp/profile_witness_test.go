@@ -131,6 +131,12 @@ func testProfileHandBuilt(t *testing.T) {
 		{"branch to NoBlock", branchToNoBlock(), 2, 20},
 		{"no successor and no ret", noSuccessor(), 1, 5},
 		{"zero trips", sharedOrigAcrossBlocks(), 1, 0},
+		{"op-less self loop", oplessSelfLoop(), 1, 5},
+		{"op-less cycle after ops", oplessCycleAfterOps(), 1, 5},
+		{"op-less chain to a ret", oplessChainToRet(), 1, 5},
+		{"op-less block on a branch loop", oplessOnBranchLoop(), 9, 20},
+		{"two op-less chains into one cycle", oplessSharedCycle(), 3, 20},
+		{"two op-less chains to one exit", oplessSharedExit(), 3, 20},
 	}
 	for _, c := range cases {
 		for maxSteps := 0; maxSteps <= 40; maxSteps++ {
@@ -150,6 +156,78 @@ func testProfileHandBuilt(t *testing.T) {
 	if err != nil || len(d.Block) != 0 || len(d.Edge) != 0 {
 		t.Fatalf("zero trips: profile %v, error %v; want an empty profile", d, err)
 	}
+	// An op-less cycle fails under every bound; op-less blocks that lead to
+	// a RET, or that lie on a loop with a branch, do not.
+	const want = "interp: oplesscycle: bb1 falls into a cycle of blocks without ops"
+	if _, err := interp.Profile(oplessCycleAfterOps(), 1, 5, interp.Config{}); fmt.Sprint(err) != want {
+		t.Fatalf("op-less cycle: error %v, want %q", err, want)
+	}
+	for _, f := range []*ir.Function{oplessChainToRet(), oplessOnBranchLoop(), oplessSharedExit()} {
+		if _, err := interp.Profile(f, 1, 20, interp.Config{}); err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+	}
+}
+
+// oplessSelfLoop: bb0 has no ops and falls through to itself.
+func oplessSelfLoop() *ir.Function {
+	f, _, _ := handFn("oplessself", 1)
+	f.Block(0).FallThrough = 0
+	return f
+}
+
+// oplessCycleAfterOps: bb0 runs an op, bb1 falls through to a cycle of
+// op-less bb2 and bb3, and bb4 returns but is never reached.
+func oplessCycleAfterOps() *ir.Function {
+	f, _, _ := handFn("oplesscycle", 5)
+	f.EmitMovI(f.Block(0), f.NewReg(ir.ClassGPR), 1)
+	f.Block(3).FallThrough = 2
+	f.EmitRet(f.Block(4))
+	return f
+}
+
+// oplessChainToRet: four op-less blocks in a row, one fewer than the
+// function's blocks, fall through to a RET.
+func oplessChainToRet() *ir.Function {
+	f, _, _ := handFn("oplesschain", 5)
+	f.EmitRet(f.Block(4))
+	return f
+}
+
+// oplessSharedCycle: bb0's branch leads to op-less bb3 or bb1, and both
+// fall into the op-less cycle of bb1 and bb2.
+func oplessSharedCycle() *ir.Function {
+	f, p, btr := handFn("oplesssharedcycle", 5)
+	b0 := f.Block(0)
+	f.EmitMovI(b0, f.NewReg(ir.ClassGPR), 1)
+	f.EmitBrct(b0, btr, p, 3, 0.5)
+	f.Block(2).FallThrough = 1
+	f.Block(3).FallThrough = 2
+	f.EmitRet(f.Block(4))
+	return f
+}
+
+// oplessSharedExit: bb0's branch leads to op-less bb2 or bb1, and both
+// fall through op-less bb3 to bb4's RET.
+func oplessSharedExit() *ir.Function {
+	f, p, btr := handFn("oplesssharedexit", 5)
+	b0 := f.Block(0)
+	f.EmitMovI(b0, f.NewReg(ir.ClassGPR), 1)
+	f.EmitBrct(b0, btr, p, 2, 0.5)
+	f.Block(1).FallThrough = 3
+	f.EmitRet(f.Block(4))
+	return f
+}
+
+// oplessOnBranchLoop: bb1's branch loops back through op-less bb2 and
+// bb3, so every pass round the loop runs an op.
+func oplessOnBranchLoop() *ir.Function {
+	f, p, btr := handFn("oplessloop", 5)
+	f.EmitMovI(f.Block(0), f.NewReg(ir.ClassGPR), 1)
+	f.EmitBrct(f.Block(1), btr, p, 4, 0.3)
+	f.Block(3).FallThrough = 1
+	f.EmitRet(f.Block(4))
+	return f
 }
 
 // handFn starts a hand-built function with n blocks, each falling through

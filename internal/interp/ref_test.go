@@ -29,8 +29,12 @@ func refProfileTrip(fn *ir.Function, o Oracle, cfg Config, d *profile.Data) erro
 	occ := make(map[int]int)
 	cur := fn.Entry
 	steps := 0
+	var run refRun
 	for {
 		b := fn.Block(cur)
+		if err := run.enter(fn, cur); err != nil {
+			return err
+		}
 		d.AddBlock(cur, 1)
 		next := b.FallThrough
 		jumped := false
@@ -69,6 +73,28 @@ func refProfileTrip(fn *ir.Function, o Oracle, cfg Config, d *profile.Data) erro
 	}
 }
 
+// refRun counts the op-less blocks a trip has entered in a row and notes
+// where the run began: a run longer than the function's blocks repeats a
+// block, and so cycles without running an op.
+type refRun struct {
+	n     int
+	start ir.BlockID
+}
+
+func (r *refRun) enter(fn *ir.Function, b ir.BlockID) error {
+	if len(fn.Block(b).Ops) != 0 {
+		r.n = 0
+		return nil
+	}
+	if r.n++; r.n == 1 {
+		r.start = b
+	}
+	if r.n > len(fn.Blocks) {
+		return fmt.Errorf("interp: %s: bb%d falls into a cycle of blocks without ops", fn.Name, r.start)
+	}
+	return nil
+}
+
 // refRunIn is the map-backed interpreter the slot-decoded one replaced,
 // kept as its test oracle: registers live in a map per frame and every op
 // is interpreted straight off the IR.
@@ -100,8 +126,12 @@ type refRunner struct {
 
 func (r *refRunner) frame(fn *ir.Function, base, depth int, st *refState) error {
 	cur := fn.Entry
+	var run refRun
 	for {
 		b := fn.Block(cur)
+		if err := run.enter(fn, cur); err != nil {
+			return err
+		}
 		r.tr.Blocks = append(r.tr.Blocks, ir.BlockID(nsOrig(base, int(b.Orig))))
 		next := b.FallThrough
 		jumped := false

@@ -234,7 +234,7 @@ func CompileFunction(ctx context.Context, fn *ir.Function, prof *profile.Data, c
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	return compileOne(fn, prof, c, opts, eval.NewArena())
+	return compileOne(fn, prof, c, opts, nil)
 }
 
 // keyBufPool recycles the buffer contentKey serializes into: the key-form
@@ -283,26 +283,60 @@ func contentKey(orig *ir.Function, prof *profile.Data, c eval.Config, verified b
 	return k
 }
 
-// compileOne compiles one function on clones of (orig, prof), going through
-// the tiered cache (memory, then disk, then compile) when one is
-// configured. Concurrent identical requests coalesce onto one compile.
-// arena is the calling worker's private compile scratch.
-//
-// A verified result carries its diagnostics from whichever tier served it,
-// so a failing function is compiled and verified once per key, and every
-// later lookup returns the recorded Failure without re-running either.
+// compileOne compiles one function on clones of (orig, prof) through the
+// keyed path, addressed by its content. arena is the calling worker's
+// private compile scratch, or nil for one made on a cold compile.
 func compileOne(orig *ir.Function, prof *profile.Data, c eval.Config, opts Options, arena *eval.Arena) (*eval.FunctionResult, bool, error) {
 	var key compcache.Key
 	if opts.Cache != nil {
 		key = contentKey(orig, prof, c, opts.Verify)
 	}
+	return compileKeyed(key, func() (*ir.Function, *profile.Data, error) { return orig, prof, nil }, c, opts, arena)
+}
+
+// CompileKeyed compiles what load returns under key, not under its
+// content: load runs once, inside the cache's compute, only when no tier
+// holds key. Its error is returned unchanged, is not cached and is not a
+// compile error. A cold compile runs on an arena of its own.
+func CompileKeyed(ctx context.Context, key compcache.Key, load func() (*ir.Function, *profile.Data, error), c eval.Config, opts Options) (*eval.FunctionResult, bool, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, false, err
+	}
+	return compileKeyed(key, load, c, opts, nil)
+}
+
+// loadError carries a loader's error through the cache, apart from
+// compile errors.
+type loadError struct{ err error }
+
+func (e *loadError) Error() string { return e.err.Error() }
+
+// compileKeyed compiles clones of what load returns, going through the
+// tiered cache (memory, then disk, then compile) under key when one is
+// configured. Concurrent identical keys coalesce onto one load and one
+// compile. A nil arena is made on a cold compile.
+//
+// A verified result carries its diagnostics from whichever tier served it,
+// so a failing function is compiled and verified once per key, and every
+// later lookup returns the recorded Failure without re-running either.
+func compileKeyed(key compcache.Key, load func() (*ir.Function, *profile.Data, error), c eval.Config, opts Options, arena *eval.Arena) (*eval.FunctionResult, bool, error) {
 	fr, src, err := opts.Cache.GetOrCompute(key, func() (*eval.FunctionResult, error) {
+		orig, prof, err := load()
+		if err != nil {
+			return nil, &loadError{err}
+		}
+		if arena == nil {
+			arena = eval.NewArena()
+		}
 		fr, err := compileIsolated(orig, prof, c, opts, arena)
 		if err == nil && opts.Telemetry != nil {
 			observeResult(opts.Telemetry, fr)
 		}
 		return fr, err
 	})
+	if le, ok := err.(*loadError); ok {
+		return nil, false, le.err
+	}
 	if err != nil {
 		if opts.Metrics != nil {
 			opts.Metrics.Errors.Add(1)
@@ -320,7 +354,7 @@ func compileOne(orig *ir.Function, prof *profile.Data, c eval.Config, opts Optio
 		if opts.Metrics != nil {
 			opts.Metrics.Errors.Add(1)
 		}
-		return nil, false, &verify.Failure{Fn: orig.Name, Diagnostics: fr.Diagnostics}
+		return nil, false, &verify.Failure{Fn: fr.Fn.Name, Diagnostics: fr.Diagnostics}
 	}
 	return fr, hit, nil
 }

@@ -108,7 +108,11 @@ func TestPartitionCheck(t *testing.T) {
 func TestRebuildRefusesOverlap(t *testing.T) {
 	f, r := tree(t)
 	p := NewPartition(f)
-	if _, err := Rebuild(p, KindTreegion, r.Blocks, r.Parents(), false); err != nil {
+	parents := make([]ir.BlockID, len(r.Blocks))
+	for i, b := range r.Blocks {
+		parents[i] = r.Parent(b)
+	}
+	if _, err := Rebuild(p, KindTreegion, r.Blocks, parents, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Rebuild(p, KindTreegion, []ir.BlockID{5, 4}, []ir.BlockID{ir.NoBlock, 5}, false); err == nil {

@@ -7,13 +7,13 @@ import (
 )
 
 // Rebuild reconstructs a region of p from its serialized shape: the
-// preorder block list and the parallel parent list (Parents[0] must be
-// ir.NoBlock for the root). The artifact store uses it to revive a
-// function's regions from disk into one partition, so — unlike NewRegion and
-// Add, which panic on programmer error — it validates everything and
-// returns an error on malformed input, a block another region of p already
-// owns included: corrupt store entries must read as cache misses, never as
-// crashes.
+// preorder block list and the parallel parent list, each block's Parent
+// (parents[0] must be ir.NoBlock for the root). The artifact store uses
+// it to revive a function's regions from disk into one partition, so —
+// unlike NewRegion and Add, which panic on programmer error — it
+// validates everything and returns an error on malformed input, a block
+// another region of p already owns included: corrupt store entries must
+// read as cache misses, never as crashes.
 func Rebuild(p *Partition, kind Kind, blocks, parents []ir.BlockID, fromTrace bool) (*Region, error) {
 	if len(blocks) == 0 {
 		return nil, fmt.Errorf("region: rebuild: empty block list")
@@ -46,10 +46,4 @@ func Rebuild(p *Partition, kind Kind, blocks, parents []ir.BlockID, fromTrace bo
 		r.Add(b, parents[i])
 	}
 	return r, nil
-}
-
-// Parents returns the parent list parallel to r.Blocks (the root's entry is
-// ir.NoBlock), the serialized form Rebuild consumes.
-func (r *Region) Parents() []ir.BlockID {
-	return append([]ir.BlockID(nil), r.parents...)
 }

@@ -51,8 +51,9 @@ import (
 // miss, because the entry may be perfectly valid for another binary
 // version. The function travels as a binary snapshot rather than text so op
 // IDs, Orig tags and allocator counters survive exactly (irtext.Parse
-// renumbers). The content address is hashed from the input function, not
-// from anything in the payload (see pipeline.contentKey).
+// renumbers). The address is hashed from the compile's inputs
+// (pipeline.contentKey) or from treegiond's request (DESIGN.md §27), never
+// from anything in the payload.
 // Schema 4 extended the func section with the interprocedural fields: the
 // call-convention Params/Rets register lists, a callee symbol table, and a
 // per-op callee symbol index (opRecSize 38 -> 42). Schema 5 dropped the
@@ -228,31 +229,35 @@ func (r *reader) done(what string) {
 	}
 }
 
-// encode flattens fr into the tgart2 payload.
-func encode(fr *eval.FunctionResult) ([]byte, error) {
+// encodeEntry writes fr's store entry, the magic line and then the tgart2
+// payload, into one buffer sized up front (entrySize).
+func encodeEntry(fr *eval.FunctionResult) ([]byte, error) {
 	if fr == nil || fr.Fn == nil {
 		return nil, fmt.Errorf("store: nil result")
 	}
 	snap := fr.Fn.Snapshot()
+	trace := fr.Trace.Snapshot()
 
-	ids := []uint32{secFunc, secProfile, secRegions, secSchedules, secStats}
-	hasTrace := fr.Trace != nil
-	if hasTrace {
+	var idBuf [maxSections]uint32
+	ids := append(idBuf[:0], secFunc, secProfile, secRegions, secSchedules, secStats)
+	if fr.Trace != nil {
 		ids = append(ids, secTrace)
 	}
 	if len(fr.Diagnostics) > 0 {
 		ids = append(ids, secDiagnostics)
 	}
 
-	w := &writer{buf: make([]byte, 0, 64*len(snap.Ops)+4096)}
+	w := &writer{buf: make([]byte, 0, entrySize(fr, snap, &trace, len(ids)))}
+	w.buf = append(w.buf, magic...)
+	base := len(w.buf) // section offsets count from the payload's start
 	w.u32(schemaVersion)
 	w.u32(uint32(len(ids)))
 	tableOff := len(w.buf)
-	w.buf = append(w.buf, make([]byte, len(ids)*secHdrSize)...)
+	var table [maxSections * secHdrSize]byte
+	w.buf = append(w.buf, table[:len(ids)*secHdrSize]...)
 
-	starts := make([]int, len(ids))
 	for i, id := range ids {
-		starts[i] = len(w.buf)
+		start := len(w.buf)
 		var err error
 		switch id {
 		case secFunc:
@@ -266,7 +271,7 @@ func encode(fr *eval.FunctionResult) ([]byte, error) {
 		case secStats:
 			encodeStats(w, fr)
 		case secTrace:
-			encodeTrace(w, fr.Trace.Snapshot())
+			encodeTrace(w, trace)
 		case secDiagnostics:
 			encodeDiagnostics(w, fr.Diagnostics)
 		}
@@ -276,10 +281,59 @@ func encode(fr *eval.FunctionResult) ([]byte, error) {
 		hdr := w.buf[tableOff+i*secHdrSize:]
 		binary.LittleEndian.PutUint32(hdr[0:], id)
 		binary.LittleEndian.PutUint32(hdr[4:], 0)
-		binary.LittleEndian.PutUint64(hdr[8:], uint64(starts[i]))
-		binary.LittleEndian.PutUint64(hdr[16:], uint64(len(w.buf)-starts[i]))
+		binary.LittleEndian.PutUint64(hdr[8:], uint64(start-base))
+		binary.LittleEndian.PutUint64(hdr[16:], uint64(len(w.buf)-start))
 	}
 	return w.buf, nil
+}
+
+// entrySize is the exact byte length of fr's store entry with nsec
+// sections: the magic, the section table, and each section as its encoder
+// writes it, from the record counts and the record sizes above.
+func entrySize(fr *eval.FunctionResult, snap *ir.FuncSnapshot, trace *telemetry.TraceSnapshot, nsec int) int {
+	str := func(s string) int { return 4 + len(s) }
+	n := len(magic) + 8 + nsec*secHdrSize
+	// func
+	n += str(snap.Name) + 3*4 + 4*len(snap.NextReg) +
+		4 + len(snap.Params)*regRecSize + 4 + len(snap.Rets)*regRecSize + 4
+	for _, sym := range snap.Syms {
+		n += str(sym)
+	}
+	n += 3*4 + len(snap.Blocks)*blockRecSize + len(snap.Ops)*opRecSize + len(snap.Regs)*regRecSize
+	// profile
+	n++
+	if fr.Prof != nil {
+		n += 4 + len(fr.Prof.Block)*profBlockRecSize + 4 + len(fr.Prof.Edge)*profEdgeRecSize
+	}
+	// regions: kind, fromTrace, block count, block records
+	n += 4
+	for _, r := range fr.Regions {
+		n += 1 + 1 + 4 + len(r.Blocks)*regionBlockRecSize
+	}
+	// schedules: region, model name, width, renamed/copies/merged, node and
+	// edge counts, node and edge records, length, cycles
+	n += 4
+	for _, s := range fr.Schedules {
+		if s.Graph == nil {
+			continue // encodeSchedules refuses it
+		}
+		n += 4 + str(s.Model.Name) + 4 + 3*4 + 4 + 4 + len(s.Graph.Nodes)*(nodeRecSize+cycleRecSize) + 4
+		for _, nd := range s.Graph.Nodes {
+			n += len(nd.Succs) * edgeRecSize
+		}
+	}
+	// stats: three field counts, each field 8 bytes
+	n += 3*4 + (resultStatsN+schedStatsN+hyperStatsN)*8
+	if fr.Trace != nil {
+		n += str(trace.Function) + 4 + int(telemetry.NumPhases)*3*8
+	}
+	if len(fr.Diagnostics) > 0 {
+		n += 4
+		for _, d := range fr.Diagnostics {
+			n += str(d.Rule) + 1 + str(d.Fn) + 4 + 4 + str(d.Message)
+		}
+	}
+	return n
 }
 
 func encodeFunc(w *writer, s *ir.FuncSnapshot) {
@@ -516,12 +570,11 @@ func encodeRegions(w *writer, regions []*region.Region) {
 	for _, r := range regions {
 		w.u8(uint8(r.Kind))
 		w.bool(r.FromTrace)
-		parents := r.Parents()
 		w.u32(uint32(len(r.Blocks)))
 		//rec:size regionBlockRecSize
-		for i, b := range r.Blocks {
+		for _, b := range r.Blocks {
 			w.i32(int32(b))
-			w.i32(int32(parents[i]))
+			w.i32(int32(r.Parent(b)))
 		}
 	}
 }
@@ -571,25 +624,45 @@ func decodeRegions(data []byte, fn *ir.Function) ([]*region.Region, error) {
 func encodeSchedules(w *writer, fr *eval.FunctionResult) error {
 	// Positional op index over the function: (block, index) survives the
 	// round trip because blocks and per-block op order are preserved
-	// verbatim by the func section.
-	refOf := make(map[*ir.Op]uint64, fr.Fn.NumOps())
-	for _, b := range fr.Fn.Blocks {
+	// verbatim by the func section. It is indexed by op ID, unique and
+	// below NumOpIDs in every valid function; a hand-built op outside that
+	// range takes the map.
+	fn := fr.Fn
+	pos := make([]uint64, fn.NumOpIDs())
+	var over map[*ir.Op]uint64
+	for _, b := range fn.Blocks {
 		for i, op := range b.Ops {
-			refOf[op] = uint64(b.ID)<<32 | uint64(uint32(i))
+			ref := uint64(b.ID)<<32 | uint64(uint32(i))
+			if uint(op.ID) < uint(len(pos)) {
+				pos[op.ID] = ref
+				continue
+			}
+			if over == nil {
+				over = make(map[*ir.Op]uint64)
+			}
+			over[op] = ref
 		}
 	}
-	regionIdx := make(map[*region.Region]int, len(fr.Regions))
-	for i, r := range fr.Regions {
-		regionIdx[r] = i
+	refOf := func(op *ir.Op) (uint64, bool) {
+		if uint(op.ID) >= uint(len(pos)) {
+			ref, ok := over[op]
+			return ref, ok
+		}
+		ref := pos[op.ID]
+		b, i := int(ref>>32), int(uint32(ref))
+		return ref, b < len(fn.Blocks) && i < len(fn.Blocks[b].Ops) && fn.Blocks[b].Ops[i] == op
 	}
 	w.u32(uint32(len(fr.Schedules)))
-	for _, s := range fr.Schedules {
+	for si, s := range fr.Schedules {
 		if s.Graph == nil || s.Graph.Region == nil {
 			return fmt.Errorf("store: schedule without graph")
 		}
-		ri, ok := regionIdx[s.Graph.Region]
-		if !ok {
-			return fmt.Errorf("store: schedule region not among result regions")
+		// Schedules are usually in region order.
+		ri := si
+		if ri >= len(fr.Regions) || fr.Regions[ri] != s.Graph.Region {
+			if ri = slices.Index(fr.Regions, s.Graph.Region); ri < 0 {
+				return fmt.Errorf("store: schedule region not among result regions")
+			}
 		}
 		w.u32(uint32(ri))
 		w.str(s.Model.Name)
@@ -605,7 +678,7 @@ func encodeSchedules(w *writer, fr *eval.FunctionResult) error {
 		w.u32(uint32(nedges))
 		//rec:size nodeRecSize
 		for _, n := range s.Graph.Nodes {
-			ref, ok := refOf[n.Op]
+			ref, ok := refOf(n.Op)
 			if !ok {
 				return fmt.Errorf("store: node op not found in function body")
 			}

@@ -237,17 +237,17 @@ func (s *Store) Put(k compcache.Key, fr *eval.FunctionResult) error {
 		os.Chtimes(path, now, now)
 		return nil
 	}
-	body, err := encode(fr)
+	entry, err := encodeEntry(fr)
 	if err != nil {
 		s.encodeErrs.Add(1)
 		return err
 	}
-	if err := s.writeAtomic(path, append([]byte(magic), body...)); err != nil {
+	if err := s.writeAtomic(path, entry); err != nil {
 		s.writeErrs.Add(1)
 		return err
 	}
 	s.puts.Add(1)
-	s.bytes.Add(int64(len(magic) + len(body)))
+	s.bytes.Add(int64(len(entry)))
 	s.entries.Add(1)
 	if s.bytes.Load() > s.budget {
 		s.GC()

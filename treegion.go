@@ -96,6 +96,9 @@ type (
 	// CompileCache is a sharded content-addressed cache of function
 	// compilation results with LRU eviction under a byte budget.
 	CompileCache = compcache.Cache
+	// CacheKey addresses one compiled function in a CompileCache and the
+	// ArtifactStore under it.
+	CacheKey = compcache.Key
 	// CacheStats is a snapshot of a CompileCache's counters.
 	CacheStats = compcache.Stats
 	// ArtifactStore is the disk-backed content-addressed artifact store:
@@ -180,6 +183,15 @@ func ProfileFunction(fn *Function, seed uint64, trips int) (*ProfileData, error)
 // compiles with GOMAXPROCS workers, no cache, no metrics, no telemetry.
 type CompileOption func(*pipeline.Options)
 
+// options applies opts to the zero pipeline options.
+func options(opts []CompileOption) pipeline.Options {
+	var o pipeline.Options
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
+}
+
 // WithWorkers bounds concurrent function compiles (<= 0 means GOMAXPROCS).
 func WithWorkers(n int) CompileOption {
 	return func(o *pipeline.Options) { o.Workers = n }
@@ -250,22 +262,22 @@ func ExportSchedulerTelemetry(reg *Telemetry) { telemetry.ExportReadyOccupancy(r
 // reassembled in function order, so the output is byte-identical to a
 // serial compile regardless of worker count.
 func Compile(ctx context.Context, prog *Program, profs Profiles, c Config, opts ...CompileOption) (*ProgramResult, error) {
-	var o pipeline.Options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return pipeline.CompileProgram(ctx, prog, profs, c, o)
+	return pipeline.CompileProgram(ctx, prog, profs, c, options(opts))
 }
 
 // CompileOne compiles a single function through the pipeline's cache and
 // panic isolation. Unlike CompileFunction it does not mutate fn or prof (it
 // compiles clones); it reports whether the result was served from the cache.
 func CompileOne(ctx context.Context, fn *Function, prof *ProfileData, c Config, opts ...CompileOption) (*FunctionResult, bool, error) {
-	var o pipeline.Options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return pipeline.CompileFunction(ctx, fn, prof, c, o)
+	return pipeline.CompileFunction(ctx, fn, prof, c, options(opts))
+}
+
+// CompileKeyed is CompileOne addressed by key instead of by its inputs'
+// content: a hit on key returns without calling load, and a miss runs load
+// once, inside the cache's compute. A load error is returned unchanged and
+// never cached. treegiond keys its requests so (DESIGN.md §27).
+func CompileKeyed(ctx context.Context, key CacheKey, load func() (*Function, *ProfileData, error), c Config, opts ...CompileOption) (*FunctionResult, bool, error) {
+	return pipeline.CompileKeyed(ctx, key, load, c, options(opts))
 }
 
 // CompileEach compiles fns[i] against profs[i] (on clones — the originals
@@ -277,11 +289,7 @@ func CompileOne(ctx context.Context, fn *Function, prof *ProfileData, c Config, 
 // This is the streaming core behind the daemon's /v1/compile-batch.
 func CompileEach(ctx context.Context, fns []*Function, profs []*ProfileData, c Config,
 	emit func(i int, fr *FunctionResult, cached bool, err error) error, opts ...CompileOption) error {
-	var o pipeline.Options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return pipeline.CompileEach(ctx, fns, profs, c, o, emit)
+	return pipeline.CompileEach(ctx, fns, profs, c, options(opts), emit)
 }
 
 // NewCompileCache builds a content-addressed compilation result cache with
