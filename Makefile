@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race fuzz bench bench-compare bench-ab check loadtest ci
+.PHONY: all build vet lint test race fuzz bench bench-compare bench-ab lines check loadtest ci
 
 all: build
 
@@ -108,6 +108,19 @@ PAIRS ?= 10
 SECONDS ?= 20
 bench-ab:
 	bash scripts/bench_ab.sh $(OLD) $(WORKLOAD) $(SEED) $(PAIRS) $(SECONDS)
+
+# lines counts Go lines as CHANGES.md reports them: .go files outside
+# perfbench/ and any testdata/, production and _test.go apart, at revision
+# OLD (from git) and in the working tree (untracked files included), with
+# the differences. It needs only git and coreutils.
+GO_PROD = -- '*.go' ':!*_test.go' ':!perfbench/*' ':!testdata/*' ':!*/testdata/*'
+GO_TEST = -- '*_test.go' ':!perfbench/*' ':!testdata/*' ':!*/testdata/*'
+lines:
+	@sum() { n=$$(git grep -h -c "$$@" | paste -sd+ -); echo $$(( $${n:-0} )); }; \
+	po=$$(sum '' $(OLD) $(GO_PROD)); pn=$$(sum --untracked '' $(GO_PROD)); \
+	to=$$(sum '' $(OLD) $(GO_TEST)); tn=$$(sum --untracked '' $(GO_TEST)); \
+	printf '%-10s %10s %12s %8s\n' 'Go lines' '$(OLD)' 'working tree' delta; \
+	printf '%-10s %10d %12d %+8d\n' production $$po $$pn $$((pn - po)) test $$to $$tn $$((tn - to))
 
 # check is the fast gate: lint + build + full tests, plus the race detector
 # over the concurrency-heavy subsystems (artifact store with its tgart2

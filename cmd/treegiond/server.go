@@ -72,7 +72,6 @@ func newServer(cfg serverConfig) (*server, error) {
 	s.parseSeconds, s.profileSeconds = phase("parse"), phase("profile")
 	s.cache.Register(s.reg, "treegiond")
 	s.metrics.Register(s.reg, "treegiond")
-	treegion.ExportSchedulerTelemetry(s.reg)
 	s.reg.GaugeFunc("treegiond_uptime_seconds", "Seconds since daemon start.", func() int64 {
 		return int64(time.Since(s.start).Seconds())
 	})

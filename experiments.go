@@ -556,13 +556,6 @@ func (s *Suite) Registers() ([]RegisterRow, []int, error) {
 	return rows, sizes, nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // GeoMean returns the geometric mean of the named column over rows,
 // skipping zero entries — the aggregate the paper's bar charts imply.
 func GeoMean(rows []SpeedupRow, label string) float64 {

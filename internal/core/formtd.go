@@ -26,6 +26,23 @@ func DefaultTDConfig() TDConfig {
 	return TDConfig{ExpansionLimit: 2.0, PathLimit: 20, MergeLimit: 4}
 }
 
+// WithDefaults returns td with every unset bound replaced as the former
+// reads it: a path limit ≤ 0 becomes 20, a merge limit ≤ 0 becomes 4, and
+// an expansion limit below 1 becomes 1. The verifier checks RG005 against
+// the same bounds.
+func (td TDConfig) WithDefaults() TDConfig {
+	if td.PathLimit <= 0 {
+		td.PathLimit = 20
+	}
+	if td.MergeLimit <= 0 {
+		td.MergeLimit = 4
+	}
+	if td.ExpansionLimit < 1 {
+		td.ExpansionLimit = 1
+	}
+	return td
+}
+
 // FormTD is the paper's treeform-td (Fig. 11): treegion formation where,
 // after a tree's initial absorption, qualifying saplings are tail duplicated
 // onto the tree (or absorbed directly once duplication has left them with a
@@ -45,15 +62,7 @@ func FormTD(fn *ir.Function, prof *profile.Data, td TDConfig) []*region.Region {
 // semantics byte-for-byte those of its original. A nil rewriter reproduces
 // FormTD exactly.
 func FormTDInlineTraced(fn *ir.Function, prof *profile.Data, td TDConfig, tr *telemetry.CompileTrace, rw BlockRewriter) []*region.Region {
-	if td.PathLimit <= 0 {
-		td.PathLimit = 20
-	}
-	if td.MergeLimit <= 0 {
-		td.MergeLimit = 4
-	}
-	if td.ExpansionLimit < 1 {
-		td.ExpansionLimit = 1
-	}
+	td = td.WithDefaults()
 	g := cfg.New(fn)
 	f := newFormer(fn, g)
 	f.rw = rw

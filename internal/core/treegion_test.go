@@ -219,7 +219,7 @@ func TestFormTDPreservesSemantics(t *testing.T) {
 			}
 			for seed := uint64(0); seed < 10; seed++ {
 				var run interp.Runner
-				run.Reset(nil, new(interp.Numbering))
+				run.Reset(nil, new(ir.Numbering))
 				a, b := new(interp.Trace), new(interp.Trace)
 				errA := run.RunTrace(orig, interp.NewOracle(seed), interp.Config{MaxSteps: 2_000_000}, a)
 				errB := run.RunTrace(fn, interp.NewOracle(seed), interp.Config{MaxSteps: 2_000_000}, b)

@@ -41,16 +41,16 @@ func (b *builder) prepWalker() {
 	for _, nd := range b.g.Nodes {
 		op := nd.Op
 		for _, s := range op.Srcs {
-			b.number(s)
+			b.num.Slot(s)
 		}
 		if op.Guarded() {
-			b.number(op.Guard)
+			b.num.Slot(op.Guard)
 		}
 		for _, d := range op.Dests {
-			b.number(d)
+			b.num.Slot(d)
 		}
 	}
-	nr := len(b.regOf)
+	nr := b.num.Len()
 	// Count into the length tables, then turn counts into offsets.
 	w.defLen = growClear(w.defLen, nr)
 	w.rdLen = growClear(w.rdLen, nr)
@@ -58,13 +58,13 @@ func (b *builder) prepWalker() {
 	for _, nd := range b.g.Nodes {
 		op := nd.Op
 		for _, s := range op.Srcs {
-			if r := b.local(s); r >= 0 {
+			if r := b.num.Lookup(s); r >= 0 {
 				w.rdLen[r]++
 				undoCap++
 			}
 		}
 		if op.Guarded() {
-			if r := b.local(op.Guard); r >= 0 {
+			if r := b.num.Lookup(op.Guard); r >= 0 {
 				w.rdLen[r]++
 				undoCap++
 			}
@@ -77,7 +77,7 @@ func (b *builder) prepWalker() {
 			undoCap++
 		}
 		for _, d := range op.Dests {
-			if r := b.local(d); r >= 0 {
+			if r := b.num.Lookup(d); r >= 0 {
 				w.defLen[r]++
 				undoCap++
 			}
@@ -227,7 +227,7 @@ func (w *walker) addLoad(n *Node) {
 // visitSrc adds flow dependences from the reaching definitions of s and
 // books n as a reader of s.
 func (w *walker) visitSrc(s ir.Reg, n *Node) {
-	r := w.b.local(s)
+	r := w.b.num.Lookup(s)
 	if r < 0 {
 		return
 	}
@@ -266,7 +266,7 @@ func (w *walker) visit(n *Node) {
 	}
 	// Anti and output dependences, then the new definitions.
 	for _, d := range op.Dests {
-		r := w.b.local(d)
+		r := w.b.num.Lookup(d)
 		if r < 0 {
 			continue
 		}
@@ -278,7 +278,7 @@ func (w *walker) visit(n *Node) {
 		}
 	}
 	for _, d := range op.Dests {
-		r := w.b.local(d)
+		r := w.b.num.Lookup(d)
 		if r < 0 {
 			continue
 		}
@@ -374,7 +374,7 @@ func (b *builder) liveExitEdges() {
 	r := b.g.Region
 	lv := b.opts.Liveness
 	for _, bid := range r.Blocks {
-		b.subtreeBuf = b.appendSubtree(b.subtreeBuf[:0], bid)
+		b.subtreeBuf = b.g.Region.AppendSubtree(b.subtreeBuf[:0], bid)
 		sub := b.subtreeBuf
 		for _, n := range b.bodyNodes(bid) {
 			op := n.Op

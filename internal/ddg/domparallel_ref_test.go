@@ -320,6 +320,11 @@ func (w *MergeWitness) Compare(fn *ir.Function, r *region.Region, opts Options, 
 	want, wantFacts := buildWith(twin, tr, twinOpts, &w.ref, refMergeDominatorParallel)
 	w.Regions++
 	w.Merged += want.NumMerged
+	// finish resets the register numbering, so a region's slots never
+	// size the next build's tables.
+	if n := w.prod.num.Len(); n != 0 {
+		return fmt.Errorf("%s region bb%d: the scratch keeps %d register slots after the build", fn.Name, r.Root, n)
+	}
 	if gotFacts != wantFacts {
 		return fmt.Errorf("%s region bb%d: merge decisions differ:\n got %s\nwant %s", fn.Name, r.Root, gotFacts, wantFacts)
 	}

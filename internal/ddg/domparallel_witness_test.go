@@ -21,7 +21,8 @@ import (
 // inlining is built once with the production merge and once, on a twin
 // clone, with the map-based reference. Merge decisions (NumMerged, homes,
 // eliminated and pinned ops, moved representatives) and the graphs must be
-// identical. Each side keeps one Scratch across every region.
+// identical. Each side keeps one Scratch across every region, and the
+// production side's must hold no register slots after each build.
 func TestMergeMatchesReference(t *testing.T) {
 	var w ddg.MergeWitness
 	td := func(limit float64) core.TDConfig {

@@ -250,10 +250,11 @@ type builder struct {
 	opts Options
 
 	// Function-indexed tables, all-zero between builds.
-	marks  []opMark   // by op.ID; ops minted mid-build stay unmarked
-	marked []int32    // op IDs whose mark this build set
-	regNum [5][]int32 // by register class, then Num: region-local index + 1
-	regOf  []ir.Reg   // region-local index → register, in numbering order
+	marks  []opMark // by op.ID; ops minted mid-build stay unmarked
+	marked []int32  // op IDs whose mark this build set
+	// num numbers the region's registers on first sight: the walker's and
+	// the def bitsets' per-register tables are indexed by its slots.
+	num ir.Numbering
 
 	// moved lists the merged representatives homed away from their own
 	// block, in merge order; buildEffective sorts it by position.
@@ -442,14 +443,4 @@ func (b *builder) attributes() {
 			n.Weight = b.opts.Profile.BlockWeight(n.Home)
 		}
 	}
-}
-
-// appendSubtree appends bid and all in-region descendants, preorder, to dst.
-func (b *builder) appendSubtree(dst []ir.BlockID, bid ir.BlockID) []ir.BlockID {
-	base := len(dst)
-	dst = append(dst, bid)
-	for i := base; i < len(dst); i++ {
-		dst = append(dst, b.g.Region.Children(dst[i])...)
-	}
-	return dst
 }

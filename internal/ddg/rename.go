@@ -96,11 +96,11 @@ func (b *builder) buildDefBits() {
 				continue
 			}
 			for _, d := range op.Dests {
-				b.number(d)
+				b.num.Slot(d)
 			}
 		}
 	}
-	b.defRegs = len(b.regOf)
+	b.defRegs = b.num.Len()
 	b.defNW = (b.defRegs + 63) / 64
 	b.defBits = growClear(b.defBits, len(r.Blocks)*b.defNW)
 	for i, bid := range r.Blocks {
@@ -110,7 +110,7 @@ func (b *builder) buildDefBits() {
 				continue
 			}
 			for _, d := range op.Dests {
-				if k := b.local(d); k >= 0 {
+				if k := b.num.Lookup(d); k >= 0 {
 					w[k>>6] |= 1 << (uint(k) & 63)
 				}
 			}
@@ -143,7 +143,7 @@ func (b *builder) conflictsOffPath(bid ir.BlockID, d ir.Reg) bool {
 			if r.IsTreeEdge(parent, s) {
 				// Sibling subtree: a second definition of d there would race
 				// with ours once both speculate above the divergence.
-				b.subtreeBuf = b.appendSubtree(b.subtreeBuf[:0], s)
+				b.subtreeBuf = b.g.Region.AppendSubtree(b.subtreeBuf[:0], s)
 				for _, x := range b.subtreeBuf {
 					if b.blockDefines(x, d) {
 						return true
@@ -160,7 +160,7 @@ func (b *builder) conflictsOffPath(bid ir.BlockID, d ir.Reg) bool {
 // register they cover; during dominator merging (whose incremental
 // eliminations would invalidate a snapshot) it scans the ops.
 func (b *builder) blockDefines(x ir.BlockID, d ir.Reg) bool {
-	if k := int(b.local(d)); k >= 0 && k < b.defRegs {
+	if k := int(b.num.Lookup(d)); k >= 0 && k < b.defRegs {
 		i := b.g.Region.Pos(x)
 		return b.defBits[i*b.defNW+(k>>6)]&(1<<(uint(k)&63)) != 0
 	}

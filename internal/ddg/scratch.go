@@ -11,16 +11,17 @@ import "treegion/internal/ir"
 // Each build costs O(region), whatever the size of the function around it
 // (DESIGN.md §17). The tables come in two kinds:
 //
-//   - Function-indexed tables (per-op marks by op ID, region-local register
-//     numbers by register class and number) are grown geometrically on
-//     first touch and never cleared wholesale. A build logs every entry it
-//     sets and zeroes exactly those before it ends, so between builds the
-//     tables are all-zero and carry no facts from one region, function or
-//     compile to the next.
+//   - Function-indexed tables (per-op marks by op ID, and the region-local
+//     register numbering's ir.Numbering, by register class and number) are
+//     grown geometrically on first touch and never cleared wholesale. A
+//     build logs every entry it sets and zeroes exactly those before it
+//     ends, so between builds the tables are all-zero and carry no facts
+//     from one region, function or compile to the next.
 //   - Everything else is region-sized: per-block tables are indexed by
-//     preorder position (region.Region.Pos), and per-register tables by a
-//     region-local register numbering assigned on first sight. Registers
-//     that renaming mints mid-build are numbered like any other.
+//     preorder position (region.Region.Pos), and per-register tables by
+//     the region-local register slots the numbering assigns on first
+//     sight. Registers that renaming mints mid-build are numbered like any
+//     other.
 //
 // A build that panics never reaches the reset, so a Scratch whose call
 // panicked must be discarded. A Scratch must not be shared between
@@ -80,10 +81,7 @@ func (b *builder) finish() {
 		b.marks[id] = opMark{}
 	}
 	b.marked = b.marked[:0]
-	for _, r := range b.regOf {
-		b.regNum[r.Class][r.Num] = 0
-	}
-	b.regOf = b.regOf[:0]
+	b.num.Reset()
 	b.g, b.w.nodes, b.w.lastStore = nil, nil, nil
 }
 
@@ -121,34 +119,4 @@ func (b *builder) homeOf(op *ir.Op) (ir.BlockID, bool) {
 		return ir.BlockID(h - 1), true
 	}
 	return ir.NoBlock, false
-}
-
-// number returns r's region-local register index, assigning the next one on
-// first sight; -1 for NoReg.
-func (b *builder) number(r ir.Reg) int32 {
-	if !r.IsValid() || int(r.Class) >= len(b.regNum) || r.Num < 0 {
-		return -1
-	}
-	t := b.regNum[r.Class]
-	if r.Num >= len(t) {
-		t = extend(t, r.Num+1)
-		b.regNum[r.Class] = t
-	}
-	if k := t[r.Num]; k != 0 {
-		return k - 1
-	}
-	b.regOf = append(b.regOf, r)
-	t[r.Num] = int32(len(b.regOf))
-	return int32(len(b.regOf)) - 1
-}
-
-// local returns r's region-local register index, or -1 when r has none.
-func (b *builder) local(r ir.Reg) int32 {
-	if !r.IsValid() || int(r.Class) >= len(b.regNum) || r.Num < 0 {
-		return -1
-	}
-	if t := b.regNum[r.Class]; r.Num < len(t) {
-		return t[r.Num] - 1
-	}
-	return -1
 }

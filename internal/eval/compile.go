@@ -111,6 +111,16 @@ func (c Config) Fingerprint() string {
 	return fp
 }
 
+// tdConfig returns the tail-duplication bounds TreegionTD compiles and
+// verifies under: an expansion limit of 0 means core.DefaultTDConfig().
+// Fingerprint hashes the raw fields.
+func (c Config) tdConfig() core.TDConfig {
+	if c.TD.ExpansionLimit == 0 {
+		return core.DefaultTDConfig()
+	}
+	return c.TD
+}
+
 // DefaultConfig returns the paper's headline configuration: treegion
 // scheduling with the global weight heuristic on the 4-issue machine.
 func DefaultConfig() Config {
@@ -203,17 +213,9 @@ func CompileFunctionArena(fn *ir.Function, prof *profile.Data, c Config, ar *Are
 			g = nil
 		}
 	case Superblock:
-		sb := c.SB
-		if sb.MaxTraceLen == 0 && sb.ExpansionLimit == 0 {
-			sb = linear.DefaultSuperblockConfig()
-		}
-		res.Regions = linear.Superblocks(fn, prof, sb)
+		res.Regions = linear.Superblocks(fn, prof, c.SB)
 	case TreegionTD:
-		td := c.TD
-		if td.ExpansionLimit == 0 {
-			td = core.DefaultTDConfig()
-		}
-		res.Regions = core.FormTDInlineTraced(fn, prof, td, tr, rw)
+		res.Regions = core.FormTDInlineTraced(fn, prof, c.tdConfig(), tr, rw)
 	default:
 		return nil, fmt.Errorf("eval: unknown region kind %d", c.Kind)
 	}

@@ -18,10 +18,7 @@ import (
 func VerifyDiagnostics(orig *ir.Function, fr *FunctionResult, c Config, ar *Arena) []verify.Diagnostic {
 	var td core.TDConfig
 	if c.Kind == TreegionTD {
-		td = c.TD
-		if td.ExpansionLimit == 0 {
-			td = core.DefaultTDConfig()
-		}
+		td = c.tdConfig()
 	}
 	opts := verify.Options{
 		Machine:   c.Machine,

@@ -54,7 +54,7 @@ func TestIfConvertMirrorTriangle(t *testing.T) {
 	}
 	// Data: p false → complement true → arm fires → store 9.
 	var run interp.Runner
-	run.Reset(nil, new(interp.Numbering))
+	run.Reset(nil, new(ir.Numbering))
 	tr := new(interp.Trace)
 	if err := run.RunTrace(f, interp.NewOracle(0), interp.Config{}, tr); err != nil {
 		t.Fatal(err)

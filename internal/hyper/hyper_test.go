@@ -113,7 +113,7 @@ func TestIfConvertPreservesSemantics(t *testing.T) {
 		conv, prof := diamond(t, taken)
 		IfConvert(conv, prof, DefaultConfig())
 		var run interp.Runner
-		run.Reset(nil, new(interp.Numbering))
+		run.Reset(nil, new(ir.Numbering))
 		a, b := new(interp.Trace), new(interp.Trace)
 		errA := run.RunTrace(orig, interp.NewOracle(1), interp.Config{}, a)
 		errB := run.RunTrace(conv, interp.NewOracle(1), interp.Config{}, b)
@@ -158,7 +158,7 @@ func TestIfConvertTriangle(t *testing.T) {
 	}
 	// Not-taken path: v stays 7 under both the original and the guarded op.
 	var run interp.Runner
-	run.Reset(nil, new(interp.Numbering))
+	run.Reset(nil, new(ir.Numbering))
 	tr := new(interp.Trace)
 	if err := run.RunTrace(f, interp.NewOracle(3), interp.Config{}, tr); err != nil {
 		t.Fatal(err)
@@ -235,7 +235,7 @@ func TestIfConvertOnSuite(t *testing.T) {
 			// The transformed function must still terminate under the
 			// interpreter (guards squash correctly).
 			var run interp.Runner
-			run.Reset(nil, new(interp.Numbering))
+			run.Reset(nil, new(ir.Numbering))
 			if err := run.RunTrace(fn, interp.NewOracle(5), interp.Config{MaxSteps: 2_000_000}, new(interp.Trace)); err != nil {
 				t.Fatalf("%s/%s: %v", prog.Name, fn.Name, err)
 			}

@@ -17,8 +17,8 @@
 //     identity and binds the arguments with Copy ops; the continuation block
 //     keeps the host's Orig, so the trace records the same "control returns
 //     to the caller block" event interp.Runner logs when a real call returns.
-//   - Callee registers are renamed into fresh host registers through the
-//     callee's dense ir.RegIndexTable, one fresh set per splice, so two
+//   - Callee registers are renamed into fresh host registers, numbered
+//     through the Inliner's ir.Numbering, one fresh set per splice, so two
 //     inlined instances of the same callee never interfere.
 package inline
 
@@ -169,6 +169,10 @@ type Inliner struct {
 	// means original caller code (depth 0).
 	depth map[ir.BlockID]int
 	stats Stats
+	// num numbers a callee's registers and fresh holds the host register
+	// minted for each slot; both serve one splice at a time.
+	num   ir.Numbering
+	fresh []ir.Reg
 }
 
 // New builds an inliner over the working function fn and its (mutable)
@@ -296,23 +300,20 @@ func (in *Inliner) splice(b *ir.Block, i int, call *ir.Op, ci, d int) {
 		clones[j] = nb
 	}
 
-	// One fresh register set per splice, indexed through the callee's dense
-	// register table: distinct inlined instances of the same callee never
-	// share a name, so they cannot clobber each other.
-	tbl := callee.RegIndexTable()
-	renamed := make([]ir.Reg, tbl.Len())
+	// One fresh register set per splice, minted in order of first sight:
+	// distinct inlined instances of the same callee never share a name, so
+	// they cannot clobber each other.
+	in.num.Reset()
+	in.fresh = in.fresh[:0]
 	rename := func(r ir.Reg) ir.Reg {
 		if !r.IsValid() {
 			return r
 		}
-		k := tbl.Of(r)
-		if k < 0 {
-			return fn.NewReg(r.Class) // defensive; the table covers every op
+		s := in.num.Slot(r)
+		if int(s) == len(in.fresh) {
+			in.fresh = append(in.fresh, fn.NewReg(r.Class))
 		}
-		if !renamed[k].IsValid() {
-			renamed[k] = fn.NewReg(r.Class)
-		}
-		return renamed[k]
+		return in.fresh[s]
 	}
 	renameAll := func(rs []ir.Reg) []ir.Reg {
 		if len(rs) == 0 {

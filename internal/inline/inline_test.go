@@ -296,7 +296,7 @@ bb0:
 	}
 	// The program still computes (4+3)+3 = 10: run it and check the store.
 	var run interp.Runner
-	run.Reset(nil, new(interp.Numbering))
+	run.Reset(nil, new(ir.Numbering))
 	tr := new(interp.Trace)
 	if err := run.RunTrace(fn, interp.NewOracle(1), interp.Config{}, tr); err != nil {
 		t.Fatal(err)

@@ -38,7 +38,7 @@ func nsOrig(base, orig int) int {
 // largest function.
 type Runner struct {
 	prog     *ir.Program
-	num      *Numbering
+	num      *ir.Numbering
 	codes    map[codeKey]*code
 	branches map[int]int32 // oracle key → occurrence counter slot
 	pending  []pendingCall
@@ -62,7 +62,7 @@ type Runner struct {
 // later function can reuse a freed function's address, so no decode may
 // outlive the call that made it. The storage behind decodes, frames,
 // counters and memory is kept for reuse.
-func (r *Runner) Reset(prog *ir.Program, num *Numbering) {
+func (r *Runner) Reset(prog *ir.Program, num *ir.Numbering) {
 	r.prog, r.num = prog, num
 	if r.codes == nil {
 		r.codes = make(map[codeKey]*code)

@@ -100,7 +100,6 @@ func (r *Runner) decode(fn *ir.Function, base int) *code {
 	}
 	insts := carve(&r.instSlab, nops)
 	num := r.num
-	num.Begin(fn)
 	slot := func(reg ir.Reg, absent int32) int32 {
 		if !reg.IsValid() {
 			return absent

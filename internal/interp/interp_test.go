@@ -13,7 +13,7 @@ import (
 // runOnce runs f once on a fresh Runner resolving calls against prog.
 func runOnce(prog *ir.Program, f *ir.Function, o Oracle, cfg Config) (*Trace, error) {
 	var r Runner
-	r.Reset(prog, new(Numbering))
+	r.Reset(prog, new(ir.Numbering))
 	tr := new(Trace)
 	err := r.RunTrace(f, o, cfg, tr)
 	return tr, err

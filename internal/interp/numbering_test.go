@@ -7,11 +7,11 @@ import (
 	"treegion/internal/ir"
 )
 
-// TestNumberingOverflowMatchesReference runs a hand-built function whose
-// registers no table can index — one numbered past the function's mark and
-// never noted, a negative one, and one of a class above FPR — and expects
-// the reference's trace, with each of the three numbered through the
-// overflow map.
+// TestNumberingOverflowMatchesReference runs a hand-built function with
+// registers a generated one never has — one numbered past the function's
+// mark and never noted, a negative one, and one of a class above FPR — and
+// expects the reference's trace. The first indexes a table; the other two
+// are numbered through the overflow map.
 func TestNumberingOverflowMatchesReference(t *testing.T) {
 	f := ir.NewFunction("hand")
 	b := f.NewBlock()
@@ -27,7 +27,7 @@ func TestNumberingOverflowMatchesReference(t *testing.T) {
 	f.EmitSt(b, low, 0, high)
 	f.EmitRet(b)
 
-	var num Numbering
+	var num ir.Numbering
 	r := &Runner{}
 	r.Reset(nil, &num)
 	got := new(Trace)
@@ -44,8 +44,8 @@ func TestNumberingOverflowMatchesReference(t *testing.T) {
 	if want := []StoreEvent{{7, 12}, {1, 7}}; !reflect.DeepEqual(got.Stores, want) {
 		t.Fatalf("stores %v, want %v", got.Stores, want)
 	}
-	if n := num.Overflows(); n != 3 {
-		t.Fatalf("%d overflow numberings, want 3", n)
+	if n := num.Overflows(); n != 2 {
+		t.Fatalf("%d overflow numberings, want 2", n)
 	}
 	// A reset numbering holds nothing: every register is unnumbered again,
 	// and a second function numbers from slot 0.
@@ -54,7 +54,6 @@ func TestNumberingOverflowMatchesReference(t *testing.T) {
 			t.Fatalf("%v keeps slot %d after Reset", reg, s)
 		}
 	}
-	num.Begin(f)
 	if s := num.Slot(high); s != 0 {
 		t.Fatalf("first slot after Reset is %d, want 0", s)
 	}

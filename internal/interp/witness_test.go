@@ -43,7 +43,7 @@ func TestRunnerMatchesReference(t *testing.T) {
 	}
 	trips, failed := 0, 0
 	var shared interp.Runner
-	var sharedNum interp.Numbering
+	var sharedNum ir.Numbering
 	var sharedTrace interp.Trace
 	for _, p := range progs {
 		resolved, err := ir.NewProgram(p.Funcs)
@@ -77,7 +77,7 @@ func TestRunnerMatchesReference(t *testing.T) {
 				continue // call-free: a nil program changes nothing
 			}
 			var run interp.Runner
-			run.Reset(prog, new(interp.Numbering))
+			run.Reset(prog, new(ir.Numbering))
 			shared.Reset(prog, &sharedNum)
 			for _, fn := range fns {
 				for _, seed := range []uint64{1, 42} {

@@ -62,7 +62,7 @@ func TestParseSample(t *testing.T) {
 	}
 	// The parsed function runs.
 	var run interp.Runner
-	run.Reset(nil, new(interp.Numbering))
+	run.Reset(nil, new(ir.Numbering))
 	if err := run.RunTrace(fn, interp.NewOracle(1), interp.Config{}, new(interp.Trace)); err != nil {
 		t.Fatal(err)
 	}

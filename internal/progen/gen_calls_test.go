@@ -125,7 +125,7 @@ func TestGenerateCallsTerminates(t *testing.T) {
 			t.Fatal(err)
 		}
 		var run interp.Runner
-		run.Reset(resolved, new(interp.Numbering))
+		run.Reset(resolved, new(ir.Numbering))
 		for _, fn := range prog.Funcs {
 			if err := run.RunTrace(fn, interp.NewOracle(99), interp.Config{MaxSteps: 2_000_000}, new(interp.Trace)); err != nil {
 				t.Errorf("%s/%s: %v", p.Name, fn.Name, err)

@@ -56,7 +56,7 @@ func TestGeneratedFunctionsTerminate(t *testing.T) {
 	var run interp.Runner
 	var tr interp.Trace
 	for _, prog := range progs {
-		run.Reset(nil, new(interp.Numbering))
+		run.Reset(nil, new(ir.Numbering))
 		for _, fn := range prog.Funcs {
 			if err := run.RunTrace(fn, interp.NewOracle(99), interp.Config{MaxSteps: 2_000_000}, &tr); err != nil {
 				t.Errorf("%s/%s: %v", prog.Name, fn.Name, err)

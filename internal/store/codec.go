@@ -722,11 +722,10 @@ func decodeSchedules(data []byte, fn *ir.Function, regions []*region.Region) ([]
 	r := &reader{b: data}
 	n := r.count(schedRecMin)
 	out := make([]*sched.Schedule, 0, n)
-	// The spec slices and graph scratch are reused across every schedule in
-	// the entry: Restore copies what it keeps, so only the revived graphs
-	// themselves allocate.
+	// The edge specs and graph scratch are reused across every schedule in
+	// the entry: nodes decode straight into the slab the revived graph
+	// keeps, so only what the graphs retain allocates.
 	var (
-		nodes []ddg.NodeSpec
 		edges []ddg.EdgeSpec
 		sc    ddg.Scratch
 	)
@@ -754,11 +753,7 @@ func decodeSchedules(data []byte, fn *ir.Function, regions []*region.Region) ([]
 			return nil, err
 		}
 		le := binary.LittleEndian
-		if cap(nodes) < nnodes {
-			nodes = make([]ddg.NodeSpec, nnodes)
-		} else {
-			nodes = nodes[:nnodes]
-		}
+		nodes := make([]ddg.Node, nnodes)
 		//rec:size nodeRecSize
 		for i := range nodes {
 			rec := nodeRaw[i*nodeRecSize : i*nodeRecSize+nodeRecSize]
@@ -772,7 +767,7 @@ func decodeSchedules(data []byte, fn *ir.Function, regions []*region.Region) ([]
 				return nil, fmt.Errorf("store: node op index %d out of range in bb%d", opIdx, blockID)
 			}
 			flags := rec[12]
-			nodes[i] = ddg.NodeSpec{
+			nodes[i] = ddg.Node{
 				Op:        b.Ops[opIdx],
 				Home:      ir.BlockID(int32(le.Uint32(rec[8:]))),
 				Term:      flags&1 != 0,

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"treegion/internal/cfg"
-	"treegion/internal/interp"
 	"treegion/internal/ir"
 )
 
@@ -58,7 +57,7 @@ func (sc *Scratch) checkFunction(fn *ir.Function, ifConverted bool) ([]Diagnosti
 // irChecker is the IR rules' working state, kept in a Scratch.
 type irChecker struct {
 	fn  *ir.Function
-	num *interp.Numbering
+	num *ir.Numbering
 	ds  []Diagnostic
 	// opIDs is IR007's set of op IDs below the function's op-ID bound.
 	opIDs regBits
@@ -273,7 +272,6 @@ func (c *irChecker) operands(b *ir.Block, op *ir.Op) {
 func (c *irChecker) mustDefine(g *cfg.Graph) {
 	fn := c.fn
 	num := c.num
-	num.Begin(fn)
 	defer num.Reset()
 	for _, b := range fn.Blocks {
 		for _, op := range b.Ops {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"treegion/internal/cfg"
-	"treegion/internal/interp"
 	"treegion/internal/ir"
 	"treegion/internal/progen"
 )
@@ -159,7 +158,7 @@ func TestMustDefineMatchesReference(t *testing.T) {
 		for _, k := range in.corruptions {
 			f := fn.Clone()
 			corruptControlDefs(f, k, rng)
-			got := &irChecker{fn: f, num: new(interp.Numbering)}
+			got := &irChecker{fn: f, num: new(ir.Numbering)}
 			got.mustDefine(cfg.New(f))
 			want := &irChecker{fn: f}
 			refMustDefine(want)

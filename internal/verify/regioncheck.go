@@ -192,13 +192,8 @@ func (c *regionChecker) tdBounds(i int, r *region.Region, td core.TDConfig) {
 	if td.ExpansionLimit == 0 {
 		return
 	}
-	// Mirror the former's defaulting so callers can pass a raw config.
-	if td.PathLimit <= 0 {
-		td.PathLimit = 20
-	}
-	if td.ExpansionLimit < 1 {
-		td.ExpansionLimit = 1
-	}
+	// The former's defaults, so callers can pass a raw config.
+	td = td.WithDefaults()
 	orig, dup := 0, 0
 	for _, bid := range r.Blocks {
 		if bid < 0 || int(bid) >= len(c.fn.Blocks) {

@@ -6,7 +6,6 @@ import (
 
 	"treegion/internal/cfg"
 	"treegion/internal/ddg"
-	"treegion/internal/interp"
 	"treegion/internal/ir"
 	"treegion/internal/machine"
 	"treegion/internal/region"
@@ -137,7 +136,7 @@ type schedChecker struct {
 	s   *sched.Schedule
 	g   *ddg.Graph
 	lv  *cfg.Liveness
-	num *interp.Numbering
+	num *ir.Numbering
 	// seen holds the addOnce keys reported in this region; it is made when
 	// the first finding is.
 	seen map[seenKey]bool
@@ -410,7 +409,6 @@ func (c *schedChecker) decodeOperands() *pathState {
 	nodes := c.g.Nodes
 	p := &c.p
 	num := c.num
-	num.Begin(c.fn)
 	p.opSlots = p.opSlots[:0]
 	p.span = grow(p.span, len(nodes))
 	p.nreads, p.ndefs = p.nreads[:0], p.ndefs[:0]

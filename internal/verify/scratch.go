@@ -1,6 +1,9 @@
 package verify
 
-import "treegion/internal/interp"
+import (
+	"treegion/internal/interp"
+	"treegion/internal/ir"
+)
 
 // Scratch is the verifier's reusable working set: every table and buffer
 // that does not escape into the diagnostics. CompiledScratch checks a
@@ -20,9 +23,9 @@ import "treegion/internal/interp"
 type Scratch struct {
 	// regs numbers registers for IR009 (per function), the SC path walk
 	// (per region) and the interpreter (per decoded function). Each use
-	// resets it before the next begins; none shares a table with the
-	// compiler's own numberings (ddg, liveness).
-	regs interp.Numbering
+	// resets it before the next begins. It is the verifier's own instance:
+	// no table is shared with the compiler's (ddg's numbering, liveness).
+	regs ir.Numbering
 	// run executes SEM's trips; want and got hold the two sides' traces.
 	run       interp.Runner
 	want, got interp.Trace

@@ -72,7 +72,7 @@ func TestRenamedSpeculationIsHarmless(t *testing.T) {
 	}
 	// Differential check across both oracle outcomes.
 	var run interp.Runner
-	run.Reset(nil, new(interp.Numbering))
+	run.Reset(nil, new(ir.Numbering))
 	for seed := uint64(0); seed < 8; seed++ {
 		want := new(interp.Trace)
 		if err := run.RunTrace(orig, interp.NewOracle(seed), interp.Config{}, want); err != nil {
@@ -113,7 +113,7 @@ func TestLoadLatencyObserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	var run interp.Runner
-	run.Reset(nil, new(interp.Numbering))
+	run.Reset(nil, new(ir.Numbering))
 	want := new(interp.Trace)
 	_ = run.RunTrace(orig, interp.NewOracle(0), interp.Config{}, want)
 	got, err := Run(fr, interp.NewOracle(0), 100)

@@ -23,7 +23,7 @@ func differential(t *testing.T, name string, fn *ir.Function, prof *profile.Data
 		t.Fatalf("%s: %v", name, err)
 	}
 	var run interp.Runner
-	run.Reset(nil, new(interp.Numbering))
+	run.Reset(nil, new(ir.Numbering))
 	for seed := uint64(0); seed < uint64(seeds); seed++ {
 		want := new(interp.Trace)
 		if err := run.RunTrace(orig, interp.NewOracle(seed), interp.Config{MaxSteps: 2_000_000}, want); err != nil {
