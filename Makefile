@@ -38,14 +38,18 @@ test:
 # text ParseProgram accepts to print, re-parse and print back to the same
 # bytes; FuzzDecodeArtifact requires every tgart2 payload to decode as
 # schema skew, as corruption, or to a result whose re-encoding is
-# byte-stable. Neither may panic. Plain `go test` replays the committed
-# corpora (internal/irtext/testdata/fuzz/, internal/store/testdata/fuzz/);
-# a crasher found here lands there too. The artifact seeds run to 50 KB, and
-# minimizing each new input from one would take the default 60 s, so the
-# decoder's minimization is capped at 10 s.
+# byte-stable; FuzzKeyForBody requires every /v1/compile or
+# /v1/compile-batch body to get a shard key or a 400, and every accepted
+# body's normal form to key as the body does. None may panic. Plain `go
+# test` replays the committed corpora (internal/irtext/testdata/fuzz/,
+# internal/store/testdata/fuzz/, cmd/treegiond/testdata/fuzz/) and the
+# seeds; a crasher found here lands there too. The artifact seeds run to
+# 50 KB and a batch seed to 30 KB, and minimizing each new input from one
+# would take the default 60 s, so their minimization is capped at 10 s.
 fuzz:
 	$(GO) test -run XXX -fuzz FuzzParseProgram -fuzztime 60s ./internal/irtext/
 	$(GO) test -run XXX -fuzz FuzzDecodeArtifact -fuzztime 60s -fuzzminimizetime 10s ./internal/store/
+	$(GO) test -run XXX -fuzz FuzzKeyForBody -fuzztime 60s -fuzzminimizetime 10s ./cmd/treegiond/
 
 # The compilation service is concurrent (worker pool, sharded cache,
 # daemon); every PR must pass the race detector, not just the plain tests.

@@ -25,6 +25,7 @@ import (
 	"os"
 
 	"treegion"
+	"treegion/internal/api"
 )
 
 var regionNames = []string{"bb", "slr", "tree", "sb", "tree-td"}
@@ -55,14 +56,22 @@ func main() {
 		fmt.Fprintf(os.Stderr, "treegion-lint: %v\n", err)
 		os.Exit(2)
 	}
-	m, ok := treegion.MachineByName(*machineName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "treegion-lint: unknown machine %q\n", *machineName)
-		os.Exit(2)
+	var configs []treegion.Config
+	for _, kindName := range kinds {
+		for _, hName := range heuristics {
+			_, cfg, err := api.CompileConfig{
+				Region: kindName, Heuristic: hName, Machine: *machineName, ExpansionLimit: *limit,
+			}.Normalize()
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "treegion-lint: %v\n", err)
+				os.Exit(2)
+			}
+			configs = append(configs, cfg)
+		}
 	}
 
 	failed := false
-	files, configs := 0, 0
+	files, linted := 0, 0
 	for _, path := range flag.Args() {
 		src, err := os.ReadFile(path)
 		if err != nil {
@@ -93,30 +102,10 @@ func main() {
 			continue
 		}
 		files++
-		for _, kindName := range kinds {
-			for _, hName := range heuristics {
-				kind, err := treegion.ParseRegionKind(kindName)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "treegion-lint: %v\n", err)
-					os.Exit(2)
-				}
-				h, err := treegion.ParseHeuristic(hName)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "treegion-lint: %v\n", err)
-					os.Exit(2)
-				}
-				cfg := treegion.Config{
-					Kind:                 kind,
-					Heuristic:            h,
-					Machine:              m,
-					Rename:               true,
-					DominatorParallelism: kind == treegion.TreegionTD,
-					TD:                   treegion.TDConfig{ExpansionLimit: *limit, PathLimit: 20, MergeLimit: 4},
-				}
-				configs++
-				if lintOne(path, prog, profs, cfg, *inlineFlag, *quiet) {
-					failed = true
-				}
+		for _, cfg := range configs {
+			linted++
+			if lintOne(path, prog, profs, cfg, *inlineFlag, *quiet) {
+				failed = true
 			}
 		}
 	}
@@ -124,7 +113,7 @@ func main() {
 		os.Exit(1)
 	}
 	if !*quiet {
-		fmt.Printf("treegion-lint: %d file(s) clean across %d configuration(s)\n", files, configs)
+		fmt.Printf("treegion-lint: %d file(s) clean across %d configuration(s)\n", files, linted)
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 	"sort"
 
 	"treegion"
+	"treegion/internal/api"
 	"treegion/internal/telemetry"
 )
 
@@ -60,17 +61,13 @@ func main() {
 		return
 	}
 
-	kind, err := treegion.ParseRegionKind(*regionKind)
+	rename := !*noRename
+	_, cfg, err := api.CompileConfig{
+		Region: *regionKind, Heuristic: *heuristic, Machine: *machineName,
+		Rename: &rename, ExpansionLimit: *limit, IfConvert: *ifConvert,
+	}.Normalize()
 	if err != nil {
 		log.Fatal(err)
-	}
-	h, err := treegion.ParseHeuristic(*heuristic)
-	if err != nil {
-		log.Fatal(err)
-	}
-	m, ok := treegion.MachineByName(*machineName)
-	if !ok {
-		log.Fatalf("unknown machine %q", *machineName)
 	}
 
 	var prog *treegion.Program
@@ -104,15 +101,6 @@ func main() {
 		}
 	}
 
-	cfg := treegion.Config{
-		Kind:                 kind,
-		Heuristic:            h,
-		Machine:              m,
-		Rename:               !*noRename,
-		DominatorParallelism: kind == treegion.TreegionTD,
-		TD:                   treegion.TDConfig{ExpansionLimit: *limit, PathLimit: 20, MergeLimit: 4},
-		IfConvert:            *ifConvert,
-	}
 	ctx := context.Background()
 	copts := []treegion.CompileOption{treegion.WithWorkers(*workers)}
 	if *verifyFlag {
@@ -156,7 +144,7 @@ func main() {
 
 	fmt.Printf("benchmark:      %s (%d functions)\n", prog.Name, len(prog.Funcs))
 	fmt.Printf("configuration:  %s regions, %s heuristic, %s machine, rename=%v\n",
-		kind, h, m.Name, cfg.Rename)
+		cfg.Kind, cfg.Heuristic, cfg.Machine.Name, cfg.Rename)
 	fmt.Printf("estimated time: %.0f cycles (baseline %.0f)\n", res.Time, base.Time)
 	fmt.Printf("speedup:        %.3fx over 1-issue basic blocks\n", treegion.Speedup(base.Time, res.Time))
 	fmt.Printf("code expansion: %.2f\n", res.CodeExpansion)

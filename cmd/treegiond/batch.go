@@ -29,47 +29,8 @@ import (
 	"time"
 
 	"treegion"
+	"treegion/internal/api"
 )
-
-// batchRequest is the POST /v1/compile-batch body: shared configuration
-// (same fields and defaults as /v1/compile) plus the function list.
-type batchRequest struct {
-	Functions []batchFunction `json:"functions"`
-
-	Region         string  `json:"region"`
-	Heuristic      string  `json:"heuristic"`
-	Machine        string  `json:"machine"`
-	Rename         *bool   `json:"rename"`
-	DomPar         bool    `json:"dompar"`
-	IfConvert      bool    `json:"ifconvert"`
-	ExpansionLimit float64 `json:"expansion_limit"`
-	Seed           uint64  `json:"seed"`
-	Trips          int     `json:"trips"`
-	Schedules      bool    `json:"schedules"`
-	Verify         bool    `json:"verify"`
-	// Inline resolves the batch's functions into one program and splices
-	// eligible callees into the growing treegions. The batch must form a
-	// valid program: function names unique, every named callee present in
-	// the batch, call arities matching the callee signatures.
-	Inline bool `json:"inline"`
-}
-
-// batchFunction is one function of a batch.
-type batchFunction struct {
-	IR string `json:"ir"`
-}
-
-// batchRequestFields lists the accepted body fields for the unknown-field
-// 400.
-var batchRequestFields = []string{
-	"functions", "region", "heuristic", "machine", "rename", "dompar",
-	"ifconvert", "expansion_limit", "seed", "trips", "schedules", "verify",
-	"inline",
-}
-
-// maxBatchFunctions bounds one batch; bigger workloads belong on several
-// requests (which the router will spread across shards anyway).
-const maxBatchFunctions = 1024
 
 // batchLine is one NDJSON result line. Exactly one of Result and Error is
 // set. Result carries no wall-clock fields — lines are deterministic in the
@@ -97,47 +58,6 @@ type batchSummary struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
-// compileRequestFor projects the shared batch configuration onto the
-// single-compile request shape so configFrom/parseAndProfile/shapeResponse
-// are shared verbatim with /v1/compile.
-func (br *batchRequest) compileRequestFor(ir string) *compileRequest {
-	return &compileRequest{
-		IR:             ir,
-		Region:         br.Region,
-		Heuristic:      br.Heuristic,
-		Machine:        br.Machine,
-		Rename:         br.Rename,
-		DomPar:         br.DomPar,
-		IfConvert:      br.IfConvert,
-		ExpansionLimit: br.ExpansionLimit,
-		Seed:           br.Seed,
-		Trips:          br.Trips,
-		Schedules:      br.Schedules,
-		Verify:         br.Verify,
-		Inline:         br.Inline,
-	}
-}
-
-func decodeBatchRequest(data []byte) (*batchRequest, *apiError) {
-	var req batchRequest
-	if aerr := decodeStrict(data, &req, batchRequestFields); aerr != nil {
-		return nil, aerr
-	}
-	if len(req.Functions) == 0 {
-		return nil, apiErr(http.StatusBadRequest, "missing_field", fmt.Errorf("missing or empty \"functions\" field"))
-	}
-	if len(req.Functions) > maxBatchFunctions {
-		return nil, apiErr(http.StatusBadRequest, "batch_too_large",
-			fmt.Errorf("%d functions in one batch (max %d)", len(req.Functions), maxBatchFunctions))
-	}
-	for i, f := range req.Functions {
-		if f.IR == "" {
-			return nil, apiErr(http.StatusBadRequest, "missing_field", fmt.Errorf("functions[%d]: missing \"ir\" field", i))
-		}
-	}
-	return &req, nil
-}
-
 func (s *server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 	s.reg.Counter("treegiond_http_compile_batch_requests_total", "POST /v1/compile-batch requests.").Inc()
 	if r.Method != http.MethodPost {
@@ -145,20 +65,14 @@ func (s *server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	started := time.Now()
-	body, aerr := s.readBody(w, r)
-	if aerr != nil {
-		s.writeError(w, aerr)
+	body, f := api.ReadBody(w, r)
+	if f != nil {
+		s.writeError(w, f)
 		return
 	}
-	req, aerr := decodeBatchRequest(body)
-	if aerr != nil {
-		s.writeError(w, aerr)
-		return
-	}
-	shared := req.compileRequestFor("")
-	cfg, err := s.configFrom(shared)
-	if err != nil {
-		s.writeError(w, apiErr(http.StatusBadRequest, "bad_config", err))
+	req, f := api.DecodeBatch(body)
+	if f != nil {
+		s.writeError(w, f)
 		return
 	}
 	// Parse and profile every function before the first response byte, so
@@ -167,11 +81,11 @@ func (s *server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 	n := len(req.Functions)
 	fns := make([]*treegion.Function, n)
 	profs := make([]*treegion.ProfileData, n)
-	for i, f := range req.Functions {
-		fn, prof, aerr := s.parseAndProfile(req.compileRequestFor(f.IR))
-		if aerr != nil {
-			aerr.msg = fmt.Sprintf("functions[%d]: %s", i, aerr.msg)
-			s.writeError(w, aerr)
+	for i, bf := range req.Functions {
+		fn, prof, f := s.parseAndProfile(bf.IR, &req.CompileConfig)
+		if f != nil {
+			f.Detail.Message = fmt.Sprintf("functions[%d]: %s", i, f.Detail.Message)
+			s.writeError(w, f)
 			return
 		}
 		fns[i], profs[i] = fn, prof
@@ -181,7 +95,7 @@ func (s *server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 	// pipeline would re-derive the same failure after the 200 header).
 	if req.Inline {
 		if _, err := treegion.ResolveProgram(fns); err != nil {
-			s.writeError(w, apiErr(http.StatusBadRequest, "bad_program", err))
+			s.writeError(w, api.Fail(http.StatusBadRequest, "bad_program", err))
 			return
 		}
 	}
@@ -195,18 +109,20 @@ func (s *server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 
 	rc := http.NewResponseController(w)
 	enc := json.NewEncoder(w)
+	// Every line is shaped as a /v1/compile reply to the batch's config.
+	shape := api.CompileBody{CompileConfig: req.CompileConfig, Schedules: req.Schedules}
 	nErrors, nCached := 0, 0
 	emit := func(i int, fr *treegion.FunctionResult, cached bool, cerr error) error {
 		line := batchLine{Index: i}
 		if cerr != nil {
 			nErrors++
-			ae := compileError(cerr)
-			line.Error = &batchLineError{Code: ae.code, Message: ae.msg, Rules: ae.rules}
+			f := compileError(cerr)
+			line.Error = &batchLineError{Code: f.Detail.Code, Message: f.Detail.Message, Rules: f.Detail.Rules}
 		} else {
 			if cached {
 				nCached++
 			}
-			line.Result = s.shapeResponse(req.compileRequestFor(req.Functions[i].IR), fr, cached)
+			line.Result = s.shapeResponse(&shape, fr, cached)
 		}
 		// Each line gets its own write window: long batches must not trip
 		// the server-wide response write timeout mid-stream.
@@ -216,8 +132,7 @@ func (s *server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		return rc.Flush()
 	}
-	err = treegion.CompileEach(r.Context(), fns, profs, cfg, emit, s.compileOptions(req.Verify, req.Inline)...)
-	if err != nil {
+	if err := treegion.CompileEach(r.Context(), fns, profs, req.Config, emit, s.compileOptions(req.Verify, req.Inline)...); err != nil {
 		// The client is gone (write failure or disconnect-driven cancel);
 		// there is nobody left to send a summary to.
 		s.reg.Counter("treegiond_http_compile_batch_aborts_total",

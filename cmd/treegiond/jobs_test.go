@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"treegion/internal/api"
 )
 
 // storeServer builds a server backed by a persistent store directory (for
@@ -144,7 +146,7 @@ func TestJobQueueOverflowAnswers429(t *testing.T) {
 			}
 			accepted = append(accepted, jr.ID)
 		case http.StatusTooManyRequests:
-			var er errorResponse
+			var er api.Error
 			if err := json.Unmarshal(data, &er); err != nil {
 				t.Fatal(err)
 			}
@@ -189,6 +191,22 @@ func TestJobBadPayloadRejectedAtSubmit(t *testing.T) {
 	}
 	if er := decodeError(t, resp); er.Error.Code != "unknown_field" {
 		t.Fatalf("code %q", er.Error.Code)
+	}
+}
+
+// TestJobBadConfigRejectedAtSubmit: a payload whose config the normal form
+// refuses answers 400 bad_config at submission, and no job is queued.
+func TestJobBadConfigRejectedAtSubmit(t *testing.T) {
+	s, ts := testServer(t)
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(mustJSON(t, map[string]any{"ir": fig1(t), "region": "nope"})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if er := decodeError(t, resp); resp.StatusCode != http.StatusBadRequest || er.Error.Code != "bad_config" {
+		t.Fatalf("status %d, code %q; want 400 bad_config", resp.StatusCode, er.Error.Code)
+	}
+	if n := len(s.jobs.List()); n != 0 {
+		t.Fatalf("%d jobs queued, want 0", n)
 	}
 }
 

@@ -6,7 +6,7 @@
 // Endpoints (API v1; any other path is a structured 404 not_found):
 //
 //	POST   /v1/compile    {"ir": "func f\nbb0:\n  ...", "region": "tree", ...}
-//	                      → schedule metadata + timing JSON (see compileRequest)
+//	                      → schedule metadata + timing JSON (see api.CompileBody)
 //	POST   /v1/jobs       same body → 202 {"id": "j...", "state": "queued"};
 //	                      429 queue_full when the bounded queue overflows
 //	GET    /v1/jobs       list known jobs, newest first

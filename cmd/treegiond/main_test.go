@@ -60,10 +60,10 @@ func postCompile(t *testing.T, ts *httptest.Server, body string) (*http.Response
 }
 
 // decodeError reads a structured {"error": {"code", "message"}} body.
-func decodeError(t *testing.T, resp *http.Response) errorResponse {
+func decodeError(t *testing.T, resp *http.Response) api.Error {
 	t.Helper()
 	defer resp.Body.Close()
-	var er errorResponse
+	var er api.Error
 	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
 		t.Fatalf("decode error body: %v", err)
 	}
@@ -188,7 +188,7 @@ func TestBodyTooLarge(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	fmt.Fprintf(conn, "POST /v1/compile HTTP/1.1\r\nHost: daemon\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", maxBodyBytes+1)
+	fmt.Fprintf(conn, "POST /v1/compile HTTP/1.1\r\nHost: daemon\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", api.MaxBodyBytes+1)
 	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +198,7 @@ func TestBodyTooLarge(t *testing.T) {
 	}
 
 	// Hiding the reader's length makes the client send it chunked.
-	chunked := struct{ io.Reader }{strings.NewReader(strings.Repeat(" ", maxBodyBytes+1))}
+	chunked := struct{ io.Reader }{strings.NewReader(strings.Repeat(" ", api.MaxBodyBytes+1))}
 	hc := &http.Client{Timeout: 10 * time.Second}
 	resp, err = hc.Post(ts.URL+"/v1/compile", "application/json", chunked)
 	if err != nil {
@@ -354,7 +354,7 @@ func TestTrailingDataIsBadJSON(t *testing.T) {
 			if er := decodeError(t, resp); er.Error.Code != "bad_json" {
 				t.Errorf("%s %s: error code %q, want bad_json", ep.path, tc.name, er.Error.Code)
 			}
-			if _, err := router.KeyForBody([]byte(tc.body)); err == nil {
+			if _, err := router.KeyForBody(ep.path, []byte(tc.body)); err == nil {
 				t.Errorf("%s %s: the router would shard a body the daemon rejects", ep.path, tc.name)
 			}
 		}

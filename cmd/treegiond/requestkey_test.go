@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"treegion"
+	"treegion/internal/api"
 	"treegion/internal/compcache"
 )
 
@@ -259,10 +260,9 @@ func TestRequestKeyLoadErrorsNotCached(t *testing.T) {
 // the cache, every time, without parsing.
 func TestRequestKeyVerifiedHitHoldsError(t *testing.T) {
 	s, ts := testServer(t)
-	req := &compileRequest{IR: fig1(t), Verify: true}
-	cfg, err := s.configFrom(req)
-	if err != nil {
-		t.Fatal(err)
+	req, f := api.DecodeCompile([]byte(mustJSON(t, map[string]any{"ir": fig1(t), "verify": true})))
+	if f != nil {
+		t.Fatal(f)
 	}
 	fn, err := treegion.ParseFunction(req.IR)
 	if err != nil {
@@ -272,13 +272,13 @@ func TestRequestKeyVerifiedHitHoldsError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, _, err := treegion.CompileOne(context.Background(), fn, prof, cfg)
+	fr, _, err := treegion.CompileOne(context.Background(), fn, prof, req.Config)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := *fr
 	bad.Diagnostics = []treegion.Diagnostic{{Rule: "SC001", Severity: treegion.SeverityError, Fn: fn.Name, Block: 0, Op: -1, Message: "planted"}}
-	s.cache.Put(requestKey(req, cfg), compcache.NewEntry(&bad))
+	s.cache.Put(req.Key(), compcache.NewEntry(&bad))
 	for i := 0; i < 2; i++ {
 		resp, err := http.Post(ts.URL+"/v1/compile", "application/json", strings.NewReader(mustJSON(t, map[string]any{"ir": req.IR, "verify": true})))
 		if err != nil {

@@ -1,13 +1,10 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/pprof"
 	"strings"
@@ -15,7 +12,6 @@ import (
 
 	"treegion"
 	"treegion/internal/api"
-	"treegion/internal/compcache"
 	"treegion/internal/jobs"
 	"treegion/internal/telemetry"
 )
@@ -150,48 +146,6 @@ func debugRoutes() http.Handler {
 	return mux
 }
 
-// compileRequest is the POST /v1/compile body. The function arrives as
-// textual IR (the internal/irtext grammar); the configuration arrives by
-// name, mirroring treegionc's flags. Zero values select the paper's
-// defaults (treegions, global weight, 4U, renaming on). Unknown fields are
-// rejected with a structured 400.
-type compileRequest struct {
-	IR        string `json:"ir"`
-	Region    string `json:"region"`    // bb, slr, tree, sb, tree-td (default tree)
-	Heuristic string `json:"heuristic"` // depheight, exitcount, globalweight, weightedcount
-	Machine   string `json:"machine"`   // 1U, 4U, 8U, 16U (default 4U)
-	// Rename defaults to true; send false explicitly to disable.
-	Rename    *bool `json:"rename"`
-	DomPar    bool  `json:"dompar"`
-	IfConvert bool  `json:"ifconvert"`
-	// ExpansionLimit bounds tree-td tail duplication (default 2.0).
-	ExpansionLimit float64 `json:"expansion_limit"`
-	// Seed and Trips drive the stochastic profiler (defaults 1 and 100).
-	Seed  uint64 `json:"seed"`
-	Trips int    `json:"trips"`
-	// Schedules requests the textual schedules in the response.
-	Schedules bool `json:"schedules"`
-	// Trace requests the per-phase compile trace in the response.
-	Trace bool `json:"trace"`
-	// Verify runs the static schedule verifier over the result. A schedule
-	// with Error-severity diagnostics is rejected with a 422 verify_failed
-	// error listing the violated rule IDs; advisory diagnostics ride along
-	// in the response.
-	Verify bool `json:"verify"`
-	// Inline enables demand-driven inline-on-absorb: the request's functions
-	// are resolved into a program and calls whose callee fits the default
-	// budgets are spliced into the growing treegions. Requires the "ir" field
-	// to resolve as a program (callees defined, arities matching).
-	Inline bool `json:"inline"`
-}
-
-// compileRequestFields lists the accepted body fields, quoted in the
-// structured 400 a request with an unknown field receives.
-var compileRequestFields = []string{
-	"ir", "region", "heuristic", "machine", "rename", "dompar", "ifconvert",
-	"expansion_limit", "seed", "trips", "schedules", "trace", "verify", "inline",
-}
-
 // tracePhase is one row of the optional per-phase trace in the response.
 type tracePhase struct {
 	Calls int64   `json:"calls"`
@@ -232,173 +186,38 @@ type compileResponse struct {
 	Diagnostics []string `json:"diagnostics,omitempty"`
 }
 
-// errorResponse is the structured error body every non-2xx reply carries:
-// {"error": {"code": "...", "message": "..."}}. The shape is defined once
-// in internal/api and shared with the router, so the two binaries cannot
-// drift apart.
-type errorResponse = api.Error
-
-func (s *server) configFrom(req *compileRequest) (treegion.Config, error) {
-	var zero treegion.Config
-	if req.Region == "" {
-		req.Region = "tree"
-	}
-	if req.Heuristic == "" {
-		req.Heuristic = "globalweight"
-	}
-	if req.Machine == "" {
-		req.Machine = "4U"
-	}
-	if req.ExpansionLimit == 0 {
-		req.ExpansionLimit = 2.0
-	}
-	kind, err := treegion.ParseRegionKind(req.Region)
-	if err != nil {
-		return zero, err
-	}
-	h, err := treegion.ParseHeuristic(req.Heuristic)
-	if err != nil {
-		return zero, err
-	}
-	m, ok := treegion.MachineByName(req.Machine)
-	if !ok {
-		return zero, fmt.Errorf("unknown machine %q (want 1U, 4U, 8U or 16U)", req.Machine)
-	}
-	rename := true
-	if req.Rename != nil {
-		rename = *req.Rename
-	}
-	return treegion.Config{
-		Kind:                 kind,
-		Heuristic:            h,
-		Machine:              m,
-		Rename:               rename,
-		DominatorParallelism: req.DomPar || kind == treegion.TreegionTD,
-		TD:                   treegion.TDConfig{ExpansionLimit: req.ExpansionLimit, PathLimit: 20, MergeLimit: 4},
-		IfConvert:            req.IfConvert,
-	}, nil
-}
-
-// unknownField extracts the field name from the json package's
-// DisallowUnknownFields error, which is only exposed as text.
-func unknownField(err error) (string, bool) {
-	const marker = `json: unknown field "`
-	msg := err.Error()
-	i := strings.Index(msg, marker)
-	if i < 0 {
-		return "", false
-	}
-	rest := msg[i+len(marker):]
-	if j := strings.IndexByte(rest, '"'); j >= 0 {
-		return rest[:j], true
-	}
-	return "", false
-}
-
-// apiError is one structured API failure: an HTTP status, a
-// machine-readable code and the verify detail when applicable. It doubles
-// as the job runner's error type, so a failed job reports the same code a
-// synchronous request would have.
-type apiError struct {
-	status int
-	code   string
-	msg    string
-	rules  []string
-	diags  []string
-}
-
-func (e *apiError) Error() string { return e.msg }
-
-// Code implements jobs.Coder: the code lands in Job.ErrorCode.
-func (e *apiError) Code() string { return e.code }
-
-func apiErr(status int, code string, err error) *apiError {
-	return &apiError{status: status, code: code, msg: err.Error()}
-}
-
-// decodeStrict decodes a request body holding exactly one JSON value into
-// v. A field v does not declare is a 400 unknown_field listing the valid
-// ones; malformed JSON, or any data after the first value, is a 400
-// bad_json — the same bodies the router's KeyForBody refuses to route.
-func decodeStrict(data []byte, v any, valid []string) *apiError {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
-	if err == nil {
-		if _, terr := dec.Token(); terr != io.EOF {
-			err = fmt.Errorf("data after the JSON value at offset %d", dec.InputOffset())
-		}
-	}
-	if err == nil {
-		return nil
-	}
-	if f, ok := unknownField(err); ok {
-		return apiErr(http.StatusBadRequest, "unknown_field",
-			fmt.Errorf("unknown config field %q (valid fields: %s)", f, strings.Join(valid, ", ")))
-	}
-	return apiErr(http.StatusBadRequest, "bad_json", fmt.Errorf("bad request body: %w", err))
-}
-
-// decodeCompileRequest parses one compile-request body (the POST
-// /v1/compile body and the POST /v1/jobs payload share this format).
-func decodeCompileRequest(data []byte) (*compileRequest, *apiError) {
-	var req compileRequest
-	if aerr := decodeStrict(data, &req, compileRequestFields); aerr != nil {
-		return nil, aerr
-	}
-	if req.IR == "" {
-		return nil, apiErr(http.StatusBadRequest, "missing_field", fmt.Errorf("missing \"ir\" field"))
-	}
-	return &req, nil
-}
-
-// parseAndProfile turns one request's IR into a parsed function and its
-// stochastic profile (the compile pipeline's two inputs).
-func (s *server) parseAndProfile(req *compileRequest) (*treegion.Function, *treegion.ProfileData, *apiError) {
+// parseAndProfile turns one function's IR into a parsed function and its
+// stochastic profile under c (the compile pipeline's two inputs).
+func (s *server) parseAndProfile(ir string, c *api.CompileConfig) (*treegion.Function, *treegion.ProfileData, *api.Failure) {
 	start := time.Now()
-	fn, err := treegion.ParseFunction(req.IR)
+	fn, err := treegion.ParseFunction(ir)
 	s.parseSeconds.ObserveDuration(time.Since(start))
 	if err != nil {
-		return nil, nil, apiErr(http.StatusBadRequest, "bad_ir", fmt.Errorf("parse ir: %w", err))
+		return nil, nil, api.Fail(http.StatusBadRequest, "bad_ir", fmt.Errorf("parse ir: %w", err))
 	}
-	prof, err := s.profile(req, fn, 0)
+	prof, err := s.profile(c, fn, 0)
 	if err != nil {
-		return nil, nil, apiErr(http.StatusUnprocessableEntity, "profile_failed", fmt.Errorf("profile: %w", err))
+		return nil, nil, api.Fail(http.StatusUnprocessableEntity, "profile_failed", fmt.Errorf("profile: %w", err))
 	}
 	return fn, prof, nil
 }
 
-// profileParams are the request's profiling seed and trips with their
-// defaults applied: seed 0 is 1, and trips of 0 or fewer are 100.
-func profileParams(req *compileRequest) (seed uint64, trips int) {
-	seed, trips = req.Seed, req.Trips
-	if seed == 0 {
-		seed = 1
-	}
-	if trips <= 0 {
-		trips = 100
-	}
-	return seed, trips
-}
-
-// profile profiles fn as function i of req: at the request's seed plus i,
-// for its trips.
-func (s *server) profile(req *compileRequest, fn *treegion.Function, i int) (*treegion.ProfileData, error) {
-	seed, trips := profileParams(req)
+// profile profiles fn as function i of a body normalized to c: at its seed
+// plus i, for its trips.
+func (s *server) profile(c *api.CompileConfig, fn *treegion.Function, i int) (*treegion.ProfileData, error) {
 	start := time.Now()
-	prof, err := treegion.ProfileFunction(fn, seed+uint64(i), trips)
+	prof, err := treegion.ProfileFunction(fn, c.Seed+uint64(i), c.Trips)
 	s.profileSeconds.ObserveDuration(time.Since(start))
 	return prof, err
 }
 
-// parseProgram parses the request's IR as a program of one or more
-// functions.
-func (s *server) parseProgram(req *compileRequest) (*treegion.IRProgram, *apiError) {
+// parseProgram parses ir as a program of one or more functions.
+func (s *server) parseProgram(ir string) (*treegion.IRProgram, *api.Failure) {
 	start := time.Now()
-	irprog, err := treegion.ParseIRProgram(req.IR)
+	irprog, err := treegion.ParseIRProgram(ir)
 	s.parseSeconds.ObserveDuration(time.Since(start))
 	if err != nil {
-		return nil, apiErr(http.StatusBadRequest, "bad_ir", fmt.Errorf("parse ir: %w", err))
+		return nil, api.Fail(http.StatusBadRequest, "bad_ir", fmt.Errorf("parse ir: %w", err))
 	}
 	return irprog, nil
 }
@@ -424,34 +243,17 @@ func (s *server) compileOptions(verify, inlineOn bool) []treegion.CompileOption 
 }
 
 // compileError maps a pipeline error onto the structured API error space.
-func compileError(err error) *apiError {
+func compileError(err error) *api.Failure {
 	var vf *treegion.VerifyFailure
 	if errors.As(err, &vf) {
-		ae := apiErr(http.StatusUnprocessableEntity, "verify_failed", vf)
-		ae.rules = vf.Rules()
+		f := api.Fail(http.StatusUnprocessableEntity, "verify_failed", vf)
+		f.Detail.Rules = vf.Rules()
 		for _, d := range vf.Diagnostics {
-			ae.diags = append(ae.diags, d.String())
+			f.Detail.Diagnostics = append(f.Detail.Diagnostics, d.String())
 		}
-		return ae
+		return f
 	}
-	return apiErr(http.StatusUnprocessableEntity, "compile_failed", fmt.Errorf("compile: %w", err))
-}
-
-// requestKey addresses a single-function compile by its request: the IR
-// text byte for byte, the profiling seed and trips, the config's
-// fingerprint and the verify flag, but not schedules or trace, which only
-// shape the response. The "/request" tag keeps it apart from every
-// content key (DESIGN.md §27).
-func requestKey(req *compileRequest, cfg treegion.Config) treegion.CacheKey {
-	seed, trips := profileParams(req)
-	var params [16]byte
-	binary.LittleEndian.PutUint64(params[:8], seed)
-	binary.LittleEndian.PutUint64(params[8:], uint64(trips))
-	fp := cfg.Fingerprint()
-	if req.Verify {
-		fp += "/verify"
-	}
-	return compcache.KeyOfBytes([]byte(req.IR), params[:], fp+"/request")
+	return api.Fail(http.StatusUnprocessableEntity, "compile_failed", fmt.Errorf("compile: %w", err))
 }
 
 // compile is the request core shared by the synchronous handler and the
@@ -460,70 +262,66 @@ func requestKey(req *compileRequest, cfg treegion.Config) treegion.CacheKey {
 // inlining is looked up by its request key and parsed and profiled only
 // when neither tier holds it; a multi-function "ir" or "inline": true
 // compiles the resolved program as one unit.
-func (s *server) compile(ctx context.Context, req *compileRequest) (*compileResponse, *apiError) {
-	cfg, err := s.configFrom(req)
-	if err != nil {
-		return nil, apiErr(http.StatusBadRequest, "bad_config", err)
-	}
+func (s *server) compile(ctx context.Context, req *api.Compile) (*compileResponse, *api.Failure) {
 	// Inline requests and multi-function sources (the single-function parser
 	// rejects a second `func` declaration) go through the program path. Only
 	// a body the single-function parser rejected falls back to it: a body
 	// that parsed but failed to profile is not profiled a second time.
 	if req.Inline {
-		return s.compileProgram(ctx, req, cfg, nil)
+		return s.compileProgram(ctx, req, nil)
 	}
-	fr, cached, err := treegion.CompileKeyed(ctx, requestKey(req, cfg), func() (*treegion.Function, *treegion.ProfileData, error) {
-		fn, prof, aerr := s.parseAndProfile(req)
-		if aerr != nil {
-			return nil, nil, aerr
+	fr, cached, err := treegion.CompileKeyed(ctx, req.Key(), func() (*treegion.Function, *treegion.ProfileData, error) {
+		fn, prof, f := s.parseAndProfile(req.IR, &req.CompileConfig)
+		if f != nil {
+			return nil, nil, f
 		}
 		return fn, prof, nil
-	}, cfg, s.compileOptions(req.Verify, false)...)
-	if aerr, ok := err.(*apiError); ok {
-		if aerr.code == "bad_ir" {
-			if irprog, perr := s.parseProgram(req); perr == nil {
-				return s.compileProgram(ctx, req, cfg, irprog)
+	}, req.Config, s.compileOptions(req.Verify, false)...)
+	if f, ok := err.(*api.Failure); ok {
+		if f.Detail.Code == "bad_ir" {
+			if irprog, perr := s.parseProgram(req.IR); perr == nil {
+				return s.compileProgram(ctx, req, irprog)
 			}
 		}
-		return nil, aerr
+		return nil, f
 	}
 	if err != nil {
 		return nil, compileError(err)
 	}
-	return s.shapeResponse(req, fr, cached), nil
+	return s.shapeResponse(&req.CompileBody, fr, cached), nil
 }
 
 // compileProgram serves the interprocedural request shape: the "ir" field
 // holds a whole program, whose call graph must resolve; with "inline" set,
 // eligible callees splice into the growing treegions. irprog is the body
 // already parsed as a program, or nil to parse it here.
-func (s *server) compileProgram(ctx context.Context, req *compileRequest, cfg treegion.Config, irprog *treegion.IRProgram) (*compileResponse, *apiError) {
+func (s *server) compileProgram(ctx context.Context, req *api.Compile, irprog *treegion.IRProgram) (*compileResponse, *api.Failure) {
 	if irprog == nil {
-		var aerr *apiError
-		if irprog, aerr = s.parseProgram(req); aerr != nil {
-			return nil, aerr
+		var f *api.Failure
+		if irprog, f = s.parseProgram(req.IR); f != nil {
+			return nil, f
 		}
 	}
 	prog := &treegion.Program{Name: irprog.Funcs[0].Name, Funcs: irprog.Funcs}
 	var profs treegion.Profiles
 	for i, fn := range irprog.Funcs {
-		prof, err := s.profile(req, fn, i)
+		prof, err := s.profile(&req.CompileConfig, fn, i)
 		if err != nil {
-			return nil, apiErr(http.StatusUnprocessableEntity, "profile_failed", fmt.Errorf("profile %s: %w", fn.Name, err))
+			return nil, api.Fail(http.StatusUnprocessableEntity, "profile_failed", fmt.Errorf("profile %s: %w", fn.Name, err))
 		}
 		profs = append(profs, prof)
 	}
-	res, err := treegion.Compile(ctx, prog, profs, cfg, s.compileOptions(req.Verify, req.Inline)...)
+	res, err := treegion.Compile(ctx, prog, profs, req.Config, s.compileOptions(req.Verify, req.Inline)...)
 	if err != nil {
 		return nil, compileError(err)
 	}
-	return s.shapeProgramResponse(req, res), nil
+	return s.shapeProgramResponse(&req.CompileBody, res), nil
 }
 
 // shapeProgramResponse renders a whole-program compile: aggregate time,
 // code size, scheduling counters and the inline record, with the
 // per-function details (schedules, traces) concatenated in function order.
-func (s *server) shapeProgramResponse(req *compileRequest, res *treegion.ProgramResult) *compileResponse {
+func (s *server) shapeProgramResponse(req *api.CompileBody, res *treegion.ProgramResult) *compileResponse {
 	resp := &compileResponse{
 		Function:  res.Name,
 		Functions: len(res.Funcs),
@@ -564,7 +362,7 @@ func (s *server) shapeProgramResponse(req *compileRequest, res *treegion.Program
 
 // shapeResponse renders one compiled function as the API response body
 // (shared by /v1/compile, /v1/jobs and each /v1/compile-batch line).
-func (s *server) shapeResponse(req *compileRequest, fr *treegion.FunctionResult, cached bool) *compileResponse {
+func (s *server) shapeResponse(req *api.CompileBody, fr *treegion.FunctionResult, cached bool) *compileResponse {
 	resp := &compileResponse{
 		Function:       fr.Fn.Name,
 		Time:           fr.Time,
@@ -614,35 +412,6 @@ func (s *server) shapeResponse(req *compileRequest, fr *treegion.FunctionResult,
 	return resp
 }
 
-// maxBodyBytes bounds one request body.
-const maxBodyBytes = 8 << 20
-
-// readBody drains one bounded request body. A body of declared length is
-// read into one buffer of that length, and one declared over the bound is
-// refused unread; a body of unknown length is read up to the bound.
-func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, *apiError) {
-	if r.ContentLength > maxBodyBytes {
-		return nil, apiErr(http.StatusRequestEntityTooLarge, "body_too_large",
-			fmt.Errorf("request body of %d bytes is over the %d-byte limit", r.ContentLength, maxBodyBytes))
-	}
-	var data []byte
-	var err error
-	if r.ContentLength >= 0 {
-		data = make([]byte, r.ContentLength)
-		_, err = io.ReadFull(r.Body, data)
-	} else {
-		data, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	}
-	if err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return nil, apiErr(http.StatusRequestEntityTooLarge, "body_too_large", err)
-		}
-		return nil, apiErr(http.StatusBadRequest, "bad_body", fmt.Errorf("read request body: %w", err))
-	}
-	return data, nil
-}
-
 func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	s.reg.Counter("treegiond_http_compile_requests_total", "POST /v1/compile requests.").Inc()
 	if r.Method != http.MethodPost {
@@ -650,19 +419,19 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	started := time.Now()
-	body, aerr := s.readBody(w, r)
-	if aerr != nil {
-		s.writeError(w, aerr)
+	body, f := api.ReadBody(w, r)
+	if f != nil {
+		s.writeError(w, f)
 		return
 	}
-	req, aerr := decodeCompileRequest(body)
-	if aerr != nil {
-		s.writeError(w, aerr)
+	req, f := api.DecodeCompile(body)
+	if f != nil {
+		s.writeError(w, f)
 		return
 	}
-	resp, aerr := s.compile(r.Context(), req)
-	if aerr != nil {
-		s.writeError(w, aerr)
+	resp, f := s.compile(r.Context(), req)
+	if f != nil {
+		s.writeError(w, f)
 		return
 	}
 	resp.ElapsedMS = float64(time.Since(started).Microseconds()) / 1000
@@ -676,14 +445,14 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 // request body, the result is the same compileResponse the synchronous
 // endpoint returns.
 func (s *server) runJob(ctx context.Context, payload json.RawMessage) (json.RawMessage, error) {
-	req, aerr := decodeCompileRequest(payload)
-	if aerr != nil {
-		return nil, aerr
+	req, f := api.DecodeCompile(payload)
+	if f != nil {
+		return nil, f
 	}
 	started := time.Now()
-	resp, aerr := s.compile(ctx, req)
-	if aerr != nil {
-		return nil, aerr
+	resp, f := s.compile(ctx, req)
+	if f != nil {
+		return nil, f
 	}
 	resp.ElapsedMS = float64(time.Since(started).Microseconds()) / 1000
 	return json.Marshal(resp)
@@ -716,28 +485,28 @@ func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	s.reg.Counter("treegiond_http_jobs_requests_total", "/v1/jobs requests.").Inc()
 	switch r.Method {
 	case http.MethodPost:
-		body, aerr := s.readBody(w, r)
-		if aerr != nil {
-			s.writeError(w, aerr)
+		body, f := api.ReadBody(w, r)
+		if f != nil {
+			s.writeError(w, f)
 			return
 		}
 		// Reject malformed payloads at submission, not at execution.
-		if _, aerr := decodeCompileRequest(body); aerr != nil {
-			s.writeError(w, aerr)
+		if _, f := api.DecodeCompile(body); f != nil {
+			s.writeError(w, f)
 			return
 		}
 		j, err := s.jobs.Submit(body)
 		switch {
 		case errors.Is(err, jobs.ErrQueueFull):
-			s.writeError(w, apiErr(http.StatusTooManyRequests, "queue_full",
+			s.writeError(w, api.Fail(http.StatusTooManyRequests, "queue_full",
 				fmt.Errorf("job queue is full; retry later or raise -job-queue")))
 			return
 		case errors.Is(err, jobs.ErrDraining):
-			s.writeError(w, apiErr(http.StatusServiceUnavailable, "draining",
+			s.writeError(w, api.Fail(http.StatusServiceUnavailable, "draining",
 				fmt.Errorf("daemon is shutting down")))
 			return
 		case err != nil:
-			s.writeError(w, apiErr(http.StatusInternalServerError, "submit_failed", err))
+			s.writeError(w, api.Fail(http.StatusInternalServerError, "submit_failed", err))
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -790,20 +559,15 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 // fail writes the structured error body with the given HTTP status and
 // machine-readable code.
 func (s *server) fail(w http.ResponseWriter, status int, code string, err error) {
-	s.writeError(w, apiErr(status, code, err))
+	s.writeError(w, api.Fail(status, code, err))
 }
 
-// writeError answers one request with a structured apiError, carrying the
-// verifier rule IDs and diagnostics when the error has them.
-func (s *server) writeError(w http.ResponseWriter, e *apiError) {
+// writeError answers one request with a structured failure, carrying the
+// verifier rule IDs and diagnostics when the failure has them.
+func (s *server) writeError(w http.ResponseWriter, f *api.Failure) {
 	s.reg.Counter("treegiond_http_request_errors_total",
 		"Requests answered with an error status.").Inc()
-	api.WriteError(w, e.status, api.ErrorDetail{
-		Code:        e.code,
-		Message:     e.msg,
-		Rules:       e.rules,
-		Diagnostics: e.diags,
-	})
+	api.WriteError(w, f.Status, f.Detail)
 }
 
 // handleStoreStats reports the persistent artifact store's counters — the

@@ -37,7 +37,7 @@ func main() {
 		cfg := treegion.Config{
 			Kind: kind, Heuristic: treegion.GlobalWeight, Machine: treegion.FourU,
 			Rename: rename, DominatorParallelism: kind == treegion.TreegionTD,
-			TD: treegion.TDConfig{ExpansionLimit: 2.0, PathLimit: 20, MergeLimit: 4},
+			TD: treegion.DefaultConfig().TD,
 		}
 		res, err := treegion.CompileFunction(fn.Clone(), prof.Clone(), cfg)
 		if err != nil {

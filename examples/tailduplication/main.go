@@ -48,10 +48,11 @@ func main() {
 
 	// Treegions with tail duplication at increasing expansion limits.
 	for _, limit := range []float64{1.0, 2.0, 3.0} {
+		td := treegion.DefaultConfig().TD
+		td.ExpansionLimit = limit
 		cfg := treegion.Config{
 			Kind: treegion.TreegionTD, Heuristic: treegion.GlobalWeight,
-			Machine: treegion.EightU, Rename: true, DominatorParallelism: true,
-			TD: treegion.TDConfig{ExpansionLimit: limit, PathLimit: 20, MergeLimit: 4},
+			Machine: treegion.EightU, Rename: true, DominatorParallelism: true, TD: td,
 		}
 		res, err := treegion.Compile(context.Background(), prog, profs, cfg)
 		if err != nil {

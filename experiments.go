@@ -329,10 +329,11 @@ func (s *Suite) sbConfig(m machine.Model) Config {
 }
 
 func (s *Suite) tdConfig(limit float64, m machine.Model) Config {
+	td := core.DefaultTDConfig()
+	td.ExpansionLimit = limit
 	return Config{
 		Kind: TreegionTD, Heuristic: GlobalWeight, Machine: m, Rename: true,
-		DominatorParallelism: true,
-		TD:                   core.TDConfig{ExpansionLimit: limit, PathLimit: 20, MergeLimit: 4},
+		DominatorParallelism: true, TD: td,
 	}
 }
 

@@ -2,11 +2,17 @@
 // The daemon (treegiond) and the shard router (treegion-router) both answer
 // failed requests with the structured body defined here, so a client parses
 // one error shape no matter which tier produced it — and the two binaries
-// cannot drift apart, because they marshal the same struct.
+// cannot drift apart, because they marshal the same struct. Both read a
+// request body through ReadBody and a compile body through DecodeCompile or
+// DecodeBatch, into one normal form (compile.go): the router shards a body
+// by the key the daemon caches its compile under.
 package api
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"net/http"
 )
 
@@ -35,6 +41,54 @@ func WriteError(w http.ResponseWriter, status int, d ErrorDetail) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(Error{Error: d})
+}
+
+// Failure is a refused request: its HTTP status and the structured detail
+// the reply carries. Code lets the daemon's job queue record the code of a
+// failed job (jobs.Coder).
+type Failure struct {
+	Status int
+	Detail ErrorDetail
+}
+
+// Fail builds the Failure with status and code whose message is err's.
+func Fail(status int, code string, err error) *Failure {
+	return &Failure{Status: status, Detail: ErrorDetail{Code: code, Message: err.Error()}}
+}
+
+func (f *Failure) Error() string { return f.Detail.Message }
+
+// Code is the failure's machine-readable code.
+func (f *Failure) Code() string { return f.Detail.Code }
+
+// MaxBodyBytes bounds one request body.
+const MaxBodyBytes = 8 << 20
+
+// ReadBody reads one bounded request body. A body of declared length is
+// read into one buffer of that length, and one declared over MaxBodyBytes
+// is refused unread (413 body_too_large); a body of unknown length is read
+// up to the bound.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, *Failure) {
+	if r.ContentLength > MaxBodyBytes {
+		return nil, Fail(http.StatusRequestEntityTooLarge, "body_too_large",
+			fmt.Errorf("request body of %d bytes is over the %d-byte limit", r.ContentLength, MaxBodyBytes))
+	}
+	var data []byte
+	var err error
+	if r.ContentLength >= 0 {
+		data = make([]byte, r.ContentLength)
+		_, err = io.ReadFull(r.Body, data)
+	} else {
+		data, err = io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	}
+	if err != nil {
+		var maxErr *http.MaxBytesError
+		if errors.As(err, &maxErr) {
+			return nil, Fail(http.StatusRequestEntityTooLarge, "body_too_large", err)
+		}
+		return nil, Fail(http.StatusBadRequest, "bad_body", fmt.Errorf("read request body: %w", err))
+	}
+	return data, nil
 }
 
 // StoreStats is the GET /v1/store/stats response: the persistent artifact

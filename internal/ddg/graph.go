@@ -135,13 +135,14 @@ func (g *Graph) NodeOf(op *ir.Op) *Node {
 	return nil
 }
 
-// edgeRec is one pending dependence edge, by node index. Edges are recorded
-// flat during the build and installed into slab-backed adjacency lists by
-// installEdges.
-type edgeRec struct {
-	from, to int32
-	lat      int32
-	kind     EdgeKind
+// EdgeRec is one dependence edge by node index. Build records edges flat
+// and installEdges turns them into slab-backed adjacency lists; the
+// artifact store decodes a saved graph's edges into the same records
+// (Scratch.EdgeRecs) for RestoreScratch to install.
+type EdgeRec struct {
+	From, To int32
+	Latency  int32
+	Kind     EdgeKind
 }
 
 // installEdges materializes recs into per-node Succs slices carved from one
@@ -149,11 +150,11 @@ type edgeRec struct {
 // preserves record order within every list — the same order the old
 // per-edge appends produced. The counting buffer is the builder's; the edge
 // slab is always fresh (it escapes into the nodes).
-func (b *builder) installEdges(nodes []*Node, recs []edgeRec) {
+func (b *builder) installEdges(nodes []*Node, recs []EdgeRec) {
 	b.outCnt = growClear(b.outCnt, len(nodes))
 	outCnt := b.outCnt
 	for _, e := range recs {
-		outCnt[e.from]++
+		outCnt[e.From]++
 	}
 	slab := make([]Edge, len(recs))
 	off := 0
@@ -162,8 +163,8 @@ func (b *builder) installEdges(nodes []*Node, recs []edgeRec) {
 		off += int(outCnt[i])
 	}
 	for _, e := range recs {
-		f := nodes[e.from]
-		f.Succs = append(f.Succs, Edge{To: nodes[e.to], Latency: int(e.lat), Kind: e.kind})
+		f := nodes[e.From]
+		f.Succs = append(f.Succs, Edge{To: nodes[e.To], Latency: int(e.Latency), Kind: e.Kind})
 	}
 }
 
@@ -226,7 +227,7 @@ func (b *builder) complete() {
 	// capacity absorbs the whole build without a growth chain. A scratch
 	// keeps whatever larger capacity earlier builds reached.
 	if est := 3 * len(g.Nodes); cap(b.recs) < est {
-		b.recs = make([]edgeRec, 0, est)
+		b.recs = make([]EdgeRec, 0, est)
 	}
 	b.dataEdges()
 	b.controlEdges()
@@ -269,7 +270,7 @@ type builder struct {
 	nodeOf  []blkRange // node range per block (into g.Nodes)
 
 	// recs accumulates edges for installEdges, which counts into outCnt.
-	recs   []edgeRec
+	recs   []EdgeRec
 	outCnt []int32
 
 	// Per-block def bitsets over the first defRegs region-local registers
@@ -414,11 +415,11 @@ func (b *builder) addEdge(from, to *Node, lat int, kind EdgeKind) {
 	if from == nil || to == nil || from == to {
 		return
 	}
-	b.recs = append(b.recs, edgeRec{
-		from: int32(from.Index),
-		to:   int32(to.Index),
-		lat:  int32(lat),
-		kind: kind,
+	b.recs = append(b.recs, EdgeRec{
+		From:    int32(from.Index),
+		To:      int32(to.Index),
+		Latency: int32(lat),
+		Kind:    kind,
 	})
 }
 

@@ -7,11 +7,11 @@ import (
 	"treegion/internal/region"
 )
 
-// EdgeSpec is one serialized dependence edge between node indices.
-type EdgeSpec struct {
-	From, To int
-	Latency  int
-	Kind     EdgeKind
+// EdgeRecs returns sc's edge records resized to n, for a decoder to fill
+// and pass to RestoreScratch. They stay sc's: the next call reuses them.
+func (sc *Scratch) EdgeRecs(n int) []EdgeRec {
+	sc.recs = grow(sc.recs, n)
+	return sc.recs
 }
 
 // RestoreScratch rebuilds a Graph from serialized parts. nodes is the
@@ -24,11 +24,12 @@ type EdgeSpec struct {
 // corrupt store entry must read as a miss, never crash or build a graph
 // that panics later).
 //
-// The edge-record and counting buffers come from sc, mirroring
-// Build/BuildScratch, so a caller reviving many schedules (the artifact
-// store decodes every region of every function in a suite) allocates only
-// what the graph retains. edges is not retained by the result.
-func RestoreScratch(fn *ir.Function, r *region.Region, nodes []Node, edges []EdgeSpec, renamed, copies, merged int, sc *Scratch) (*Graph, error) {
+// The counting buffers come from sc, mirroring Build/BuildScratch, and
+// edges is typically sc.EdgeRecs, so a caller reviving many schedules (the
+// artifact store decodes every region of every function in a suite)
+// allocates only what the graph retains. edges is not retained by the
+// result.
+func RestoreScratch(fn *ir.Function, r *region.Region, nodes []Node, edges []EdgeRec, renamed, copies, merged int, sc *Scratch) (*Graph, error) {
 	g := &Graph{
 		Fn:         fn,
 		Region:     r,
@@ -45,14 +46,11 @@ func RestoreScratch(fn *ir.Function, r *region.Region, nodes []Node, edges []Edg
 		n.Index = i
 		g.Nodes[i] = n
 	}
-	recs := grow(sc.recs, len(edges))
-	sc.recs = recs
-	for i, e := range edges {
-		if e.From < 0 || e.From >= len(g.Nodes) || e.To < 0 || e.To >= len(g.Nodes) {
-			return nil, fmt.Errorf("ddg: restore: edge %d->%d out of range (%d nodes)", e.From, e.To, len(g.Nodes))
+	for _, e := range edges {
+		if e.From < 0 || int(e.From) >= len(nodes) || e.To < 0 || int(e.To) >= len(nodes) {
+			return nil, fmt.Errorf("ddg: restore: edge %d->%d out of range (%d nodes)", e.From, e.To, len(nodes))
 		}
-		recs[i] = edgeRec{from: int32(e.From), to: int32(e.To), lat: int32(e.Latency), kind: e.Kind}
 	}
-	sc.installEdges(g.Nodes, recs)
+	sc.installEdges(g.Nodes, edges)
 	return g, nil
 }

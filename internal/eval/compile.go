@@ -304,7 +304,7 @@ func ProfileProgram(prog *progen.Program) (Profiles, error) {
 	}
 	out := make(Profiles, len(prog.Funcs))
 	for i, fn := range prog.Funcs {
-		d, err := interp.Profile(fn, prog.Preset.Seed*1000+uint64(i), trips, interp.Config{MaxSteps: 2_000_000})
+		d, err := interp.Profile(fn, prog.Preset.Seed*1000+uint64(i), trips, interp.Config{MaxSteps: interp.ProfileMaxSteps})
 		if err != nil {
 			return nil, err
 		}

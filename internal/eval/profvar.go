@@ -32,5 +32,5 @@ func ReMeasure(fr *FunctionResult, prof *profile.Data) RegionTime {
 // op identities, duplicated branches keep the behaviour of their originals
 // and the varied profile is a faithful "different input set".
 func ProfileCompiled(fr *FunctionResult, seed uint64, trips int) (*profile.Data, error) {
-	return interp.Profile(fr.Fn, seed, trips, interp.Config{MaxSteps: 2_000_000})
+	return interp.Profile(fr.Fn, seed, trips, interp.Config{MaxSteps: interp.ProfileMaxSteps})
 }

@@ -77,6 +77,10 @@ type Config struct {
 
 const defaultMaxSteps = 200000
 
+// ProfileMaxSteps is the per-trip step bound every profile of a compile
+// input runs under: the library's, the daemon's and the suite's.
+const ProfileMaxSteps = 2_000_000
+
 // Profile runs fn `trips` times with seeds seed, seed+1, ... and accumulates
 // block and edge counts. Each trip's visited path contributes to the
 // profile keyed by the *current* block IDs (not originals), since region

@@ -4,10 +4,12 @@
 // disjoint slice of the keyspace and the tiers shard horizontally.
 //
 // Placement uses rendezvous (highest-random-weight) hashing over the
-// SHA-256 content key of the request — the same key family the compcache
-// uses — so adding or removing a replica only moves the keys that must move
-// (~1/n of the space), and every router instance agrees on placement
-// without coordination or a shared table.
+// body's key in normal form (KeyForBody): a /v1/compile body routes by the
+// very request key the replica caches its compile under. Adding or removing
+// a replica only moves the keys that must move (~1/n of the space), and
+// every router instance agrees on placement without coordination or a
+// shared table. A body a replica would refuse is refused at the router,
+// with the replica's status, code and message.
 //
 // The router health-checks replicas in the background, retries a failed
 // forward on the next-ranked healthy replica with exponential backoff
@@ -21,8 +23,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -211,26 +211,25 @@ func (rt *Router) HealthyReplicas() []string {
 // ShardKey is the 32-byte content key a request routes by.
 type ShardKey [sha256.Size]byte
 
-// KeyForBody computes the shard key of a /v1/compile or /v1/compile-batch
-// body: a SHA-256 over the canonicalized semantic fields (sorted keys,
-// presentation-only fields removed), mirroring the compcache content-key
-// construction — identical compiles route to the same replica, so each
-// replica's cache and store tiers own a stable slice of the keyspace.
-func KeyForBody(body []byte) (ShardKey, error) {
-	var k ShardKey
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(body, &m); err != nil {
-		return k, fmt.Errorf("router: bad request body: %w", err)
+// KeyForBody computes the shard key of a body posted to path: for a
+// /v1/compile-batch body the batch's key, for any other the request key a
+// replica caches the compile under. Both read the body's normal form
+// (internal/api), so bodies that ask for one compile route to the same
+// replica, whose cache and store tiers own a stable slice of the keyspace.
+// A body the normal form refuses gets the Failure a replica would answer.
+func KeyForBody(path string, body []byte) (ShardKey, *api.Failure) {
+	if path == "/v1/compile-batch" {
+		b, f := api.DecodeBatch(body)
+		if f != nil {
+			return ShardKey{}, f
+		}
+		return ShardKey(b.Key()), nil
 	}
-	// schedules/trace change the response shape, not the compile; keys must
-	// not depend on them or identical compiles would scatter.
-	delete(m, "schedules")
-	delete(m, "trace")
-	canon, err := json.Marshal(m) // map marshaling sorts keys
-	if err != nil {
-		return k, err
+	c, f := api.DecodeCompile(body)
+	if f != nil {
+		return ShardKey{}, f
 	}
-	return sha256.Sum256(canon), nil
+	return ShardKey(c.Key()), nil
 }
 
 // Rendezvous ranks names for key by highest-random-weight hashing, best
@@ -336,19 +335,15 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 		rt.fail(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST required")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
-	if err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			rt.fail(w, http.StatusRequestEntityTooLarge, "body_too_large", err.Error())
-			return
-		}
-		rt.fail(w, http.StatusBadRequest, "bad_body", err.Error())
-		return
+	// A body a replica would refuse is refused here, with the replica's
+	// status, code and message, and not forwarded.
+	body, f := api.ReadBody(w, r)
+	var key ShardKey
+	if f == nil {
+		key, f = KeyForBody(r.URL.Path, body)
 	}
-	key, err := KeyForBody(body)
-	if err != nil {
-		rt.fail(w, http.StatusBadRequest, "bad_json", err.Error())
+	if f != nil {
+		rt.fail(w, f.Status, f.Detail.Code, f.Detail.Message)
 		return
 	}
 	ranked := rt.ranked(key)

@@ -1,10 +1,12 @@
 package router
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -97,26 +99,26 @@ func TestRendezvousMinimalMovementOnAdd(t *testing.T) {
 // The shard key must ignore presentation-only fields (schedules, trace) and
 // field order, and must differ when the compile inputs differ.
 func TestKeyForBody(t *testing.T) {
-	base := `{"ir":"func f\nbb0:\n  ret","machine":"hpl8"}`
-	k1, err := KeyForBody([]byte(base))
+	base := `{"ir":"func f\nbb0:\n  ret","machine":"8U"}`
+	k1, err := KeyForBody("/v1/compile", []byte(base))
 	if err != nil {
 		t.Fatal(err)
 	}
-	k2, err := KeyForBody([]byte(`{"machine":"hpl8","schedules":true,"ir":"func f\nbb0:\n  ret"}`))
+	k2, err := KeyForBody("/v1/compile", []byte(`{"machine":"8U","schedules":true,"ir":"func f\nbb0:\n  ret"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if k1 != k2 {
 		t.Fatal("key depends on field order or on the schedules presentation flag")
 	}
-	k3, err := KeyForBody([]byte(`{"ir":"func g\nbb0:\n  ret","machine":"hpl8"}`))
+	k3, err := KeyForBody("/v1/compile", []byte(`{"ir":"func g\nbb0:\n  ret","machine":"8U"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if k1 == k3 {
 		t.Fatal("different IR produced the same shard key")
 	}
-	if _, err := KeyForBody([]byte("not json")); err == nil {
+	if _, err := KeyForBody("/v1/compile", []byte("not json")); err == nil {
 		t.Fatal("want error for malformed body")
 	}
 }
@@ -361,5 +363,37 @@ func TestRouterErrorShape(t *testing.T) {
 	}
 	if er.Error.Code != "bad_json" || er.Error.Message == "" {
 		t.Fatalf("error body %+v, want code bad_json with a message", er.Error)
+	}
+}
+
+// TestRouterBodyTooLarge: as on a replica, a body declared over the bound
+// answers 413 body_too_large before a byte of it is sent, and is not
+// forwarded.
+func TestRouterBodyTooLarge(t *testing.T) {
+	a := newFakeReplica(t, "a")
+	rt := testRouter(t, Config{Replicas: []string{a.ts.URL}})
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	conn, err := net.Dial("tcp", front.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	fmt.Fprintf(conn, "POST /v1/compile HTTP/1.1\r\nHost: router\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", api.MaxBodyBytes+1)
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var er api.Error
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || er.Error.Code != "body_too_large" {
+		t.Errorf("status %d, code %q; want 413 body_too_large", resp.StatusCode, er.Error.Code)
+	}
+	if n := a.hits.Load(); n != 0 {
+		t.Errorf("the replica saw %d requests, want 0", n)
 	}
 }

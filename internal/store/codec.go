@@ -722,13 +722,11 @@ func decodeSchedules(data []byte, fn *ir.Function, regions []*region.Region) ([]
 	r := &reader{b: data}
 	n := r.count(schedRecMin)
 	out := make([]*sched.Schedule, 0, n)
-	// The edge specs and graph scratch are reused across every schedule in
-	// the entry: nodes decode straight into the slab the revived graph
-	// keeps, so only what the graphs retain allocates.
-	var (
-		edges []ddg.EdgeSpec
-		sc    ddg.Scratch
-	)
+	// The graph scratch is reused across every schedule in the entry:
+	// nodes decode straight into the slab the revived graph keeps, and
+	// edges into the scratch's records, so only what the graphs retain
+	// allocates.
+	var sc ddg.Scratch
 	for si := 0; si < n && r.err == nil; si++ {
 		ri := int(r.u32())
 		var model machine.Model
@@ -777,18 +775,14 @@ func decodeSchedules(data []byte, fn *ir.Function, regions []*region.Region) ([]
 				Weight:    math.Float64frombits(le.Uint64(rec[21:])),
 			}
 		}
-		if cap(edges) < nedges {
-			edges = make([]ddg.EdgeSpec, nedges)
-		} else {
-			edges = edges[:nedges]
-		}
+		edges := sc.EdgeRecs(nedges)
 		//rec:size edgeRecSize
 		for i := range edges {
 			rec := edgeRaw[i*edgeRecSize : i*edgeRecSize+edgeRecSize]
-			edges[i] = ddg.EdgeSpec{
-				From:    int(le.Uint32(rec[0:])),
-				To:      int(le.Uint32(rec[4:])),
-				Latency: int(int32(le.Uint32(rec[8:]))),
+			edges[i] = ddg.EdgeRec{
+				From:    int32(le.Uint32(rec[0:])),
+				To:      int32(le.Uint32(rec[4:])),
+				Latency: int32(le.Uint32(rec[8:])),
 				Kind:    ddg.EdgeKind(rec[12]),
 			}
 		}

@@ -176,7 +176,7 @@ func ProfileProgram(prog *Program) (Profiles, error) { return eval.ProfileProgra
 
 // ProfileFunction profiles a single user-built function.
 func ProfileFunction(fn *Function, seed uint64, trips int) (*ProfileData, error) {
-	return interp.Profile(fn, seed, trips, interp.Config{MaxSteps: 2_000_000})
+	return interp.Profile(fn, seed, trips, interp.Config{MaxSteps: interp.ProfileMaxSteps})
 }
 
 // CompileOption customizes Compile and CompileOne. The zero set of options
@@ -250,11 +250,6 @@ func VerifyFunction(orig *Function, fr *FunctionResult, c Config) []Diagnostic {
 // NewTelemetry builds an empty metrics registry; render it with its
 // WritePrometheus method (the daemon serves it on /v1/metrics).
 func NewTelemetry() *Telemetry { return telemetry.NewRegistry() }
-
-// ExportSchedulerTelemetry exposes the process-wide scheduler histograms —
-// currently treegion_sched_ready_occupancy, the ready-set size sampled once
-// per issued cycle — on reg. Safe to call more than once.
-func ExportSchedulerTelemetry(reg *Telemetry) { telemetry.ExportReadyOccupancy(reg) }
 
 // Compile compiles prog under c on fresh clones and aggregates times, code
 // expansion, region statistics, scheduling statistics and the compile
