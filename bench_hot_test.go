@@ -15,10 +15,12 @@ package treegion
 
 import (
 	"cmp"
+	"encoding/json"
 	"runtime"
 	"sync"
 	"testing"
 
+	"treegion/internal/api"
 	"treegion/internal/cfg"
 	"treegion/internal/core"
 	"treegion/internal/ddg"
@@ -420,6 +422,79 @@ func BenchmarkColdProfile(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/pass")
+		})
+	}
+}
+
+// BenchmarkColdDecode measures the request decoder with the key each body
+// is cached and sharded by: api.DecodeCompile or api.DecodeBatch, then
+// Key, the work treegiond and the router do for every /v1 compile body
+// before any cache lookup. The bodies carry the shared suite's functions
+// as perfbench's service stream sends them: tree is one /v1/compile body
+// per function in the 4U shape, tree-td one in the 8U shape with
+// expansion limit 2, each with a profiling seed, and batch one
+// /v1/compile-batch body of every function. An op is one pass over a
+// tier's bodies; us/body is the cost of one body.
+func BenchmarkColdDecode(b *testing.B) {
+	type compileBody struct {
+		IR             string  `json:"ir"`
+		Region         string  `json:"region,omitempty"`
+		Machine        string  `json:"machine,omitempty"`
+		ExpansionLimit float64 `json:"expansion_limit,omitempty"`
+		Seed           uint64  `json:"seed"`
+	}
+	type batchFunction struct {
+		IR string `json:"ir"`
+	}
+	type batchBody struct {
+		Functions []batchFunction `json:"functions"`
+		Region    string          `json:"region"`
+		Machine   string          `json:"machine"`
+		Seed      uint64          `json:"seed"`
+	}
+	marshal := func(v any) []byte {
+		data, err := json.Marshal(v)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return data
+	}
+	var tree, treeTD [][]byte
+	batch := batchBody{Region: "tree", Machine: "4U", Seed: 7}
+	for _, p := range sharedSuite(b).Programs {
+		for _, fn := range p.Funcs {
+			text, seed := PrintFunction(fn), uint64(len(tree))*104729+1
+			tree = append(tree, marshal(compileBody{IR: text, Region: "tree", Machine: "4U", Seed: seed}))
+			treeTD = append(treeTD, marshal(compileBody{IR: text, Region: "tree-td", Machine: "8U", ExpansionLimit: 2, Seed: seed}))
+			batch.Functions = append(batch.Functions, batchFunction{text})
+		}
+	}
+	tiers := []struct {
+		name   string
+		bodies [][]byte
+	}{{"tree", tree}, {"tree-td", treeTD}, {"batch", [][]byte{marshal(batch)}}}
+	for _, tier := range tiers {
+		b.Run(tier.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, data := range tier.bodies {
+					if tier.name == "batch" {
+						req, f := api.DecodeBatch(data)
+						if f != nil {
+							b.Fatal(f)
+						}
+						req.Key()
+						continue
+					}
+					req, f := api.DecodeCompile(data)
+					if f != nil {
+						b.Fatal(f)
+					}
+					req.Key()
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*len(tier.bodies)), "us/body")
 		})
 	}
 }
