@@ -40,16 +40,21 @@ test:
 # schema skew, as corruption, or to a result whose re-encoding is
 # byte-stable; FuzzKeyForBody requires every /v1/compile or
 # /v1/compile-batch body to get a shard key or a 400, and every accepted
-# body's normal form to key as the body does. None may panic. Plain `go
-# test` replays the committed corpora (internal/irtext/testdata/fuzz/,
-# internal/store/testdata/fuzz/, cmd/treegiond/testdata/fuzz/) and the
-# seeds; a crasher found here lands there too. The artifact seeds run to
-# 50 KB and a batch seed to 30 KB, and minimizing each new input from one
-# would take the default 60 s, so their minimization is capped at 10 s.
+# body's normal form to key as the body does; FuzzDecodeBody requires the
+# one-pass body decoder and its encoding/json reference to accept every
+# body with equal structs or refuse it with the same status and code (and
+# the same message for unknown_field). None may panic. Plain `go test`
+# replays the committed corpora (internal/irtext/testdata/fuzz/,
+# internal/store/testdata/fuzz/, cmd/treegiond/testdata/fuzz/,
+# internal/api/testdata/fuzz/) and the seeds; a crasher found here lands
+# there too. The artifact seeds run to 50 KB and a batch seed to 30 KB,
+# and minimizing each new input from one would take the default 60 s, so
+# their minimization is capped at 10 s.
 fuzz:
 	$(GO) test -run XXX -fuzz FuzzParseProgram -fuzztime 60s ./internal/irtext/
 	$(GO) test -run XXX -fuzz FuzzDecodeArtifact -fuzztime 60s -fuzzminimizetime 10s ./internal/store/
 	$(GO) test -run XXX -fuzz FuzzKeyForBody -fuzztime 60s -fuzzminimizetime 10s ./cmd/treegiond/
+	$(GO) test -run XXX -fuzz FuzzDecodeBody -fuzztime 60s -fuzzminimizetime 10s ./internal/api/
 
 # The compilation service is concurrent (worker pool, sharded cache,
 # daemon); every PR must pass the race detector, not just the plain tests.
@@ -68,27 +73,29 @@ race:
 # ir, rg, sc and sem rule families one-shot, and compiled, the whole
 # verifier on one reused verify.Scratch, with ms/pass), the profiler per
 # tier (BenchmarkColdProfile: the suite at the daemon's 100 trips, stress
-# at its preset's trips, with ms/pass), and the tgart2 store codec
+# at its preset's trips, with ms/pass), the tgart2 store codec
 # (BenchmarkColdStore in internal/store: encode and decode of the suite's
-# headline results, with ms/pass), with allocation counts.
+# headline results, with ms/pass) and the request decoder
+# (BenchmarkColdDecode: decode and key the suite's /v1/compile bodies in
+# perfbench's two service shapes and one batch body of them, with
+# us/body), with allocation counts.
 # Every benchmark runs five times (-count 5), so a capture shows its own
 # spread: cmd/benchdiff prints each side's median and interquartile range.
-# The raw `go test -json` stream is captured in BENCH_18.json for machine
-# comparison against earlier runs (BENCH_17.json holds the capture from
-# before treegiond keyed single-function compiles by their request and the
-# codec encoded an entry into one buffer).
+# The raw `go test -json` stream is captured in BENCH_19.json for machine
+# comparison against earlier runs (BENCH_18.json holds the capture from
+# before the one-pass decoder replaced encoding/json for compile bodies).
 # The parallel and stress benchmarks report speedup-vs-serial; on a
 # single-core box that metric caps at ~1x by physics.
 bench:
-	$(GO) test -run XXX -bench 'BenchmarkCompileSuite|BenchmarkCompileStress|BenchmarkColdCompile|BenchmarkColdProfile|BenchmarkColdStore' -benchmem -benchtime 3x -count 5 -json . ./internal/store | tee BENCH_18.json
+	$(GO) test -run XXX -bench 'BenchmarkCompileSuite|BenchmarkCompileStress|BenchmarkColdCompile|BenchmarkColdProfile|BenchmarkColdStore|BenchmarkColdDecode' -benchmem -benchtime 3x -count 5 -json . ./internal/store | tee BENCH_19.json
 
 # bench-compare diffs two bench captures. benchstat is used when installed
 # (fed plain text extracted from the JSON captures); otherwise the bundled
 # dependency-free cmd/benchdiff prints each side's median and interquartile
 # range and the delta, marking with "~" a delta inside the noise. Override
 # the endpoints with BENCH_OLD= / BENCH_NEW=.
-BENCH_OLD ?= BENCH_17.json
-BENCH_NEW ?= BENCH_18.json
+BENCH_OLD ?= BENCH_18.json
+BENCH_NEW ?= BENCH_19.json
 bench-compare:
 	@if command -v benchstat >/dev/null 2>&1; then \
 		$(GO) run ./cmd/benchdiff -extract $(BENCH_OLD) > /tmp/benchdiff_old.txt; \

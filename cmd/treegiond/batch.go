@@ -70,7 +70,7 @@ func (s *server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, f)
 		return
 	}
-	req, f := api.DecodeBatch(body)
+	req, f := decode(s, api.DecodeBatch, body)
 	if f != nil {
 		s.writeError(w, f)
 		return

@@ -242,16 +242,37 @@ func TestHugeRegisterNumberIsBadIR(t *testing.T) {
 // the daemon's step bound stops it.
 const spinBody = `{"ir": "func spin\nbb0:\n  r0 = movi 1\n  bru @bb0\n"}`
 
-// TestRequestPhaseMetrics: every parse of a request's IR and every profile
-// of one of its functions is one observation of
-// treegiond_request_phase_seconds (TestMetricsAndHealthz counts a cold
-// compile and a memory hit, which runs neither). The spin body parses and
-// profiles once; a
-// two-function body is parsed twice (as one function, then as a program)
-// and profiles each function once.
+// TestTripsBoundedByTotalSteps: a body asking for 10^12 trips of Figure 1
+// answers 422 profile_failed once its trips have run 64M steps together,
+// about four million trips, instead of profiling for about a day.
+func TestTripsBoundedByTotalSteps(t *testing.T) {
+	_, ts := testServer(t)
+	body, err := json.Marshal(map[string]any{"ir": fig1(t), "trips": 1_000_000_000_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hc := &http.Client{Timeout: time.Minute}
+	resp, err := hc.Post(ts.URL+"/v1/compile", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	er := decodeError(t, resp)
+	const want = "profile: interp: profiling fig1 exceeded 64000000 steps in total over its first "
+	if resp.StatusCode != http.StatusUnprocessableEntity || er.Error.Code != "profile_failed" || !strings.HasPrefix(er.Error.Message, want) {
+		t.Fatalf("status %d, %s: %q; want 422 profile_failed: %q...", resp.StatusCode, er.Error.Code, er.Error.Message, want)
+	}
+}
+
+// TestRequestPhaseMetrics: every decode of a compile body, every parse of
+// a request's IR and every profile of one of its functions is one
+// observation of treegiond_request_phase_seconds (TestMetricsAndHealthz
+// counts a cold compile and a memory hit, which parses and profiles
+// neither). Each request decodes its body once. The spin body parses and
+// profiles once; a two-function body is parsed twice (as one function,
+// then as a program) and profiles each function once.
 func TestRequestPhaseMetrics(t *testing.T) {
 	_, ts := testServer(t)
-	counts := func(parse, profile int) {
+	counts := func(decode, parse, profile int) {
 		t.Helper()
 		resp, err := http.Get(ts.URL + "/v1/metrics")
 		if err != nil {
@@ -262,7 +283,7 @@ func TestRequestPhaseMetrics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for phase, n := range map[string]int{"parse": parse, "profile": profile} {
+		for phase, n := range map[string]int{"decode": decode, "parse": parse, "profile": profile} {
 			want := fmt.Sprintf("treegiond_request_phase_seconds_count{phase=%q} %d\n", phase, n)
 			if !strings.Contains(string(raw), want) {
 				t.Errorf("metrics missing %q", want)
@@ -272,12 +293,12 @@ func TestRequestPhaseMetrics(t *testing.T) {
 	if resp, _ := postCompile(t, ts, spinBody); resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("spin status = %d, want 422", resp.StatusCode)
 	}
-	counts(1, 1)
+	counts(1, 1, 1)
 	prog, _ := json.Marshal(map[string]any{"ir": callpair(t)})
 	if resp, cr := postCompile(t, ts, string(prog)); resp.StatusCode != http.StatusOK || cr.Functions != 2 {
 		t.Fatalf("two-function body: status %d, %d functions; want 200, 2", resp.StatusCode, cr.Functions)
 	}
-	counts(3, 3)
+	counts(2, 3, 3)
 }
 
 // TestCompileUnknownField verifies the strict decoder: an unknown config

@@ -44,11 +44,13 @@ type server struct {
 	metrics *treegion.CompileMetrics
 	reg     *treegion.Telemetry
 
-	// parseSeconds and profileSeconds time every parse of a request's IR
-	// and every profile of one of its functions: the request's work before
-	// the compile trace begins. A single-function compile runs them only
-	// when neither cache tier holds its request key.
-	parseSeconds, profileSeconds *telemetry.Histogram
+	// decodeSeconds, parseSeconds and profileSeconds time every decode of
+	// a compile body, every parse of a request's IR and every profile of
+	// one of its functions: the request's work before the compile trace
+	// begins. Every request decodes its body; a single-function compile
+	// parses and profiles only when neither cache tier holds its request
+	// key.
+	decodeSeconds, parseSeconds, profileSeconds *telemetry.Histogram
 
 	start time.Time
 }
@@ -63,9 +65,9 @@ func newServer(cfg serverConfig) (*server, error) {
 	}
 	phase := func(p string) *telemetry.Histogram {
 		return s.reg.Histogram("treegiond_request_phase_seconds", telemetry.Labels{"phase": p},
-			"Wall time per request phase before the compile: each parse of the IR, each function's profile.", telemetry.DefBuckets)
+			"Wall time per request phase before the compile: each decode of a compile body, each parse of the IR, each function's profile.", telemetry.DefBuckets)
 	}
-	s.parseSeconds, s.profileSeconds = phase("parse"), phase("profile")
+	s.decodeSeconds, s.parseSeconds, s.profileSeconds = phase("decode"), phase("parse"), phase("profile")
 	s.cache.Register(s.reg, "treegiond")
 	s.metrics.Register(s.reg, "treegiond")
 	s.reg.GaugeFunc("treegiond_uptime_seconds", "Seconds since daemon start.", func() int64 {
@@ -184,6 +186,15 @@ type compileResponse struct {
 	// rule passed; Diagnostics carries any advisory (sub-Error) findings.
 	Verified    bool     `json:"verified,omitempty"`
 	Diagnostics []string `json:"diagnostics,omitempty"`
+}
+
+// decode runs one of api's compile-body decoders on body, timed as the
+// request's decode phase.
+func decode[T any](s *server, dec func([]byte) (T, *api.Failure), body []byte) (T, *api.Failure) {
+	start := time.Now()
+	v, f := dec(body)
+	s.decodeSeconds.ObserveDuration(time.Since(start))
+	return v, f
 }
 
 // parseAndProfile turns one function's IR into a parsed function and its
@@ -424,7 +435,7 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, f)
 		return
 	}
-	req, f := api.DecodeCompile(body)
+	req, f := decode(s, api.DecodeCompile, body)
 	if f != nil {
 		s.writeError(w, f)
 		return
@@ -445,7 +456,7 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 // request body, the result is the same compileResponse the synchronous
 // endpoint returns.
 func (s *server) runJob(ctx context.Context, payload json.RawMessage) (json.RawMessage, error) {
-	req, f := api.DecodeCompile(payload)
+	req, f := decode(s, api.DecodeCompile, payload)
 	if f != nil {
 		return nil, f
 	}
@@ -491,7 +502,7 @@ func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		// Reject malformed payloads at submission, not at execution.
-		if _, f := api.DecodeCompile(body); f != nil {
+		if _, f := decode(s, api.DecodeCompile, body); f != nil {
 			s.writeError(w, f)
 			return
 		}

@@ -1,13 +1,9 @@
 package api
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
 
 	"treegion/internal/compcache"
 	"treegion/internal/core"
@@ -164,13 +160,13 @@ type Batch struct {
 }
 
 // DecodeCompile reads a /v1/compile body or POST /v1/jobs payload into its
-// normal form. It refuses, in this order, what is not exactly one JSON
-// value (400 bad_json), an unknown field (400 unknown_field), a missing
-// "ir" (400 missing_field) and a config Normalize refuses (400
+// normal form. It refuses, in this order, what the body decoder refuses
+// (400 bad_json or unknown_field, ranked as DESIGN.md §30 says), a
+// missing "ir" (400 missing_field) and a config Normalize refuses (400
 // bad_config).
 func DecodeCompile(data []byte) (*Compile, *Failure) {
 	var c Compile
-	if f := decodeStrict(data, &c.CompileBody, compileFields); f != nil {
+	if f := decodeCompileBody(data, &c.CompileBody); f != nil {
 		return nil, f
 	}
 	if c.IR == "" {
@@ -189,7 +185,7 @@ func DecodeCompile(data []byte) (*Compile, *Failure) {
 // function without "ir".
 func DecodeBatch(data []byte) (*Batch, *Failure) {
 	var b Batch
-	if f := decodeStrict(data, &b.BatchBody, batchFields); f != nil {
+	if f := decodeBatchBody(data, &b.BatchBody); f != nil {
 		return nil, f
 	}
 	if len(b.Functions) == 0 {
@@ -211,44 +207,6 @@ func DecodeBatch(data []byte) (*Batch, *Failure) {
 	return &b, nil
 }
 
-// decodeStrict decodes a body holding exactly one JSON value into v. A
-// field v does not declare is a 400 unknown_field listing the valid ones;
-// malformed JSON, or any data after the first value, is a 400 bad_json.
-func decodeStrict(data []byte, v any, valid []string) *Failure {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
-	if err == nil {
-		if _, terr := dec.Token(); terr != io.EOF {
-			err = fmt.Errorf("data after the JSON value at offset %d", dec.InputOffset())
-		}
-	}
-	if err == nil {
-		return nil
-	}
-	if f, ok := unknownField(err); ok {
-		return Fail(http.StatusBadRequest, "unknown_field",
-			fmt.Errorf("unknown config field %q (valid fields: %s)", f, strings.Join(valid, ", ")))
-	}
-	return Fail(http.StatusBadRequest, "bad_json", fmt.Errorf("bad request body: %w", err))
-}
-
-// unknownField extracts the field name from the json package's
-// DisallowUnknownFields error, which is only exposed as text.
-func unknownField(err error) (string, bool) {
-	const marker = `json: unknown field "`
-	msg := err.Error()
-	i := strings.Index(msg, marker)
-	if i < 0 {
-		return "", false
-	}
-	rest := msg[i+len(marker):]
-	if j := strings.IndexByte(rest, '"'); j >= 0 {
-		return rest[:j], true
-	}
-	return "", false
-}
-
 // Key is the request key: a SHA-256 over the IR text byte for byte, the
 // profiling seed and trips, the config's fingerprint and the verify flag,
 // but not schedules or trace, which only shape the response. The
@@ -256,7 +214,7 @@ func unknownField(err error) (string, bool) {
 // treegiond caches a single-function compile under it, and the router
 // shards the body by it.
 func (c *Compile) Key() compcache.Key {
-	return keyOf([]byte(c.IR), &c.CompileConfig, c.Config, "/request")
+	return keyOf(bytesOf(c.IR), &c.CompileConfig, c.Config, "/request")
 }
 
 // Key is the batch's shard key: the request key's construction over every

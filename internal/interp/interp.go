@@ -19,6 +19,7 @@ package interp
 
 import (
 	"fmt"
+	"math"
 
 	"treegion/internal/ir"
 	"treegion/internal/profile"
@@ -81,12 +82,18 @@ const defaultMaxSteps = 200000
 // input runs under: the library's, the daemon's and the suite's.
 const ProfileMaxSteps = 2_000_000
 
+// profileTripBounds bounds a whole profile: its trips together may run at
+// most this many per-trip bounds of steps, 64M under ProfileMaxSteps.
+const profileTripBounds = 32
+
 // Profile runs fn `trips` times with seeds seed, seed+1, ... and accumulates
 // block and edge counts. Each trip's visited path contributes to the
 // profile keyed by the *current* block IDs (not originals), since region
 // formation operates on the current CFG. A trip fails when it exceeds the
 // step bound, falls off a block with no successor, or falls into a cycle
-// of blocks without ops (oplessCycles).
+// of blocks without ops (oplessCycles). The profile fails once its trips
+// together have run more than profileTripBounds step bounds, so no trip
+// count makes it run unbounded.
 //
 // fn's control flow is decoded once into a skeleton, and the trips count
 // into integer slices indexed by block, edge slot and branch occurrence
@@ -98,6 +105,7 @@ func Profile(fn *ir.Function, seed uint64, trips int, cfg Config) (*profile.Data
 	if maxSteps <= 0 {
 		maxSteps = defaultMaxSteps
 	}
+	maxTotal, total := min(maxSteps, math.MaxInt/profileTripBounds)*profileTripBounds, 0
 	sk := newSkeleton(fn)
 	blockN := make([]int, len(sk.blocks))
 	edgeN := make([]int, len(sk.edges))
@@ -137,6 +145,9 @@ func Profile(fn *ir.Function, seed uint64, trips int, cfg Config) (*profile.Data
 			}
 			edgeN[edge]++
 			cur = next
+		}
+		if total += steps; total > maxTotal {
+			return nil, fmt.Errorf("interp: profiling %s exceeded %d steps in total over its first %d trips", fn.Name, maxTotal, t+1)
 		}
 	}
 	d := profile.New()

@@ -169,6 +169,30 @@ func testProfileHandBuilt(t *testing.T) {
 	}
 }
 
+// TestProfileTotalBound: a profile's trips together run at most 32 step
+// bounds. Every trip of takenBranchThenOps runs 2 steps, so under a
+// per-trip bound of 2 each trip passes alone, 32 trips run exactly the
+// 64 steps allowed, and the 33rd fails the profile, in the reference too.
+func TestProfileTotalBound(t *testing.T) {
+	f := takenBranchThenOps()
+	cfg := interp.Config{MaxSteps: 2}
+	for trip := uint64(0); trip < 33; trip++ {
+		if _, err := interp.Profile(f, 1+trip, 1, cfg); err != nil {
+			t.Fatalf("trip %d alone: %v", trip, err)
+		}
+	}
+	if _, err := interp.Profile(f, 1, 32, cfg); err != nil {
+		t.Fatalf("32 trips, 64 steps: %v", err)
+	}
+	const want = "interp: profiling taken exceeded 64 steps in total over its first 33 trips"
+	for _, trips := range []int{33, 1_000_000_000_000} {
+		if _, err := interp.Profile(f, 1, trips, cfg); fmt.Sprint(err) != want {
+			t.Fatalf("%d trips: error %v, want %q", trips, err, want)
+		}
+		checkProfile(t, profileCase{"taken", f, 1, trips}, cfg.MaxSteps)
+	}
+}
+
 // oplessSelfLoop: bb0 has no ops and falls through to itself.
 func oplessSelfLoop() *ir.Function {
 	f, _, _ := handFn("oplessself", 1)

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"math"
 
 	"treegion/internal/ir"
 	"treegion/internal/profile"
@@ -10,18 +11,29 @@ import (
 // refProfile is the map-based profiler the skeleton-walking Profile
 // replaced, kept as its test oracle: every trip writes the profile's maps
 // once per visited block and taken edge, keeps its branch occurrences in
-// a map of its own, and checks the step bound at every op.
+// a map of its own, and checks the step bound at every op and the whole
+// profile's bound after every trip.
 func refProfile(fn *ir.Function, seed uint64, trips int, cfg Config) (*profile.Data, error) {
 	d := profile.New()
+	maxSteps := cfg.MaxSteps
+	if maxSteps <= 0 {
+		maxSteps = defaultMaxSteps
+	}
+	maxTotal, total := min(maxSteps, math.MaxInt/profileTripBounds)*profileTripBounds, 0
 	for t := 0; t < trips; t++ {
-		if err := refProfileTrip(fn, NewOracle(seed+uint64(t)), cfg, d); err != nil {
+		steps, err := refProfileTrip(fn, NewOracle(seed+uint64(t)), cfg, d)
+		if err != nil {
 			return nil, err
+		}
+		if total += steps; total > maxTotal {
+			return nil, fmt.Errorf("interp: profiling %s exceeded %d steps in total over its first %d trips", fn.Name, maxTotal, t+1)
 		}
 	}
 	return d, nil
 }
 
-func refProfileTrip(fn *ir.Function, o Oracle, cfg Config, d *profile.Data) error {
+// refProfileTrip runs one trip into d and returns its steps.
+func refProfileTrip(fn *ir.Function, o Oracle, cfg Config, d *profile.Data) (int, error) {
 	maxSteps := cfg.MaxSteps
 	if maxSteps <= 0 {
 		maxSteps = defaultMaxSteps
@@ -33,7 +45,7 @@ func refProfileTrip(fn *ir.Function, o Oracle, cfg Config, d *profile.Data) erro
 	for {
 		b := fn.Block(cur)
 		if err := run.enter(fn, cur); err != nil {
-			return err
+			return 0, err
 		}
 		d.AddBlock(cur, 1)
 		next := b.FallThrough
@@ -42,7 +54,7 @@ func refProfileTrip(fn *ir.Function, o Oracle, cfg Config, d *profile.Data) erro
 		for _, op := range b.Ops {
 			steps++
 			if steps > maxSteps {
-				return fmt.Errorf("interp: profiling %s exceeded %d steps", fn.Name, maxSteps)
+				return 0, fmt.Errorf("interp: profiling %s exceeded %d steps", fn.Name, maxSteps)
 			}
 			switch op.Opcode {
 			case ir.Brct, ir.Brcf:
@@ -63,10 +75,10 @@ func refProfileTrip(fn *ir.Function, o Oracle, cfg Config, d *profile.Data) erro
 			}
 		}
 		if done {
-			return nil
+			return steps, nil
 		}
 		if next == ir.NoBlock {
-			return fmt.Errorf("interp: %s: bb%d has no successor and no RET", fn.Name, cur)
+			return 0, fmt.Errorf("interp: %s: bb%d has no successor and no RET", fn.Name, cur)
 		}
 		d.AddEdge(cur, next, 1)
 		cur = next

@@ -20,6 +20,7 @@
 package router
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -397,7 +398,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, rep *replica, 
 
 	u := *rep.base
 	u.Path = strings.TrimSuffix(u.Path, "/") + r.URL.Path
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, u.String(), strings.NewReader(string(body)))
+	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, u.String(), bytes.NewReader(body))
 	if err != nil {
 		return false, err
 	}
