@@ -141,7 +141,8 @@ lines:
 # racing pass over the hot-path micro-benchmarks.
 # The pipeline's done-channel relay (workers close done[i], the caller emits
 # in index order) races twenty times over, panics and cancellation included,
-# and so do verifier panics and verified results served from the cache.
+# and so do verifier panics, verified results served from the cache and
+# inlining compiles, whose workers share one inline.Env.
 # Eight identical cold /v1/compile requests, which coalesce on their request
 # key before parsing, race ten times over.
 # The inliner and the call-executing interpreter race here because pipeline
@@ -161,7 +162,7 @@ lines:
 check: lint build test
 	$(GO) test -race -short ./internal/store/ ./internal/eval/
 	$(GO) test -race ./internal/jobs/ ./internal/compcache/ ./internal/pipeline/ ./internal/router/ ./cmd/treegiond/
-	$(GO) test -race -count 20 -run 'CompileEach|PanicDropsWorkerArena|ContextCancellation|FirstErrorByIndex|VerifierPanic|VerifiedResults' ./internal/pipeline/
+	$(GO) test -race -count 20 -run 'CompileEach|PanicDropsWorkerArena|ContextCancellation|FirstErrorByIndex|VerifierPanic|VerifiedResults|CompileInline|EditedCallee' ./internal/pipeline/
 	$(GO) test -race -count 10 -run TestConcurrentIdenticalColdRequests ./cmd/treegiond/
 	$(GO) test -race ./internal/telemetry/ ./internal/ddg/ ./internal/sched/
 	$(GO) test -race ./internal/inline/ ./internal/interp/ ./internal/verify/

@@ -506,16 +506,15 @@ func BenchmarkCompileSuiteInline(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, inl := range []bool{false, true} {
-			mode := "off"
-			opts := []CompileOption{}
+			mode, c := "off", cfg
 			if inl {
 				mode = "on"
-				opts = append(opts, WithInline(DefaultInlineConfig()))
+				c.Inline = DefaultInlineConfig()
 			}
 			b.Run(fmt.Sprintf("%s/inline=%s", preset, mode), func(b *testing.B) {
 				var res *ProgramResult
 				for i := 0; i < b.N; i++ {
-					res, err = Compile(context.Background(), prog, profs, cfg, opts...)
+					res, err = Compile(context.Background(), prog, profs, c)
 					if err != nil {
 						b.Fatal(err)
 					}

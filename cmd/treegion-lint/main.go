@@ -66,6 +66,9 @@ func main() {
 				fmt.Fprintf(os.Stderr, "treegion-lint: %v\n", err)
 				os.Exit(2)
 			}
+			if *inlineFlag {
+				cfg.Inline = treegion.DefaultInlineConfig()
+			}
 			configs = append(configs, cfg)
 		}
 	}
@@ -104,7 +107,7 @@ func main() {
 		files++
 		for _, cfg := range configs {
 			linted++
-			if lintOne(path, prog, profs, cfg, *inlineFlag, *quiet) {
+			if lintOne(path, prog, profs, cfg, *quiet) {
 				failed = true
 			}
 		}
@@ -121,14 +124,12 @@ func main() {
 // resolves the file's call graph when inlining is on) and renders every
 // diagnostic. It reports whether an Error-severity diagnostic (or a compile
 // failure) occurred.
-func lintOne(path string, prog *treegion.Program, profs treegion.Profiles, cfg treegion.Config, inlineOn, quiet bool) bool {
+func lintOne(path string, prog *treegion.Program, profs treegion.Profiles, cfg treegion.Config, quiet bool) bool {
 	tag := fmt.Sprintf("%s/%s/%s", cfg.Kind, cfg.Heuristic, cfg.Machine.Name)
-	opts := []treegion.CompileOption{treegion.WithVerify()}
-	if inlineOn {
+	if cfg.Inline.Enabled {
 		tag += "/inline"
-		opts = append(opts, treegion.WithInline(treegion.DefaultInlineConfig()))
 	}
-	res, err := treegion.Compile(context.Background(), prog, profs, cfg, opts...)
+	res, err := treegion.Compile(context.Background(), prog, profs, cfg, treegion.WithVerify())
 	if err != nil {
 		var vf *treegion.VerifyFailure
 		if errors.As(err, &vf) {

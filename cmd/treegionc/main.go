@@ -69,6 +69,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// -inline inlines in the main compile only: the speedup denominator is
+	// the untransformed program on the scalar machine.
+	if *inlineFlag {
+		cfg.Inline = treegion.DefaultInlineConfig()
+	}
 
 	var prog *treegion.Program
 	var profs treegion.Profiles
@@ -116,13 +121,7 @@ func main() {
 		cache.SetL2(st)
 		copts = append(copts, treegion.WithCache(cache))
 	}
-	// The baseline compiles without inlining: the speedup denominator is the
-	// untransformed program on the scalar machine.
-	mainOpts := append([]treegion.CompileOption(nil), copts...)
-	if *inlineFlag {
-		mainOpts = append(mainOpts, treegion.WithInline(treegion.DefaultInlineConfig()))
-	}
-	res, err := treegion.Compile(ctx, prog, profs, cfg, mainOpts...)
+	res, err := treegion.Compile(ctx, prog, profs, cfg, copts...)
 	if err != nil {
 		fatalCompile(err)
 	}
@@ -173,12 +172,12 @@ func main() {
 		fmt.Printf("region blocks:  %s\n", res.RegionStats.Blocks)
 		fmt.Printf("region paths:   %s\n", res.RegionStats.Paths)
 		if *verifyFlag {
-			v := res.Trace.Snapshot().Phase[telemetry.PhaseVerify]
+			v := res.Trace.Phase[telemetry.PhaseVerify]
 			fmt.Printf("verify time:    %d verifier runs, %.1f ms wall\n", v.Calls, float64(v.Nanos)/1e6)
 		}
-		fmt.Printf("\n== compile trace: %s\n%s", prog.Name, res.Trace.Snapshot().Table())
+		fmt.Printf("\n== compile trace: %s\n%s", prog.Name, res.Trace.Table())
 		for _, fr := range res.Funcs {
-			fmt.Printf("\n== compile trace: %s\n%s", fr.Fn.Name, fr.Trace.Snapshot().Table())
+			fmt.Printf("\n== compile trace: %s\n%s", fr.Fn.Name, fr.Trace.Table())
 		}
 	}
 

@@ -132,7 +132,7 @@ func (s *server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		return rc.Flush()
 	}
-	if err := treegion.CompileEach(r.Context(), fns, profs, req.Config, emit, s.compileOptions(req.Verify, req.Inline)...); err != nil {
+	if err := treegion.CompileEach(r.Context(), fns, profs, compileConfig(&req.CompileConfig, req.Config), emit, s.compileOptions(req.Verify)...); err != nil {
 		// The client is gone (write failure or disconnect-driven cancel);
 		// there is nobody left to send a summary to.
 		s.reg.Counter("treegiond_http_compile_batch_aborts_total",

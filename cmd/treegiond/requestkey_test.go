@@ -272,7 +272,7 @@ func TestRequestKeyVerifiedHitHoldsError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, _, err := treegion.CompileOne(context.Background(), fn, prof, req.Config)
+	fr, err := treegion.CompileFunction(fn, prof, req.Config)
 	if err != nil {
 		t.Fatal(err)
 	}

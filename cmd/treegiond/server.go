@@ -235,9 +235,8 @@ func (s *server) parseProgram(ir string) (*treegion.IRProgram, *api.Failure) {
 
 // compileOptions assembles the pipeline options every compile on this
 // daemon shares: the worker pool bound, the tiered cache/store, metrics and
-// telemetry — plus verification and inline-on-absorb when the request asks
-// for them.
-func (s *server) compileOptions(verify, inlineOn bool) []treegion.CompileOption {
+// telemetry — plus verification when the request asks for it.
+func (s *server) compileOptions(verify bool) []treegion.CompileOption {
 	copts := []treegion.CompileOption{
 		treegion.WithWorkers(s.workers),
 		treegion.WithCache(s.cache),
@@ -247,10 +246,18 @@ func (s *server) compileOptions(verify, inlineOn bool) []treegion.CompileOption 
 	if verify {
 		copts = append(copts, treegion.WithVerify())
 	}
-	if inlineOn {
-		copts = append(copts, treegion.WithInline(treegion.DefaultInlineConfig()))
-	}
 	return copts
+}
+
+// compileConfig is what a body in normal form compiles: its Config cfg,
+// with the default inlining budgets when the body says "inline": true.
+// The program path and the batch compile under it; the single-function
+// path never inlines.
+func compileConfig(body *api.CompileConfig, cfg treegion.Config) treegion.Config {
+	if body.Inline {
+		cfg.Inline = treegion.DefaultInlineConfig()
+	}
+	return cfg
 }
 
 // compileError maps a pipeline error onto the structured API error space.
@@ -287,7 +294,7 @@ func (s *server) compile(ctx context.Context, req *api.Compile) (*compileRespons
 			return nil, nil, f
 		}
 		return fn, prof, nil
-	}, req.Config, s.compileOptions(req.Verify, false)...)
+	}, req.Config, s.compileOptions(req.Verify)...)
 	if f, ok := err.(*api.Failure); ok {
 		if f.Detail.Code == "bad_ir" {
 			if irprog, perr := s.parseProgram(req.IR); perr == nil {
@@ -322,7 +329,7 @@ func (s *server) compileProgram(ctx context.Context, req *api.Compile, irprog *t
 		}
 		profs = append(profs, prof)
 	}
-	res, err := treegion.Compile(ctx, prog, profs, req.Config, s.compileOptions(req.Verify, req.Inline)...)
+	res, err := treegion.Compile(ctx, prog, profs, compileConfig(&req.CompileConfig, req.Config), s.compileOptions(req.Verify)...)
 	if err != nil {
 		return nil, compileError(err)
 	}
@@ -405,15 +412,13 @@ func (s *server) shapeResponse(req *api.CompileBody, fr *treegion.FunctionResult
 			resp.Schedules = append(resp.Schedules, sc.String())
 		}
 	}
-	if req.Trace {
-		snap := fr.Trace.Snapshot()
+	if req.Trace && fr.Trace != nil {
 		resp.Trace = make(map[string]tracePhase)
-		for p := treegion.Phase(0); int(p) < len(snap.Phase); p++ {
-			ps := snap.Phase[p]
+		for p, ps := range fr.Trace.Phase {
 			if ps.Calls == 0 {
 				continue
 			}
-			resp.Trace[p.String()] = tracePhase{
+			resp.Trace[treegion.Phase(p).String()] = tracePhase{
 				Calls: ps.Calls,
 				Ops:   ps.Ops,
 				MS:    float64(ps.Duration().Microseconds()) / 1000,

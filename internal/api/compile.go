@@ -220,7 +220,11 @@ func (c *Compile) Key() compcache.Key {
 // Key is the batch's shard key: the request key's construction over every
 // function's text, each after its length, tagged "/batch".
 func (b *Batch) Key() compcache.Key {
-	var texts []byte
+	n := 0
+	for _, fn := range b.Functions {
+		n += 8 + len(fn.IR)
+	}
+	texts := make([]byte, 0, n)
 	for _, fn := range b.Functions {
 		texts = binary.LittleEndian.AppendUint64(texts, uint64(len(fn.IR)))
 		texts = append(texts, fn.IR...)

@@ -83,13 +83,32 @@ type Config struct {
 	Hyper     hyper.Config
 	// Inline enables demand-driven inline-on-absorb during treegion
 	// formation (Treegion and TreegionTD kinds): calls whose callee fits the
-	// budgets are spliced into the growing region. Requires InlineEnv.
+	// budgets are spliced into the growing region. It is the only inline
+	// switch. Requires InlineEnv, which WithProgram resolves.
 	Inline inline.Config
 	// InlineEnv is the interprocedural context (resolved program plus
 	// per-function profiles) the inliner clones callee bodies from. It is
 	// input content, not configuration — the pipeline hashes the reachable
 	// callees into cache keys separately — so it is not fingerprinted.
 	InlineEnv *inline.Env
+}
+
+// WithProgram returns c ready to compile functions of the batch fns, whose
+// profiles are profs: when c enables inlining without an InlineEnv, it
+// resolves fns into a program and stores it, with profs, as c's InlineEnv.
+// A batch that does not resolve (duplicate names, calls to functions
+// outside it, arity mismatches) is an error: compiling it without inlining
+// would make the switch's effect depend on the input's shape.
+func (c Config) WithProgram(fns []*ir.Function, profs []*profile.Data) (Config, error) {
+	if !c.Inline.Enabled || c.InlineEnv != nil {
+		return c, nil
+	}
+	p, err := ir.NewProgram(fns)
+	if err != nil {
+		return c, err
+	}
+	c.InlineEnv = &inline.Env{Prog: p, Profiles: profs}
+	return c, nil
 }
 
 // Fingerprint returns a canonical string covering every field of the
@@ -160,7 +179,7 @@ type FunctionResult struct {
 	// (when Config.Inline.Enabled was set): splices, added ops, declines.
 	Inline inline.Stats
 	// Diagnostics holds the static verifier's findings when verification
-	// ran (see VerifyResult); nil when it did not.
+	// ran (see VerifyDiagnostics); nil when it did not.
 	Diagnostics []verify.Diagnostic
 }
 
@@ -174,7 +193,13 @@ func CompileFunction(fn *ir.Function, prof *profile.Data, c Config) (*FunctionRe
 // CompileFunctionArena is CompileFunction compiling through a caller-owned
 // scratch arena. The pipeline gives each worker one arena and reuses it
 // across every function the worker compiles.
+//
+// A config that enables inlining without an InlineEnv is refused: its
+// fingerprint promises splices the compile could not make.
 func CompileFunctionArena(fn *ir.Function, prof *profile.Data, c Config, ar *Arena) (*FunctionResult, error) {
+	if c.Inline.Enabled && c.InlineEnv == nil {
+		return nil, fmt.Errorf("eval: %s: inlining without a program: Config.InlineEnv is nil", fn.Name)
+	}
 	tr := telemetry.NewTrace(fn.Name)
 	res := &FunctionResult{Fn: fn, Prof: prof, OpsBefore: fn.NumOps(), Trace: tr}
 	if c.IfConvert {
@@ -224,7 +249,7 @@ func CompileFunctionArena(fn *ir.Function, prof *profile.Data, c Config, ar *Are
 	}
 	res.OpsAfter = fn.NumOps()
 	tr.Observe(telemetry.PhaseTreeform,
-		time.Since(t0)-time.Duration(tr.PhaseNanos(telemetry.PhaseTailDup)), res.OpsAfter)
+		time.Since(t0)-tr.Phase[telemetry.PhaseTailDup].Duration(), res.OpsAfter)
 	// Every former forms over one region.Partition; its owned-block count
 	// confirms the regions cover the function without a map.
 	if len(res.Regions) == 0 {
@@ -316,17 +341,15 @@ func ProfileProgram(prog *progen.Program) (Profiles, error) {
 // CompileProgram compiles every function of prog under c, on fresh clones of
 // the functions and profiles, and aggregates the results. When c enables
 // inlining without supplying an InlineEnv, the env is resolved from prog
-// itself (the original functions — the inliner clones out of them while the
-// compilation mutates its own copies). Production code compiles programs
-// through pipeline.CompileProgram; this serial form is kept because eval's
-// own tests drive whole programs with it and eval cannot import pipeline.
+// itself (c.WithProgram over the original functions — the inliner clones
+// out of them while the compilation mutates its own copies). Production
+// code compiles programs through pipeline.CompileProgram; this serial form
+// is kept because eval's own tests, and the pipeline's as their serial
+// reference, drive whole programs with it, and eval cannot import pipeline.
 func CompileProgram(prog *progen.Program, profs Profiles, c Config) (*ProgramResult, error) {
-	if c.Inline.Enabled && c.InlineEnv == nil {
-		p, err := ir.NewProgram(prog.Funcs)
-		if err != nil {
-			return nil, fmt.Errorf("eval: %s: %w", prog.Name, err)
-		}
-		c.InlineEnv = &inline.Env{Prog: p, Profiles: profs}
+	c, err := c.WithProgram(prog.Funcs, profs)
+	if err != nil {
+		return nil, fmt.Errorf("eval: %s: %w", prog.Name, err)
 	}
 	frs := make([]*FunctionResult, len(prog.Funcs))
 	for i, orig := range prog.Funcs {

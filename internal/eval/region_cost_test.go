@@ -284,7 +284,7 @@ func TestArenaReuseMatchesFreshArena(t *testing.T) {
 					t.Errorf("%s on a shared arena: digest %s, fresh arena %s", f.fn.Name, got, fresh[f.fn])
 				}
 				want := VerifyDiagnostics(f.fn, fr, c, NewArena())
-				if got := VerifyResult(f.fn, fr, c, ar); !reflect.DeepEqual(got, want) {
+				if got := VerifyDiagnostics(f.fn, fr, c, ar); !reflect.DeepEqual(got, want) {
 					t.Errorf("%s verified on a shared arena: %v, fresh arena %v", f.fn.Name, got, want)
 				}
 			}

@@ -13,8 +13,7 @@ import (
 // callers keep a clone); nil skips the differential semantics check. It
 // verifies on ar's verifier tables.
 //
-// Unlike VerifyResult it does not touch fr, so it is safe on results shared
-// out of a cache.
+// It does not touch fr, so it is safe on results shared out of a cache.
 func VerifyDiagnostics(orig *ir.Function, fr *FunctionResult, c Config, ar *Arena) []verify.Diagnostic {
 	var td core.TDConfig
 	if c.Kind == TreegionTD {
@@ -38,12 +37,4 @@ func VerifyDiagnostics(orig *ir.Function, fr *FunctionResult, c Config, ar *Aren
 		opts.Inline = &st
 	}
 	return verify.CompiledScratch(fr.Fn, fr.Regions, fr.Schedules, opts, &ar.verify)
-}
-
-// VerifyResult is VerifyDiagnostics plus recording the diagnostics on fr.
-// Only call it on a result this caller owns — never on a cached, shared one.
-func VerifyResult(orig *ir.Function, fr *FunctionResult, c Config, ar *Arena) []verify.Diagnostic {
-	ds := VerifyDiagnostics(orig, fr, c, ar)
-	fr.Diagnostics = ds
-	return ds
 }

@@ -92,7 +92,7 @@ func verifyProgram(t *testing.T, prog *progen.Program, profs Profiles, c Config)
 		if err != nil {
 			t.Fatalf("%s/%s [%s]: compile: %v", prog.Name, orig.Name, c.Fingerprint(), err)
 		}
-		for _, d := range VerifyResult(orig, fr, c, ar) {
+		for _, d := range VerifyDiagnostics(orig, fr, c, ar) {
 			t.Errorf("%s [%s]: %s", prog.Name, c.Fingerprint(), d)
 		}
 		if t.Failed() {

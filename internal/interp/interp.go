@@ -25,24 +25,21 @@ import (
 	"treegion/internal/profile"
 )
 
-// Oracle decides conditional branches. origID is the Orig field of the
-// branch op (stable across tail duplication) and occurrence is how many
-// times that original branch has executed so far in this trip, so a
-// decision stream replays identically across CFG transformations.
-type Oracle interface {
-	Take(origID, occurrence int, prob float64) bool
-}
+// Oracle decides conditional branches with deterministic pseudo-random
+// draws from a seed. It is a value, so Profile and the Runner call it
+// directly, without an interface or an allocation per trip.
+type Oracle struct{ seed uint64 }
 
-// hashOracle draws deterministic pseudo-random decisions from a seed. It is
-// a value, so Profile calls it directly, without an interface or an
-// allocation per trip.
-type hashOracle struct{ seed uint64 }
+// NewOracle returns the Oracle for the given seed.
+func NewOracle(seed uint64) Oracle { return Oracle{seed: seed} }
 
-// NewOracle returns a deterministic Oracle for the given seed.
-func NewOracle(seed uint64) Oracle { return hashOracle{seed: seed} }
-
-func (h hashOracle) Take(origID, occurrence int, prob float64) bool {
-	x := h.seed
+// Take reports whether a branch taken with probability prob is taken this
+// time. origID is the Orig field of the branch op (stable across tail
+// duplication) and occurrence is how many times that original branch has
+// executed so far in this trip, so a decision stream replays identically
+// across CFG transformations.
+func (o Oracle) Take(origID, occurrence int, prob float64) bool {
+	x := o.seed
 	x ^= uint64(origID) * 0x9e3779b97f4a7c15
 	x ^= uint64(occurrence) * 0xbf58476d1ce4e5b9
 	x ^= x >> 30
@@ -111,7 +108,7 @@ func Profile(fn *ir.Function, seed uint64, trips int, cfg Config) (*profile.Data
 	edgeN := make([]int, len(sk.edges))
 	occ := make([]int, sk.nocc)
 	for t := 0; t < trips; t++ {
-		o := hashOracle{seed + uint64(t)}
+		o := NewOracle(seed + uint64(t))
 		clear(occ)
 		cur, steps := fn.Entry, 0
 		for {

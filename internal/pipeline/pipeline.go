@@ -21,7 +21,6 @@ import (
 
 	"treegion/internal/compcache"
 	"treegion/internal/eval"
-	"treegion/internal/inline"
 	"treegion/internal/ir"
 	"treegion/internal/irtext"
 	"treegion/internal/profile"
@@ -30,7 +29,8 @@ import (
 	"treegion/internal/verify"
 )
 
-// Options configures a pipeline run.
+// Options configures a pipeline run: how it runs and what it checks. What
+// it compiles, inlining included, is the eval.Config.
 type Options struct {
 	// Workers bounds concurrent function compiles; <= 0 means
 	// runtime.GOMAXPROCS(0).
@@ -53,12 +53,6 @@ type Options struct {
 	// full list, whether it was compiled now or served from a cache tier;
 	// advisory diagnostics ride on the result.
 	Verify bool
-	// Inline enables demand-driven inline-on-absorb: CompileProgram (and
-	// CompileEach) resolve the batch's functions into an ir.Program, and
-	// treegion formation splices eligible callee bodies into the caller.
-	// Cache keys grow the transitive callee content, so editing a callee
-	// invalidates its inlining callers.
-	Inline inline.Config
 }
 
 func (o Options) workers() int {
@@ -105,11 +99,12 @@ func CompileProgram(ctx context.Context, prog *progen.Program, profs eval.Profil
 	if len(profs) != len(prog.Funcs) {
 		return nil, fmt.Errorf("pipeline: %s: %d profiles for %d functions", prog.Name, len(profs), len(prog.Funcs))
 	}
-	if err := applyInline(&c, prog.Funcs, profs, opts); err != nil {
+	c, err := c.WithProgram(prog.Funcs, profs)
+	if err != nil {
 		return nil, fmt.Errorf("pipeline: %s: %w", prog.Name, err)
 	}
 	frs := make([]*eval.FunctionResult, len(prog.Funcs))
-	err := CompileEach(ctx, prog.Funcs, profs, c, opts, func(i int, fr *eval.FunctionResult, _ bool, err error) error {
+	err = CompileEach(ctx, prog.Funcs, profs, c, opts, func(i int, fr *eval.FunctionResult, _ bool, err error) error {
 		if err != nil {
 			return fmt.Errorf("function %s: %w", prog.Funcs[i].Name, err)
 		}
@@ -124,18 +119,22 @@ func CompileProgram(ctx context.Context, prog *progen.Program, profs eval.Profil
 
 // CompileEach compiles fns[i] against profs[i] and calls emit exactly once
 // per index, in index order, as results become available — the pipeline's
-// one driver, behind CompileProgram and the daemon's /v1/compile-batch.
-// Each worker claims the next index from a shared counter and compiles it
-// on the worker's own arena. A per-function failure is delivered to emit
-// as err (the run continues); an error returned BY emit (e.g. the client
-// went away) cancels the remaining work and is returned after the workers
-// drain. emit runs on the caller's goroutine.
+// one driver, behind CompileProgram, the daemon's /v1/compile-batch and
+// every one-function compile addressed by content. Each worker claims the
+// next index from a shared counter and compiles it on the worker's own
+// arena; a single worker (one function, say) compiles on the caller's
+// goroutine. With c.Inline on, fns is the program the inliner splices
+// from (see eval.Config.WithProgram). A per-function failure is delivered
+// to emit as err (the run continues); an error returned BY emit (e.g. the
+// client went away) cancels the remaining work and is returned after the
+// workers drain. emit runs on the caller's goroutine.
 func CompileEach(ctx context.Context, fns []*ir.Function, profs []*profile.Data, c eval.Config, opts Options,
 	emit func(i int, fr *eval.FunctionResult, cached bool, err error) error) error {
 	if len(profs) != len(fns) {
 		return fmt.Errorf("pipeline: %d profiles for %d functions", len(profs), len(fns))
 	}
-	if err := applyInline(&c, fns, profs, opts); err != nil {
+	c, err := c.WithProgram(fns, profs)
+	if err != nil {
 		return fmt.Errorf("pipeline: %w", err)
 	}
 	n := len(fns)
@@ -187,7 +186,6 @@ func CompileEach(ctx context.Context, fns []*ir.Function, profs []*profile.Data,
 		}()
 	}
 
-	var err error
 	for i := 0; i < n && err == nil; i++ {
 		select {
 		case <-done[i]:
@@ -204,37 +202,6 @@ func CompileEach(ctx context.Context, fns []*ir.Function, profs []*profile.Data,
 	cancel() // stop compiling what nobody will read
 	wg.Wait()
 	return err
-}
-
-// applyInline copies the pipeline's inline option onto the eval config,
-// resolving the batch into a program the inliner (and the verifier's
-// differential check) can splice callee bodies from. A batch that does not
-// form a valid program — duplicate names, calls to functions outside the
-// batch, arity mismatches — is rejected up front: silently compiling it
-// without inlining would make the option's effect depend on input shape.
-func applyInline(c *eval.Config, fns []*ir.Function, profs []*profile.Data, opts Options) error {
-	if !opts.Inline.Enabled || c.InlineEnv != nil {
-		return nil
-	}
-	p, err := ir.NewProgram(fns)
-	if err != nil {
-		return err
-	}
-	c.Inline = opts.Inline
-	c.InlineEnv = &inline.Env{Prog: p, Profiles: profs}
-	return nil
-}
-
-// CompileFunction compiles a single function through the cache and the
-// panic isolation of the pipeline. Unlike eval.CompileFunction it does NOT
-// mutate fn or prof — it compiles clones — so callers can keep feeding the
-// same parsed function. It reports whether the result came from the cache.
-// A cold compile runs on an arena of its own.
-func CompileFunction(ctx context.Context, fn *ir.Function, prof *profile.Data, c eval.Config, opts Options) (*eval.FunctionResult, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	return compileOne(fn, prof, c, opts, nil)
 }
 
 // keyBufPool recycles the buffer contentKey serializes into: the key-form
@@ -285,7 +252,7 @@ func contentKey(orig *ir.Function, prof *profile.Data, c eval.Config, verified b
 
 // compileOne compiles one function on clones of (orig, prof) through the
 // keyed path, addressed by its content. arena is the calling worker's
-// private compile scratch, or nil for one made on a cold compile.
+// private compile scratch.
 func compileOne(orig *ir.Function, prof *profile.Data, c eval.Config, opts Options, arena *eval.Arena) (*eval.FunctionResult, bool, error) {
 	var key compcache.Key
 	if opts.Cache != nil {
@@ -371,13 +338,11 @@ func observeResult(reg *telemetry.Registry, fr *eval.FunctionResult) {
 			telemetry.Labels{"rule": d.Rule, "severity": d.Severity.String()},
 			"Static-verifier diagnostics by rule and severity.").Inc()
 	}
-	snap := fr.Trace.Snapshot()
-	for p := telemetry.Phase(0); p < telemetry.NumPhases; p++ {
-		ps := snap.Phase[p]
+	for p, ps := range fr.Trace.Phase {
 		if ps.Calls == 0 {
 			continue
 		}
-		lbl := telemetry.Labels{"phase": p.String()}
+		lbl := telemetry.Labels{"phase": telemetry.Phase(p).String()}
 		reg.Histogram("treegion_compile_phase_seconds", lbl,
 			"Wall time per compile phase per function.", telemetry.DefBuckets).Observe(ps.Duration().Seconds())
 		reg.LabeledCounter("treegion_compile_phase_ops_total", lbl,
@@ -480,11 +445,11 @@ func compileIsolated(orig *ir.Function, prof *profile.Data, c eval.Config, opts 
 		return fr, err
 	}
 	t0 := time.Now()
-	ds := eval.VerifyResult(orig, fr, c, arena)
+	fr.Diagnostics = eval.VerifyDiagnostics(orig, fr, c, arena)
 	fr.Trace.Observe(telemetry.PhaseVerify, time.Since(t0), fr.OpsAfter)
 	if m != nil {
 		m.VerifyRuns.Add(1)
-		if verify.HasErrors(ds) {
+		if verify.HasErrors(fr.Diagnostics) {
 			m.VerifyFailures.Add(1)
 		}
 	}

@@ -34,6 +34,16 @@ func testProgram(t testing.TB) (*progen.Program, eval.Profiles) {
 	return prog, profs
 }
 
+// compileSingle compiles one function as a one-function CompileEach, on
+// clones of fn and prof, and reports whether the cache served it.
+func compileSingle(ctx context.Context, fn *ir.Function, prof *profile.Data, c eval.Config, opts Options) (fr *eval.FunctionResult, cached bool, err error) {
+	err = CompileEach(ctx, []*ir.Function{fn}, []*profile.Data{prof}, c, opts, func(_ int, r *eval.FunctionResult, hit bool, e error) error {
+		fr, cached = r, hit
+		return e
+	})
+	return fr, cached, err
+}
+
 // projection is the observable content of a ProgramResult, copied into
 // plain values so reflect.DeepEqual ignores pointer identity (the ddg
 // graphs key maps by *ir.Op, which differs between independent compiles).
@@ -179,7 +189,7 @@ func TestVerifierPanicIsIsolated(t *testing.T) {
 				t.Fatalf("verifier panic escaped the pipeline: %v", r)
 			}
 		}()
-		_, _, err = CompileFunction(context.Background(), prog.Funcs[0], profs[0], eval.DefaultConfig(),
+		_, _, err = compileSingle(context.Background(), prog.Funcs[0], profs[0], eval.DefaultConfig(),
 			Options{Verify: true, Metrics: &m})
 	}()
 	if err == nil || !strings.Contains(err.Error(), "compile panicked") {
@@ -201,14 +211,14 @@ func TestVerifiedResultsCacheTheirDiagnostics(t *testing.T) {
 
 	var m Metrics
 	opts := Options{Cache: compcache.New(64 << 20), Metrics: &m}
-	if _, _, err := CompileFunction(ctx, fn, prof, cfg, opts); err != nil {
+	if _, _, err := compileSingle(ctx, fn, prof, cfg, opts); err != nil {
 		t.Fatal(err)
 	}
 	opts.Verify = true
-	if _, hit, err := CompileFunction(ctx, fn, prof, cfg, opts); err != nil || hit {
+	if _, hit, err := compileSingle(ctx, fn, prof, cfg, opts); err != nil || hit {
 		t.Fatalf("verified compile after a plain one: hit %v, err %v; want a cold compile", hit, err)
 	}
-	if _, hit, err := CompileFunction(ctx, fn, prof, cfg, opts); err != nil || !hit {
+	if _, hit, err := compileSingle(ctx, fn, prof, cfg, opts); err != nil || !hit {
 		t.Fatalf("repeated verified compile: hit %v, err %v; want a cache hit", hit, err)
 	}
 	if c, v := m.Compiles.Load(), m.VerifyRuns.Load(); c != 2 || v != 1 {
@@ -241,7 +251,7 @@ func TestVerifiedResultsCacheTheirDiagnostics(t *testing.T) {
 	bad := Options{Cache: compcache.New(64 << 20), Metrics: &bm, Verify: true}
 	var fails [2]*verify.Failure
 	for i := range fails {
-		_, _, err := CompileFunction(ctx, fn, prof, cfg, bad)
+		_, _, err := compileSingle(ctx, fn, prof, cfg, bad)
 		if !errors.As(err, &fails[i]) {
 			t.Fatalf("compile %d: err = %v, want a *verify.Failure", i, err)
 		}

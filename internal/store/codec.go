@@ -40,7 +40,7 @@ import (
 //	3 regions     preorder (block, parent) lists per region
 //	4 schedules   per-schedule DDG node/edge CSR records + issue cycles
 //	5 stats       fixed-width scalar result fields
-//	6 trace       telemetry.TraceSnapshot (per-phase counters)
+//	6 trace       telemetry.CompileTrace (per-phase counters)
 //	7 diagnostics verifier diagnostics riding on the result
 //
 // Decode validates the section table (bounds, contiguity, unknown ids) and
@@ -236,7 +236,6 @@ func encodeEntry(fr *eval.FunctionResult) ([]byte, error) {
 		return nil, fmt.Errorf("store: nil result")
 	}
 	snap := fr.Fn.Snapshot()
-	trace := fr.Trace.Snapshot()
 
 	var idBuf [maxSections]uint32
 	ids := append(idBuf[:0], secFunc, secProfile, secRegions, secSchedules, secStats)
@@ -247,7 +246,7 @@ func encodeEntry(fr *eval.FunctionResult) ([]byte, error) {
 		ids = append(ids, secDiagnostics)
 	}
 
-	w := &writer{buf: make([]byte, 0, entrySize(fr, snap, &trace, len(ids)))}
+	w := &writer{buf: make([]byte, 0, entrySize(fr, snap, len(ids)))}
 	w.buf = append(w.buf, magic...)
 	base := len(w.buf) // section offsets count from the payload's start
 	w.u32(schemaVersion)
@@ -271,7 +270,7 @@ func encodeEntry(fr *eval.FunctionResult) ([]byte, error) {
 		case secStats:
 			encodeStats(w, fr)
 		case secTrace:
-			encodeTrace(w, trace)
+			encodeTrace(w, fr.Trace)
 		case secDiagnostics:
 			encodeDiagnostics(w, fr.Diagnostics)
 		}
@@ -290,7 +289,7 @@ func encodeEntry(fr *eval.FunctionResult) ([]byte, error) {
 // entrySize is the exact byte length of fr's store entry with nsec
 // sections: the magic, the section table, and each section as its encoder
 // writes it, from the record counts and the record sizes above.
-func entrySize(fr *eval.FunctionResult, snap *ir.FuncSnapshot, trace *telemetry.TraceSnapshot, nsec int) int {
+func entrySize(fr *eval.FunctionResult, snap *ir.FuncSnapshot, nsec int) int {
 	str := func(s string) int { return 4 + len(s) }
 	n := len(magic) + 8 + nsec*secHdrSize
 	// func
@@ -325,7 +324,7 @@ func entrySize(fr *eval.FunctionResult, snap *ir.FuncSnapshot, trace *telemetry.
 	// stats: three field counts, each field 8 bytes
 	n += 3*4 + (resultStatsN+schedStatsN+hyperStatsN)*8
 	if fr.Trace != nil {
-		n += str(trace.Function) + 4 + int(telemetry.NumPhases)*3*8
+		n += str(fr.Trace.Function) + 4 + int(telemetry.NumPhases)*3*8
 	}
 	if len(fr.Diagnostics) > 0 {
 		n += 4
@@ -877,11 +876,10 @@ func decodeStats(data []byte, fr *eval.FunctionResult) error {
 	return r.err
 }
 
-func encodeTrace(w *writer, snap telemetry.TraceSnapshot) {
-	w.str(snap.Function)
+func encodeTrace(w *writer, tr *telemetry.CompileTrace) {
+	w.str(tr.Function)
 	w.u32(uint32(telemetry.NumPhases))
-	for p := telemetry.Phase(0); p < telemetry.NumPhases; p++ {
-		ps := snap.Phase[p]
+	for _, ps := range tr.Phase {
 		w.i64(ps.Nanos)
 		w.i64(ps.Calls)
 		w.i64(ps.Ops)
@@ -890,14 +888,13 @@ func encodeTrace(w *writer, snap telemetry.TraceSnapshot) {
 
 func decodeTrace(data []byte) (*telemetry.CompileTrace, error) {
 	r := &reader{b: data}
-	var snap telemetry.TraceSnapshot
-	snap.Function = r.str()
+	tr := telemetry.NewTrace(r.str())
 	if n := r.u32(); r.err == nil && n != uint32(telemetry.NumPhases) {
 		// Written by a binary with a different phase set.
 		return nil, errSchemaSkew
 	}
-	for p := telemetry.Phase(0); p < telemetry.NumPhases; p++ {
-		snap.Phase[p] = telemetry.PhaseSnapshot{
+	for p := range tr.Phase {
+		tr.Phase[p] = telemetry.PhaseStat{
 			Nanos: r.i64(),
 			Calls: r.i64(),
 			Ops:   r.i64(),
@@ -907,7 +904,7 @@ func decodeTrace(data []byte) (*telemetry.CompileTrace, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	return snap.Restore(), nil
+	return tr, nil
 }
 
 func encodeDiagnostics(w *writer, ds []verify.Diagnostic) {

@@ -6,23 +6,22 @@ import (
 	"time"
 )
 
-func TestTraceObserveAndSnapshot(t *testing.T) {
+func TestTraceObserve(t *testing.T) {
 	tr := NewTrace("f")
 	tr.Observe(PhaseTreeform, 5*time.Millisecond, 10)
 	tr.Observe(PhaseListSched, 2*time.Millisecond, 7)
 	tr.Observe(PhaseListSched, 3*time.Millisecond, 4)
 
-	s := tr.Snapshot()
-	if s.Function != "f" {
-		t.Errorf("Function = %q, want f", s.Function)
+	if tr.Function != "f" {
+		t.Errorf("Function = %q, want f", tr.Function)
 	}
-	if got := s.Phase[PhaseTreeform]; got.Calls != 1 || got.Ops != 10 || got.Nanos != int64(5*time.Millisecond) {
+	if got := tr.Phase[PhaseTreeform]; got.Calls != 1 || got.Ops != 10 || got.Nanos != int64(5*time.Millisecond) {
 		t.Errorf("treeform = %+v", got)
 	}
-	if got := s.Phase[PhaseListSched]; got.Calls != 2 || got.Ops != 11 || got.Nanos != int64(5*time.Millisecond) {
+	if got := tr.Phase[PhaseListSched]; got.Calls != 2 || got.Ops != 11 || got.Nanos != int64(5*time.Millisecond) {
 		t.Errorf("list-sched = %+v", got)
 	}
-	tot := s.Total()
+	tot := tr.Total()
 	if tot.Calls != 3 || tot.Ops != 21 || tot.Nanos != int64(10*time.Millisecond) {
 		t.Errorf("total = %+v", tot)
 	}
@@ -44,10 +43,10 @@ func TestTraceMergeOrderIndependent(t *testing.T) {
 	ba := NewTrace("p")
 	ba.Merge(b2)
 	ba.Merge(a2)
-	if ab.Snapshot().Counts() != ba.Snapshot().Counts() {
+	if ab.Counts() != ba.Counts() {
 		t.Error("merge order changed counts")
 	}
-	if got := ab.Snapshot().Phase[PhaseDDG]; got.Calls != 2 || got.Ops != 7 {
+	if got := ab.Phase[PhaseDDG]; got.Calls != 2 || got.Ops != 7 {
 		t.Errorf("merged ddg = %+v", got)
 	}
 }
@@ -56,15 +55,14 @@ func TestTraceNilSafety(t *testing.T) {
 	var tr *CompileTrace
 	tr.Observe(PhaseTreeform, time.Second, 1) // must not panic
 	tr.Merge(NewTrace("x"))
-	if tr.PhaseNanos(PhaseTreeform) != 0 {
-		t.Error("nil trace has nonzero nanos")
+	if tr.Total() != (PhaseStat{}) {
+		t.Errorf("nil trace total = %+v", tr.Total())
 	}
-	s := tr.Snapshot()
-	if s.Total() != (PhaseSnapshot{}) {
-		t.Errorf("nil snapshot total = %+v", s.Total())
+	if tr.Counts() != ([NumPhases][2]int64{}) {
+		t.Errorf("nil trace counts = %v", tr.Counts())
 	}
-	if !strings.Contains(s.Table(), "total") {
-		t.Error("nil snapshot table missing totals row")
+	if !strings.Contains(tr.Table(), "total") {
+		t.Error("nil trace table missing totals row")
 	}
 }
 
@@ -72,7 +70,7 @@ func TestTraceTable(t *testing.T) {
 	tr := NewTrace("f")
 	tr.Observe(PhaseTreeform, time.Millisecond, 24)
 	tr.Observe(PhaseListSched, 500*time.Microsecond, 24)
-	tbl := tr.Snapshot().Table()
+	tbl := tr.Table()
 	for _, want := range []string{"phase", "treeform", "list-sched", "total", "24"} {
 		if !strings.Contains(tbl, want) {
 			t.Errorf("table missing %q:\n%s", want, tbl)

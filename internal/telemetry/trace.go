@@ -13,7 +13,7 @@
 //     the daemon serves on /v1/metrics.
 //
 // The layer is allocation-conscious: a CompileTrace is a fixed-size array
-// of atomic counters — no maps, no locks, no allocation on the hot path —
+// of plain counters — no maps, no locks, no allocation on the hot path —
 // and a nil trace is a valid "tracing off" sentinel (every method no-ops),
 // so instrumented code never branches on a tracing flag.
 package telemetry
@@ -21,7 +21,6 @@ package telemetry
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 )
 
@@ -71,22 +70,40 @@ func (p Phase) String() string {
 	return fmt.Sprintf("phase%d", int(p))
 }
 
-// phaseStat accumulates one phase's activity. All fields are atomics so a
-// trace attached to a cached (shared) FunctionResult stays safe to read and
-// merge concurrently.
-type phaseStat struct {
-	nanos atomic.Int64
-	calls atomic.Int64
-	ops   atomic.Int64
+// PhaseStat is one phase's activity.
+type PhaseStat struct {
+	// Nanos is accumulated wall time in nanoseconds.
+	Nanos int64
+	// Calls counts Observe invocations (e.g. regions scheduled).
+	Calls int64
+	// Ops counts the ops the phase covered across all calls.
+	Ops int64
+}
+
+// Duration returns the accumulated wall time.
+func (s PhaseStat) Duration() time.Duration { return time.Duration(s.Nanos) }
+
+func (s PhaseStat) add(o PhaseStat) PhaseStat {
+	return PhaseStat{Nanos: s.Nanos + o.Nanos, Calls: s.Calls + o.Calls, Ops: s.Ops + o.Ops}
 }
 
 // CompileTrace records per-phase wall time and op counts for one function
-// compile, or — merged — for a whole program. A nil trace is valid: every
-// method no-ops, so instrumentation sites need no tracing flag.
+// compile, or — merged — for a whole program. The Calls and Ops columns
+// are deterministic in the compile inputs; Nanos is wall time and varies
+// run to run. A nil trace is valid: every method no-ops or reads zeros, so
+// instrumentation sites need no tracing flag.
+//
+// The counters are plain integers, so a trace has one writer: whoever owns
+// the result it rides on. The compile writes its own trace (eval, with
+// treeform-td's tail duplication and sched inside it), the pipeline's
+// verifier adds its phase before the result is cached, and vlsim.Run adds
+// its phase to a result its caller compiled. A result once published — to
+// a cache, a store or another goroutine — is only read.
 type CompileTrace struct {
 	// Function is the traced function (or program) name.
 	Function string
-	phase    [NumPhases]phaseStat
+	// Phase holds each phase's counters, indexed by Phase.
+	Phase [NumPhases]PhaseStat
 }
 
 // NewTrace builds an empty trace for the named function or program.
@@ -99,18 +116,10 @@ func (t *CompileTrace) Observe(p Phase, d time.Duration, ops int) {
 	if t == nil || p >= NumPhases {
 		return
 	}
-	st := &t.phase[p]
-	st.nanos.Add(int64(d))
-	st.calls.Add(1)
-	st.ops.Add(int64(ops))
-}
-
-// PhaseNanos returns the accumulated wall time of phase p in nanoseconds.
-func (t *CompileTrace) PhaseNanos(p Phase) int64 {
-	if t == nil || p >= NumPhases {
-		return 0
-	}
-	return t.phase[p].nanos.Load()
+	st := &t.Phase[p]
+	st.Nanos += int64(d)
+	st.Calls++
+	st.Ops += int64(ops)
 }
 
 // Merge adds o's counts into t. Counts are integers, so merging is
@@ -120,100 +129,50 @@ func (t *CompileTrace) Merge(o *CompileTrace) {
 	if t == nil || o == nil {
 		return
 	}
-	for p := Phase(0); p < NumPhases; p++ {
-		src, dst := &o.phase[p], &t.phase[p]
-		dst.nanos.Add(src.nanos.Load())
-		dst.calls.Add(src.calls.Load())
-		dst.ops.Add(src.ops.Load())
+	for p := range t.Phase {
+		t.Phase[p] = t.Phase[p].add(o.Phase[p])
 	}
-}
-
-// PhaseSnapshot is a point-in-time copy of one phase's counters.
-type PhaseSnapshot struct {
-	// Nanos is accumulated wall time in nanoseconds.
-	Nanos int64
-	// Calls counts Observe invocations (e.g. regions scheduled).
-	Calls int64
-	// Ops counts the ops the phase covered across all calls.
-	Ops int64
-}
-
-// Duration returns the accumulated wall time.
-func (s PhaseSnapshot) Duration() time.Duration { return time.Duration(s.Nanos) }
-
-func (s PhaseSnapshot) add(o PhaseSnapshot) PhaseSnapshot {
-	return PhaseSnapshot{Nanos: s.Nanos + o.Nanos, Calls: s.Calls + o.Calls, Ops: s.Ops + o.Ops}
-}
-
-// TraceSnapshot is a point-in-time copy of a whole trace, safe to compare
-// and serialize. The Calls and Ops columns are deterministic in the compile
-// inputs; Nanos is wall time and varies run to run.
-type TraceSnapshot struct {
-	Function string
-	Phase    [NumPhases]PhaseSnapshot
-}
-
-// Snapshot copies the trace's counters. A nil trace snapshots to zeros.
-func (t *CompileTrace) Snapshot() TraceSnapshot {
-	var s TraceSnapshot
-	if t == nil {
-		return s
-	}
-	s.Function = t.Function
-	for p := Phase(0); p < NumPhases; p++ {
-		st := &t.phase[p]
-		s.Phase[p] = PhaseSnapshot{Nanos: st.nanos.Load(), Calls: st.calls.Load(), Ops: st.ops.Load()}
-	}
-	return s
-}
-
-// Restore materializes a live trace carrying the snapshot's counts. The
-// artifact store persists traces as snapshots; a result served from disk
-// gets its original compile trace back, so trace tables and phase metrics
-// of warm results match their cold compile.
-func (s TraceSnapshot) Restore() *CompileTrace {
-	t := NewTrace(s.Function)
-	for p := Phase(0); p < NumPhases; p++ {
-		st := &t.phase[p]
-		st.nanos.Store(s.Phase[p].Nanos)
-		st.calls.Store(s.Phase[p].Calls)
-		st.ops.Store(s.Phase[p].Ops)
-	}
-	return t
 }
 
 // Total sums every phase.
-func (s TraceSnapshot) Total() PhaseSnapshot {
-	var tot PhaseSnapshot
-	for p := Phase(0); p < NumPhases; p++ {
-		tot = tot.add(s.Phase[p])
+func (t *CompileTrace) Total() PhaseStat {
+	var tot PhaseStat
+	if t == nil {
+		return tot
+	}
+	for _, ps := range t.Phase {
+		tot = tot.add(ps)
 	}
 	return tot
 }
 
-// Counts projects the snapshot onto its deterministic columns (calls and
-// ops per phase), the part golden tests may compare across worker counts.
-func (s TraceSnapshot) Counts() [NumPhases][2]int64 {
+// Counts projects the trace onto its deterministic columns (calls and ops
+// per phase), the part golden tests may compare across worker counts.
+func (t *CompileTrace) Counts() [NumPhases][2]int64 {
 	var out [NumPhases][2]int64
-	for p := Phase(0); p < NumPhases; p++ {
-		out[p] = [2]int64{s.Phase[p].Calls, s.Phase[p].Ops}
+	if t == nil {
+		return out
+	}
+	for p, ps := range t.Phase {
+		out[p] = [2]int64{ps.Calls, ps.Ops}
 	}
 	return out
 }
 
-// Table renders the snapshot as an aligned per-phase table (idle phases
+// Table renders the trace as an aligned per-phase table (idle phases
 // omitted) with a totals row — the `treegionc -stats` output.
-func (s TraceSnapshot) Table() string {
+func (t *CompileTrace) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-14s %10s %10s %12s\n", "phase", "calls", "ops", "time")
-	for p := Phase(0); p < NumPhases; p++ {
-		ps := s.Phase[p]
-		if ps.Calls == 0 {
-			continue
+	if t != nil {
+		for p, ps := range t.Phase {
+			if ps.Calls == 0 {
+				continue
+			}
+			fmt.Fprintf(&b, "%-14s %10d %10d %12s\n", Phase(p), ps.Calls, ps.Ops, fmtDuration(ps.Duration()))
 		}
-		fmt.Fprintf(&b, "%-14s %10d %10d %12s\n", p, ps.Calls, ps.Ops, fmtDuration(ps.Duration()))
 	}
-	tot := s.Total()
+	tot := t.Total()
 	fmt.Fprintf(&b, "%-14s %10d %10d %12s\n", "total", tot.Calls, tot.Ops, fmtDuration(tot.Duration()))
 	return b.String()
 }

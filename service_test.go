@@ -170,6 +170,17 @@ func TestSuiteConcurrentAccess(t *testing.T) {
 	}
 }
 
+// compileSingle compiles one function through the pipeline, as a
+// one-function CompileEach on clones of fn and prof, and reports whether
+// the cache served it.
+func compileSingle(ctx context.Context, fn *Function, prof *ProfileData, c Config, opts ...CompileOption) (fr *FunctionResult, cached bool, err error) {
+	err = CompileEach(ctx, []*Function{fn}, []*ProfileData{prof}, c, func(_ int, r *FunctionResult, hit bool, e error) error {
+		fr, cached = r, hit
+		return e
+	}, opts...)
+	return fr, cached, err
+}
+
 // TestCompileWithVerify covers the pipeline's verify mode: a clean compile
 // passes with Verify on; a verified compile has a key of its own, so it
 // compiles again after a plain compile of the same function; and a
@@ -189,12 +200,12 @@ func TestCompileWithVerify(t *testing.T) {
 	var metrics CompileMetrics
 	fn, prof := prog.Funcs[0], profs[0]
 
-	if _, cached, err := CompileOne(ctx, fn, prof, DefaultConfig(), WithCache(cache), WithMetrics(&metrics)); err != nil {
+	if _, cached, err := compileSingle(ctx, fn, prof, DefaultConfig(), WithCache(cache), WithMetrics(&metrics)); err != nil {
 		t.Fatal(err)
 	} else if cached {
 		t.Fatal("first compile reported cached")
 	}
-	if _, cached, err := CompileOne(ctx, fn, prof, DefaultConfig(), WithCache(cache), WithMetrics(&metrics), WithVerify()); err != nil {
+	if _, cached, err := compileSingle(ctx, fn, prof, DefaultConfig(), WithCache(cache), WithMetrics(&metrics), WithVerify()); err != nil {
 		t.Fatalf("verified compile: %v", err)
 	} else if cached {
 		t.Error("verified compile reused the plain artifact")
@@ -205,7 +216,7 @@ func TestCompileWithVerify(t *testing.T) {
 	if n := metrics.VerifyRuns.Load(); n != 1 {
 		t.Errorf("verify runs = %d, want 1", n)
 	}
-	fr, cached, err := CompileOne(ctx, fn, prof, DefaultConfig(), WithCache(cache), WithMetrics(&metrics), WithVerify())
+	fr, cached, err := compileSingle(ctx, fn, prof, DefaultConfig(), WithCache(cache), WithMetrics(&metrics), WithVerify())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func TestTraceDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c1, c8 := r1.Trace.Snapshot().Counts(), r8.Trace.Snapshot().Counts()
+	c1, c8 := r1.Trace.Counts(), r8.Trace.Counts()
 	if c1 != c8 {
 		t.Errorf("trace counts differ across worker counts:\n1 worker: %v\n8 workers: %v", c1, c8)
 	}
@@ -47,18 +47,18 @@ func TestTraceDeterministicAcrossWorkers(t *testing.T) {
 	}
 
 	// The trace actually recorded the pipeline's phases.
-	snap := r1.Trace.Snapshot()
+	tr := r1.Trace
 	for _, p := range []Phase{telemetry.PhaseTreeform, telemetry.PhaseDDG, telemetry.PhaseListSched} {
-		if snap.Phase[p].Calls == 0 {
+		if tr.Phase[p].Calls == 0 {
 			t.Errorf("phase %s has no calls", p)
 		}
 	}
-	if tot := snap.Total(); tot.Nanos <= 0 {
+	if tot := tr.Total(); tot.Nanos <= 0 {
 		t.Errorf("total trace time = %d, want > 0", tot.Nanos)
 	}
 
 	// The -stats table renders every active phase plus a totals row.
-	tbl := snap.Table()
+	tbl := tr.Table()
 	for _, want := range []string{"phase", "treeform", "list-sched", "total"} {
 		if !strings.Contains(tbl, want) {
 			t.Errorf("trace table missing %q:\n%s", want, tbl)
@@ -83,7 +83,7 @@ func TestFig1SchedStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, _, err := CompileOne(context.Background(), fn, prof, DefaultConfig())
+	fr, _, err := compileSingle(context.Background(), fn, prof, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +121,7 @@ func TestFig1SchedStats(t *testing.T) {
 	}
 
 	// The per-function trace covered the scheduling of every region.
-	snap := fr.Trace.Snapshot()
-	if got := snap.Phase[telemetry.PhaseListSched].Calls; got != int64(len(fr.Regions)) {
+	if got := fr.Trace.Phase[telemetry.PhaseListSched].Calls; got != int64(len(fr.Regions)) {
 		t.Errorf("list-sched calls = %d, want one per region (%d)", got, len(fr.Regions))
 	}
 }

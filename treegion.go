@@ -71,7 +71,7 @@ type (
 	// the input to interprocedural compilation (Program remains the
 	// generated-benchmark container).
 	IRProgram = ir.Program
-	// InlineConfig bounds demand-driven inline-on-absorb (WithInline).
+	// InlineConfig bounds demand-driven inline-on-absorb (Config.Inline).
 	InlineConfig = inline.Config
 	// InlineStats reports the splices performed and calls declined.
 	InlineStats = inline.Stats
@@ -85,8 +85,6 @@ type (
 	// CompileTrace is the per-function (or per-program, when merged)
 	// compile-phase trace attached to every FunctionResult.
 	CompileTrace = telemetry.CompileTrace
-	// TraceSnapshot is a point-in-time copy of a CompileTrace.
-	TraceSnapshot = telemetry.TraceSnapshot
 	// Phase identifies one compile phase in a CompileTrace.
 	Phase = telemetry.Phase
 	// SchedStats summarizes schedules: speculation, branch packing, copies.
@@ -179,8 +177,10 @@ func ProfileFunction(fn *Function, seed uint64, trips int) (*ProfileData, error)
 	return interp.Profile(fn, seed, trips, interp.Config{MaxSteps: interp.ProfileMaxSteps})
 }
 
-// CompileOption customizes Compile and CompileOne. The zero set of options
-// compiles with GOMAXPROCS workers, no cache, no metrics, no telemetry.
+// CompileOption customizes how Compile, CompileEach and CompileKeyed run
+// and what they check; what they compile is the Config. The zero set of
+// options compiles with GOMAXPROCS workers, no cache, no metrics, no
+// telemetry.
 type CompileOption func(*pipeline.Options)
 
 // options applies opts to the zero pipeline options.
@@ -224,28 +224,15 @@ func WithVerify() CompileOption {
 	return func(o *pipeline.Options) { o.Verify = true }
 }
 
-// WithInline enables demand-driven inline-on-absorb (Way & Pollock style)
-// during treegion formation: the batch's functions are resolved into a
-// program, and calls whose callee fits cfg's budgets are spliced into the
-// growing treegion, letting regions extend across call sites. Non-inlined
-// calls remain scheduling barriers exactly as without the option. Use
-// DefaultInlineConfig for the experiments' budgets.
-func WithInline(cfg InlineConfig) CompileOption {
-	return func(o *pipeline.Options) { o.Inline = cfg }
-}
-
 // DefaultInlineConfig returns the enabled inlining budgets used by the
 // experiments: depth 3, callee bodies up to 48 ops / 12 blocks, 3× code
-// expansion.
+// expansion. Set it as Config.Inline to enable demand-driven
+// inline-on-absorb (Way & Pollock style) during treegion formation: the
+// functions compiled together are resolved into a program, and calls whose
+// callee fits the budgets are spliced into the growing treegion, letting
+// regions extend across call sites. Non-inlined calls remain scheduling
+// barriers exactly as without it.
 func DefaultInlineConfig() InlineConfig { return inline.DefaultConfig() }
-
-// VerifyFunction runs the static verifier over an already compiled
-// function. orig, when non-nil, is the pre-compilation function and enables
-// the differential interpretation check. It verifies on an arena of its
-// own.
-func VerifyFunction(orig *Function, fr *FunctionResult, c Config) []Diagnostic {
-	return eval.VerifyResult(orig, fr, c, eval.NewArena())
-}
 
 // NewTelemetry builds an empty metrics registry; render it with its
 // WritePrometheus method (the daemon serves it on /v1/metrics).
@@ -260,17 +247,12 @@ func Compile(ctx context.Context, prog *Program, profs Profiles, c Config, opts 
 	return pipeline.CompileProgram(ctx, prog, profs, c, options(opts))
 }
 
-// CompileOne compiles a single function through the pipeline's cache and
-// panic isolation. Unlike CompileFunction it does not mutate fn or prof (it
-// compiles clones); it reports whether the result was served from the cache.
-func CompileOne(ctx context.Context, fn *Function, prof *ProfileData, c Config, opts ...CompileOption) (*FunctionResult, bool, error) {
-	return pipeline.CompileFunction(ctx, fn, prof, c, options(opts))
-}
-
-// CompileKeyed is CompileOne addressed by key instead of by its inputs'
-// content: a hit on key returns without calling load, and a miss runs load
-// once, inside the cache's compute. A load error is returned unchanged and
-// never cached. treegiond keys its requests so (DESIGN.md §27).
+// CompileKeyed compiles one function through the pipeline's cache and
+// panic isolation, addressed by key instead of by its inputs' content: a
+// hit on key returns without calling load, and a miss runs load once,
+// inside the cache's compute, and compiles clones of what it returns. A
+// load error is returned unchanged and never cached. treegiond keys its
+// requests so (DESIGN.md §27).
 func CompileKeyed(ctx context.Context, key CacheKey, load func() (*Function, *ProfileData, error), c Config, opts ...CompileOption) (*FunctionResult, bool, error) {
 	return pipeline.CompileKeyed(ctx, key, load, c, options(opts))
 }
@@ -281,7 +263,10 @@ func CompileKeyed(ctx context.Context, key CacheKey, load func() (*Function, *Pr
 // order, on the caller's goroutine, as results become available. A
 // per-function failure is delivered to emit as err and the run continues;
 // an error returned by emit cancels the remaining work and is returned.
-// This is the streaming core behind the daemon's /v1/compile-batch.
+// With Config.Inline on, fns is the program the inliner splices from. This
+// is the streaming core behind the daemon's /v1/compile-batch; a
+// one-function call compiles on the caller's goroutine and reports whether
+// the result came from the cache.
 func CompileEach(ctx context.Context, fns []*Function, profs []*ProfileData, c Config,
 	emit func(i int, fr *FunctionResult, cached bool, err error) error, opts ...CompileOption) error {
 	return pipeline.CompileEach(ctx, fns, profs, c, options(opts), emit)
@@ -334,9 +319,6 @@ func ParseIRProgram(src string) (*IRProgram, error) { return irtext.ParseProgram
 // program with a checked call graph — the same validation ParseIRProgram
 // applies (unique names, defined callees, matching call arities).
 func ResolveProgram(fns []*Function) (*IRProgram, error) { return ir.NewProgram(fns) }
-
-// PrintIRProgram serializes a resolved program to the textual IR format.
-func PrintIRProgram(p *IRProgram) string { return irtext.PrintProgram(p) }
 
 // DOT renders a function's CFG (with optional regions and profile) as
 // Graphviz DOT for visual inspection of what the region formers built.
